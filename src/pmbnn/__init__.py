@@ -1,68 +1,7 @@
-"""Physiological-model-based neural network for HR estimation from vo2."""
+"""Physiological-model-based neural network for HR estimation from vo2.
 
-from .physio_model import (
-    DEFAULT_INITIAL,
-    LambdaBounds,
-    LambdaParams,
-    coupling_g,
-    de_residual_series,
-    mean_arterial_pressure,
-    ode_rhs,
-    peripheral_resistance,
-    simulate_hr,
-    stroke_volume,
-)
-from .signal_pipeline import (
-    FilterConfig,
-    RawRecording,
-    SubjectRecord,
-    UniformSeries,
-    fir_lowpass,
-    parse_recording_csv,
-    preprocess_subject,
-    resample_linear_1hz,
-    savitzky_golay_smooth,
-)
-from .nn_core import (
-    MlpParams,
-    bounded_inverse,
-    bounded_transform,
-    gradient_check,
-    mlp_backward,
-    mlp_forward,
-    rmsprop_step,
-    xavier_init,
-)
-from .training import (
-    TrainConfig,
-    TrainedModel,
-    fit_pm,
-    lbfgs_minimize,
-    loss_data,
-    loss_de,
-    loss_total,
-    train_fcnn,
-    train_pmbnn,
-)
-from .experiment import (
-    SyntheticSpec,
-    generate_synthetic_subject,
-    reconstruct_pmbnn_r,
-    run_subject_experiment,
-    split_by_activity,
-)
-from .stats_eval import (
-    EvalReport,
-    MetricPair,
-    build_eval_report,
-    cohens_d_paired,
-    emit_report,
-    linear_fit_ci,
-    log_curve_fit,
-    r_squared,
-    rmse,
-    summary_stats,
-    wilcoxon_signed_rank,
-)
+The package is used through its ``pmbnn`` command (:mod:`pmbnn.cli`) and
+its submodules; see the README for the layout.
+"""
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import nn_core, stats_eval, training
-from .errors import PmbnnError
+from .errors import IoFailure, PmbnnError
 from .experiment import (
     ActivityPhase,
     DEFAULT_PLAN,
@@ -53,7 +53,7 @@ DEFAULTS = {
     "split.ratio": 0.8,
     "train.max_epochs": 5000,
     "train.stop_threshold": 10.0,
-    "train.de_weight": 1e5,
+    "train.de_weight": 1e5 / 3600,
     "train.lr": 0.01,
     "train.seed": 0,
     "pm.iters": 150,
@@ -75,35 +75,46 @@ JOINED_HEADER = ["t_s", "hr_true", "hr_pmbnn", "hr_fcnn", "hr_pm",
 SYNTH_DEFAULT_LAMBDA = LambdaParams(0.025, 0.08, -2.8, 19.0, 0.44, 0.1)
 
 
-def _load_config(path: str | None) -> dict:
+def _resolve_config(path: str | None, extras: list[str]) -> dict:
+    """DEFAULTS, then the ``--config`` file, then ``--section.key`` flags.
+
+    Raises ValueError for a usage error: an unreadable or malformed config
+    file, a malformed flag, a key outside DEFAULTS or a bad ``pm.objective``.
+    """
     cfg = dict(DEFAULTS)
     if path:
-        with open(path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        for key, value in file_cfg.items():
-            cfg[key] = value
-    return cfg
-
-
-def _apply_overrides(cfg: dict, extras: list[str]) -> dict:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config {path} must be a JSON object")
+        cfg.update(file_cfg)
     i = 0
     while i < len(extras):
         token = extras[i]
         if not token.startswith("--") or "." not in token:
-            raise SystemExit(f"unrecognized argument: {token}")
+            raise ValueError(f"unrecognized argument: {token}")
         key = token[2:]
         if "=" in key:
             key, raw = key.split("=", 1)
         else:
             i += 1
             if i >= len(extras):
-                raise SystemExit(f"flag {token} expects a value")
+                raise ValueError(f"flag {token} expects a value")
             raw = extras[i]
         try:
             cfg[key] = json.loads(raw)
         except json.JSONDecodeError:
             cfg[key] = raw
         i += 1
+    unknown = sorted(set(cfg) - set(DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    if cfg["pm.objective"] not in training.PM_OBJECTIVES:
+        raise ValueError(f"pm.objective must be one of {training.PM_OBJECTIVES}, "
+                         f"got {cfg['pm.objective']!r}")
     return cfg
 
 
@@ -151,9 +162,23 @@ def _write_manifest(out_dir: str, name: str, payload: dict) -> str:
     return path
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_bytes(path))
+    except ValueError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
 def _read_record(path: str) -> SubjectRecord:
-    with open(path, "rb") as fh:
-        raw = parse_recording_csv(fh.read(), subject_id=_subject_id(path))
+    raw = parse_recording_csv(_read_bytes(path), subject_id=_subject_id(path))
     return resample_linear_1hz(raw)
 
 
@@ -195,8 +220,7 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
 
 def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     plan = tuple(
         ActivityPhase(
             label=p["label"],
@@ -352,12 +376,13 @@ def cmd_reconstruct(args, cfg: dict) -> int:
 
 
 def _read_predictions(path: str):
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = list(csv.reader(fh)) or [[]]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
     model_cols = [h for h in header if h in MODEL_COLUMNS.values()]
-    if header[:2] != ["t_s", "hr_true"] or header[-1] != "activity" or not model_cols:
+    if header[:2] != ["t_s", "hr_true"] or header[-1:] != ["activity"] or not model_cols:
         raise PmbnnError(f"{path}: not a predictions CSV (header {header})")
     return header, rows
 
@@ -385,8 +410,6 @@ def cmd_evaluate(args, cfg: dict) -> int:
                             + [e.get(c, "") for c in JOINED_HEADER[2:-1]]
                             + [e["activity"]])
 
-    hr_true = np.array([float(joined[t]["hr_true"]) for t in times])
-    labels = np.array([joined[t]["activity"] for t in times])
     metrics: dict[str, dict] = {}
     for model, col in MODEL_COLUMNS.items():
         have = [t for t in times if col in joined[t]]
@@ -394,12 +417,8 @@ def cmd_evaluate(args, cfg: dict) -> int:
             continue
         pred = np.array([float(joined[t][col]) for t in have])
         ref = np.array([float(joined[t]["hr_true"]) for t in have])
-        labs = np.array([joined[t]["activity"] for t in have])
-        entry = {"overall": _metric_dict(ref, pred), "per_activity": {}}
-        for label in dict.fromkeys(labs.tolist()):
-            mask = labs == label
-            entry["per_activity"][label] = _metric_dict(ref[mask], pred[mask])
-        metrics[model] = entry
+        labs = [joined[t]["activity"] for t in have]
+        metrics[model] = stats_eval.score_predictions(ref, pred, labs)
     _write_manifest(args.out, "metrics.json", {
         "command": "evaluate",
         "participant": args.subject,
@@ -411,21 +430,10 @@ def cmd_evaluate(args, cfg: dict) -> int:
     return 0
 
 
-def _metric_dict(ref: np.ndarray, pred: np.ndarray) -> dict:
-    from .errors import ConstantReference
-
-    try:
-        r2 = stats_eval.r_squared(ref, pred)
-    except ConstantReference:
-        r2 = None
-    return {"r2": r2, "rmse": stats_eval.rmse(ref, pred)}
-
-
 def cmd_report(args, cfg: dict) -> int:
     subjects = []
     for path in args.metrics:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(path)
         overall, per_activity = {}, {}
         for model, entry in payload["models"].items():
             overall[model] = stats_eval.MetricPair(**entry["overall"])
@@ -520,7 +528,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
     try:
-        cfg = _apply_overrides(_load_config(args.config), extras)
+        cfg = _resolve_config(args.config, extras)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
         return args.func(args, cfg)
     except PmbnnError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -45,10 +45,6 @@ class NonPositiveVo2(PmbnnError):
     """Logarithmic hemodynamic relations require vo2 > 0."""
 
 
-class InvertedPressures(PmbnnError):
-    """Systolic pressure below diastolic pressure."""
-
-
 class Singularity(PmbnnError):
     """The heart-rate dynamics denominator 1 - l5*g(vo2) is (near) zero."""
 
@@ -110,4 +106,4 @@ class DegenerateDesign(PmbnnError):
 
 
 class IoFailure(PmbnnError):
-    """Report or manifest could not be written."""
+    """An input file could not be read, or an output could not be written."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn_core, physio_model, training
+from . import nn_core, physio_model, stats_eval, training
 from .errors import NonPositiveVo2, SegmentTooShort
 from .physio_model import LambdaBounds, LambdaParams
 from .signal_pipeline import SubjectRecord, UniformSeries, segments_from_labels
@@ -208,29 +208,6 @@ class ModelResult:
     wall_time_s: float = 0.0
 
 
-def _metrics(ref: np.ndarray, pred: np.ndarray) -> tuple[float | None, float]:
-    from . import stats_eval
-    from .errors import ConstantReference
-
-    rmse = stats_eval.rmse(ref, pred)
-    try:
-        r2 = stats_eval.r_squared(ref, pred)
-    except ConstantReference:
-        r2 = None
-    return r2, rmse
-
-
-def _per_activity_metrics(test: SubjectRecord, pred: np.ndarray):
-    out: dict[str, dict[str, float | None]] = {}
-    labels = np.asarray(test.activity_labels)
-    ref = test.hr.values
-    for label in dict.fromkeys(test.activity_labels):  # preserve order
-        mask = labels == label
-        r2, rmse = _metrics(ref[mask], pred[mask])
-        out[label] = {"r2": r2, "rmse": rmse}
-    return out
-
-
 def run_subject_experiment(rec: SubjectRecord, cfg: ExperimentConfig = ExperimentConfig()):
     """Split once, train PMB-NN / FCNN / PM on the same training part,
     evaluate everything (plus the PMB-NN-R reconstruction) on the same
@@ -241,10 +218,10 @@ def run_subject_experiment(rec: SubjectRecord, cfg: ExperimentConfig = Experimen
     results: dict[str, ModelResult] = {}
 
     def add(name, pred, lam=None, stopped=None, final_loss=None, wall=0.0):
-        r2, rmse_v = _metrics(ref, pred)
+        scores = stats_eval.score_predictions(ref, pred, test.activity_labels)
         results[name] = ModelResult(
-            model=name, predictions=pred, r2=r2, rmse=rmse_v,
-            per_activity=_per_activity_metrics(test, pred),
+            model=name, predictions=pred, r2=scores["overall"]["r2"],
+            rmse=scores["overall"]["rmse"], per_activity=scores["per_activity"],
             lam=lam, stopped_reason=stopped, final_loss=final_loss,
             wall_time_s=wall,
         )

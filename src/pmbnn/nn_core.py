@@ -4,12 +4,16 @@ The network maps vo2 (L/min) to heart rate (bpm) with a linear output
 layer. Alongside the weights it carries six unconstrained ``theta``
 values that a logistic bound map turns into the physiological parameters
 l1..l6, so gradient updates can never leave the parameter boxes.
+
+The training loss is L_tot = L_data + w * L_DE: L_data is the mean
+squared HR error (bpm^2) and L_DE the mean squared collocation residual
+of :func:`physio_model.collocation_residuals` ((bpm/min)^2).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from . import physio_model as pm
 from .errors import (
     BadBounds,
     InvalidStep,
+    IoFailure,
     LengthMismatch,
     NonFiniteGradient,
     NonFiniteLoss,
@@ -39,15 +44,8 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def bounded_transform(theta, lo: float, hi: float):
-    """Map an unconstrained value into (lo, hi) via the logistic function."""
-    if not lo < hi:
-        raise BadBounds(f"need lo < hi, got ({lo}, {hi})")
-    return lo + (hi - lo) * sigmoid(theta)
-
-
 def bounded_inverse(lam, lo: float, hi: float):
-    """Inverse of :func:`bounded_transform` (logit of the box coordinate)."""
+    """Logit of the box coordinate: the theta that the logistic map sends to lam."""
     if not lo < hi:
         raise BadBounds(f"need lo < hi, got ({lo}, {hi})")
     lam = np.asarray(lam, dtype=float)
@@ -76,34 +74,13 @@ def theta_jacobian(theta: np.ndarray, bounds: LambdaBounds) -> np.ndarray:
     return (hi - lo) * s * (1.0 - s)
 
 
-class _Tree:
-    """Shared array-field helpers for parameter-shaped containers."""
-
-    def arrays(self):
-        return [getattr(self, f) for f in ARRAY_FIELDS]
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, like: "_Tree"):
-        out = {}
-        pos = 0
-        for name in ARRAY_FIELDS:
-            ref = getattr(like, name)
-            out[name] = vec[pos:pos + ref.size].reshape(ref.shape).copy()
-            pos += ref.size
-        if pos != len(vec):
-            raise LengthMismatch(f"vector length {len(vec)}, expected {pos}")
-        return cls(**out)
-
-    def copy(self):
-        return type(self)(**{f: getattr(self, f).copy() for f in ARRAY_FIELDS})
-
-
 @dataclass
-class MlpParams(_Tree):
-    """Network weights/biases plus the six unconstrained lambda pre-images."""
+class _Tree:
+    """The seven parameter-shaped arrays: weights, biases and theta.
+
+    One layout serves the network parameters, their gradients and the
+    RMSprop squared-gradient accumulators.
+    """
 
     w1: np.ndarray   # (64, 1)
     b1: np.ndarray   # (64,)
@@ -111,23 +88,23 @@ class MlpParams(_Tree):
     b2: np.ndarray   # (64,)
     w3: np.ndarray   # (1, 64)
     b3: np.ndarray   # (1,)
-    theta: np.ndarray  # (6,)
+    theta: np.ndarray  # (6,) unconstrained pre-images of l1..l6
 
+    def arrays(self):
+        return [getattr(self, f) for f in ARRAY_FIELDS]
 
-@dataclass
-class Gradients(_Tree):
-    """Gradient of a scalar loss, one array per parameter block."""
+    def to_vector(self) -> np.ndarray:
+        return np.concatenate([a.ravel() for a in self.arrays()])
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    theta: np.ndarray
+    def copy(self):
+        return _Tree(*(a.copy() for a in self.arrays()))
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(a)) for a in self.arrays())
+
+
+#: network weights/biases plus the six unconstrained lambda pre-images
+MlpParams = _Tree
 
 
 def xavier_init(
@@ -172,8 +149,8 @@ def mlp_forward(p: MlpParams, vo2):
 class TrainBatch:
     """Everything a loss evaluation needs besides the parameters.
 
-    Validates vo2 positivity once and caches log(vo2) and the bound
-    arrays so repeated loss evaluations stay cheap.
+    Validates vo2 positivity once and caches log(vo2), the sample spacing
+    in minutes and the bound arrays so repeated loss evaluations stay cheap.
     """
 
     vo2: np.ndarray
@@ -189,84 +166,63 @@ class TrainBatch:
         pm._check_positive_vo2(self.vo2)
         lo, hi = self.bounds.lo_hi_arrays()
         object.__setattr__(self, "_log_vo2", np.log(self.vo2))
+        object.__setattr__(self, "_dt_min", self.dt_seconds / pm.SECONDS_PER_MINUTE)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
 
-    @property
-    def log_vo2(self) -> np.ndarray:
-        return self._log_vo2
 
-
-def _lambda_array(theta: np.ndarray, batch: TrainBatch) -> np.ndarray:
-    return batch._lo + (batch._hi - batch._lo) * sigmoid(theta)
-
-
-def _residual_terms(lam: np.ndarray, batch: TrainBatch, y: np.ndarray):
-    """Per-segment training residuals in per-second units.
-
-    The training loss expresses the collocation residual per second (the
-    native sample spacing), the convention under which the default DE
-    weight of 1e5 keeps the weighted residual commensurate with the data
-    term. l6 keeps its bpm/min unit and is converted inline.
-    """
-    dt_s = batch.dt_seconds
-    l1, l2, l3, l4, l5, l6 = lam
-    l6_s = l6 / pm.SECONDS_PER_MINUTE
-    terms = []
-    count = 0
-    for a, b in batch.segment_bounds:
-        lv = batch._log_vo2[a:b]
-        h = y[a:b]
-        g = (l1 * lv + l2) * (l3 * lv + l4)
-        p_series = h * g
-        f = ((h[2:] - h[:-2]) - l5 * (p_series[2:] - p_series[:-2])) \
-            / (2 * dt_s) - l6_s
-        terms.append((a, b, lv, h, g, f))
-        count += len(f)
-    return terms, count, dt_s
+def _forward_loss(p: MlpParams, batch: TrainBatch):
+    """Forward pass, L_data and L_DE, plus what the backward pass reuses."""
+    X, a1, a2, y = _forward_full(p, batch.vo2)
+    resid = y - batch.hr
+    l_data = float(resid @ resid) / len(y)
+    lam = batch._lo + (batch._hi - batch._lo) * sigmoid(p.theta)
+    res = pm.collocation_residuals(
+        y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam
+    )
+    m = sum(len(f) for f in res)
+    l_de = sum(float(f @ f) for f in res) / m
+    return (X, a1, a2, y), resid, lam, res, m, l_data, l_de
 
 
 def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     """Evaluate L_data, L_DE, L_tot and exact reverse-mode gradients.
 
-    Lambda gradients flow through the logistic bound map; prediction-series
-    time derivatives inside L_DE are handled as a linear (segment-aware)
-    operator on the batch outputs.
+    L_data is in bpm^2 and L_DE, the mean squared collocation residual,
+    in (bpm/min)^2. Lambda gradients flow through the logistic bound map;
+    prediction-series time derivatives inside L_DE are handled as a linear
+    (segment-aware) operator on the batch outputs.
     """
-    X, a1, a2, y = _forward_full(p, batch.vo2)
-    n = len(y)
-    resid = y - batch.hr
-    l_data = float(resid @ resid) / n
-
-    lam = _lambda_array(p.theta, batch)
-    l1, l2, l3, l4, l5, l6 = lam
-    terms, m, dt_s = _residual_terms(lam, batch, y)
-    l_de = sum(float(f @ f) for *_, f in terms) / m
-
+    (X, a1, a2, y), resid, lam, res, m, l_data, l_de = _forward_loss(p, batch)
     w = batch.de_weight
     l_tot = l_data + w * l_de
     if not np.isfinite(l_tot):
         raise NonFiniteLoss(f"L_tot = {l_tot}")
 
     # d L_tot / d prediction
-    dy = (2.0 / n) * resid
+    dy = (2.0 / len(y)) * resid
+    dt = batch._dt_min
+    l1, l2, l3, l4, l5, _ = lam
     dlam = np.zeros(6)
-    for a, b, lv, h, g, f in terms:
+    for (a, b), f in zip(batch.segment_bounds, res):
+        lv = batch._log_vo2[a:b]
+        h = y[a:b]
+        sv = l1 * lv + l2
+        tpr = l3 * lv + l4
+        g = sv * tpr
         fp = np.zeros(b - a)
         fp[1:-1] = f
         # adjoint of the central-difference stencil, edges contribute zero
         shift_back = np.concatenate(([0.0], fp[:-1]))
         shift_fwd = np.concatenate((fp[1:], [0.0]))
-        dy[a:b] += w * (1.0 - l5 * g) * (shift_back - shift_fwd) / (m * dt_s)
+        dy[a:b] += w * (1.0 - l5 * g) * (shift_back - shift_fwd) / (m * dt)
 
-        pdot = (h[2:] * g[2:] - h[:-2] * g[:-2]) / (2 * dt_s)
-        dlam[5] += -2.0 / m * float(np.sum(f)) / pm.SECONDS_PER_MINUTE
+        pdot = (h[2:] * g[2:] - h[:-2] * g[:-2]) / (2 * dt)
+        dlam[5] += -2.0 / m * float(np.sum(f))
         dlam[4] += -2.0 / m * float(f @ pdot)
-        sv = l1 * lv + l2
-        tpr = l3 * lv + l4
         for k, gpart in enumerate((lv * tpr, tpr, sv * lv, sv)):
             c = h * gpart
-            cdot = (c[2:] - c[:-2]) / (2 * dt_s)
+            cdot = (c[2:] - c[:-2]) / (2 * dt)
             dlam[k] += -l5 * 2.0 / m * float(f @ cdot)
 
     # backprop through the MLP
@@ -283,67 +239,43 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     db1 = dz1.sum(axis=0)
 
     dtheta = w * dlam * theta_jacobian(p.theta, batch.bounds)
-    grads = Gradients(dw1, db1, dw2, db2, dw3, db3, dtheta)
+    grads = _Tree(dw1, db1, dw2, db2, dw3, db3, dtheta)
     return l_data, l_de, l_tot, grads
 
 
 def loss_only(p: MlpParams, batch: TrainBatch) -> float:
     """L_tot without gradients (used by the finite-difference oracle)."""
-    y = _forward_full(p, batch.vo2)[3]
-    resid = y - batch.hr
-    l_data = float(resid @ resid) / len(y)
-    lam = _lambda_array(p.theta, batch)
-    terms, m, _ = _residual_terms(lam, batch, y)
-    l_de = sum(float(f @ f) for *_, f in terms) / m
+    *_, l_data, l_de = _forward_loss(p, batch)
     return l_data + batch.de_weight * l_de
-
-
-def mlp_backward(p: MlpParams, batch: TrainBatch) -> Gradients:
-    """Reverse-mode gradients of L_tot for every weight, bias and theta."""
-    return loss_and_gradients(p, batch)[3]
 
 
 @dataclass
 class RmspropState:
     """Squared-gradient accumulators plus the optimizer hyperparameters."""
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-    theta: np.ndarray
+    v: _Tree
     rho: float = 0.99
     eps: float = 1e-8
     lr: float = 0.01
 
-    def arrays(self):
-        return [getattr(self, f) for f in ARRAY_FIELDS]
-
     @classmethod
     def init(cls, p: MlpParams, rho: float = 0.99, eps: float = 1e-8,
              lr: float = 0.01) -> "RmspropState":
-        zeros = {f: np.zeros_like(getattr(p, f)) for f in ARRAY_FIELDS}
-        return cls(rho=rho, eps=eps, lr=lr, **zeros)
+        return cls(_Tree(*(np.zeros_like(a) for a in p.arrays())), rho, eps, lr)
 
 
 def rmsprop_step(
-    p: MlpParams, g: Gradients, st: RmspropState
+    p: MlpParams, g: MlpParams, st: RmspropState
 ) -> tuple[MlpParams, RmspropState]:
     """v <- rho*v + (1-rho)*g^2; p <- p - lr * g / (sqrt(v) + eps)."""
     if not g.is_finite():
         raise NonFiniteGradient("gradient contains NaN or inf")
-    new_p, new_v = {}, {}
-    for name in ARRAY_FIELDS:
-        gv = getattr(g, name)
-        v = st.rho * getattr(st, name) + (1.0 - st.rho) * gv * gv
-        new_v[name] = v
-        new_p[name] = getattr(p, name) - st.lr * gv / (np.sqrt(v) + st.eps)
-    return (
-        MlpParams(**new_p),
-        RmspropState(rho=st.rho, eps=st.eps, lr=st.lr, **new_v),
-    )
+    new_p, new_v = [], []
+    for pv, gv, v in zip(p.arrays(), g.arrays(), st.v.arrays()):
+        v = st.rho * v + (1.0 - st.rho) * gv * gv
+        new_v.append(v)
+        new_p.append(pv - st.lr * gv / (np.sqrt(v) + st.eps))
+    return _Tree(*new_p), replace(st, v=_Tree(*new_v))
 
 
 def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
@@ -353,7 +285,7 @@ def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
     """
     if h <= 0:
         raise InvalidStep(f"step must be positive, got {h}")
-    analytic = mlp_backward(p, batch).to_vector()
+    analytic = loss_and_gradients(p, batch)[3].to_vector()
     work = p.copy()
     fd = np.empty(len(analytic))
     pos = 0
@@ -396,7 +328,8 @@ def make_gradcheck_case(seed: int) -> tuple[MlpParams, TrainBatch]:
     hr = pred - (12.0 + 4.0 * rng.uniform(size=2 * half))
     batch = TrainBatch(
         vo2=vo2, hr=hr, segment_bounds=bounds_idx, dt_seconds=1.0,
-        bounds=LambdaBounds(), de_weight=70.0,
+        bounds=LambdaBounds(),
+        de_weight=70.0 / 3600.0,  # 70 per (bpm/s)^2; L_DE is in (bpm/min)^2
     )
     return p, batch
 
@@ -424,8 +357,11 @@ def save_checkpoint(path, p: MlpParams, bounds: LambdaBounds, seed: int,
 
 
 def load_checkpoint(path) -> tuple[MlpParams, LambdaBounds, int, str]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
     kwargs = {}
     for name in ARRAY_FIELDS:
         shape = tuple(payload["layer_shapes"][name])

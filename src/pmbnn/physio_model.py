@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BadBounds,
-    InvertedPressures,
     LengthMismatch,
     NonPositiveVo2,
     OutOfBounds,
@@ -96,16 +95,6 @@ class LambdaBounds:
             raise OutOfBounds(f"{lam} outside bounds {self}")
 
 
-@dataclass(frozen=True)
-class HemoState:
-    """Instantaneous hemodynamic state."""
-
-    sv: float    # L/beat
-    tpr: float   # mmHg/L/min
-    co: float    # L/min
-    map: float   # mmHg
-
-
 def _check_positive_vo2(vo2) -> np.ndarray:
     v = np.asarray(vo2, dtype=float)
     if np.any(v <= 0):
@@ -128,53 +117,6 @@ def peripheral_resistance(lam: LambdaParams, vo2):
 def coupling_g(lam: LambdaParams, vo2):
     """g = SV * TPR, the HR-to-MAP coupling factor."""
     return stroke_volume(lam, vo2) * peripheral_resistance(lam, vo2)
-
-
-def coupling_g_dv(lam: LambdaParams, vo2):
-    """dg/dvo2 = (2*l1*l3*ln v + l1*l4 + l2*l3) / v."""
-    v = _check_positive_vo2(vo2)
-    return (2.0 * lam.l1 * lam.l3 * np.log(v) + lam.l1 * lam.l4 + lam.l2 * lam.l3) / v
-
-
-def coupling_g_lambda_partials(lam: LambdaParams, vo2):
-    """Partials of g with respect to l1..l4, each shaped like vo2."""
-    v = _check_positive_vo2(vo2)
-    logv = np.log(v)
-    sv = lam.l1 * logv + lam.l2
-    tpr = lam.l3 * logv + lam.l4
-    return logv * tpr, tpr, sv * logv, sv
-
-
-def mean_arterial_pressure(hr: float, lam: LambdaParams, vo2: float) -> HemoState:
-    """Full hemodynamic state from HR and vo2: CO = HR*SV, MAP = CO*TPR."""
-    if hr < 0:
-        raise NonPositiveVo2(f"hr must be non-negative, got {hr}")
-    sv = float(stroke_volume(lam, vo2))
-    tpr = float(peripheral_resistance(lam, vo2))
-    co = hr * sv
-    return HemoState(sv=sv, tpr=tpr, co=co, map=co * tpr)
-
-
-def map_from_sbp_dbp(sbp: float, dbp: float) -> float:
-    """Cuff-pressure MAP estimate: SBP/3 + 2*DBP/3."""
-    if dbp <= 0 or sbp < dbp:
-        raise InvertedPressures(f"need sbp >= dbp > 0, got sbp={sbp}, dbp={dbp}")
-    return sbp / 3.0 + 2.0 * dbp / 3.0
-
-
-def ode_rhs(hr: float, vo2: float, dvo2_dt: float, lam: LambdaParams) -> float:
-    """Explicit dHR/dt in bpm/min.
-
-    Obtained by expanding d(HR*g)/dt in the dynamics and solving for dHR/dt:
-    dHR/dt = (l5 * HR * g'(v) * dv/dt + l6) / (1 - l5 * g(v)).
-    ``dvo2_dt`` is in L/min per minute.
-    """
-    g = float(coupling_g(lam, vo2))
-    den = 1.0 - lam.l5 * g
-    if abs(den) <= EPS_DEN:
-        raise Singularity(f"1 - l5*g = {den} at vo2={vo2}")
-    gdot = float(coupling_g_dv(lam, vo2)) * dvo2_dt
-    return (lam.l5 * hr * gdot + lam.l6) / den
 
 
 def _denominator(lam: LambdaParams, v: np.ndarray) -> np.ndarray:
@@ -220,31 +162,29 @@ def simulate_hr(
     )
 
 
-def de_residual_raw(
-    hr: np.ndarray,
-    vo2: np.ndarray,
-    segment_bounds,
-    dt_seconds: float,
-    lam: LambdaParams,
-) -> list[np.ndarray]:
-    """Collocation residuals F per segment, interior samples only.
 
-    F_i = dHR_i - l6 - l5 * dP_i with P = HR * g(vo2) and d the central
-    difference in per-minute units. Each segment contributes len-2 values.
+
+def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> list:
+    """Central-difference collocation residuals per segment (bpm/min).
+
+    F_i = (HR_{i+1} - HR_{i-1} - l5 * (P_{i+1} - P_{i-1})) / (2 dt) - l6
+    with P = HR * g(vo2), at the interior samples of each segment, so a
+    segment contributes len-2 values. ``log_vo2`` is ln(vo2) of the whole
+    series, ``dt_min`` the sample spacing in minutes and ``lam`` the six
+    lambdas as a plain sequence. This is the one discretization of the
+    dynamics that the training loss and the PM fit both use.
     """
-    if len(hr) != len(vo2):
-        raise LengthMismatch("hr and vo2 must be aligned")
-    dt_min = dt_seconds / SECONDS_PER_MINUTE
+    l1, l2, l3, l4, l5, l6 = lam
     residuals = []
     for a, b in segment_bounds:
         if b - a < 3:
             raise SegmentTooShort(f"segment [{a},{b}) needs >= 3 samples")
-        v = _check_positive_vo2(vo2[a:b])
+        lv = log_vo2[a:b]
         h = hr[a:b]
-        p = h * coupling_g(lam, v)
-        hdot = (h[2:] - h[:-2]) / (2.0 * dt_min)
-        pdot = (p[2:] - p[:-2]) / (2.0 * dt_min)
-        residuals.append(hdot - lam.l6 - lam.l5 * pdot)
+        p = h * ((l1 * lv + l2) * (l3 * lv + l4))
+        residuals.append(
+            ((h[2:] - h[:-2]) - l5 * (p[2:] - p[:-2])) / (2.0 * dt_min) - l6
+        )
     return residuals
 
 
@@ -257,5 +197,8 @@ def de_residual_series(
     """
     if (len(hr) != len(vo2)) or hr.segment_bounds != vo2.segment_bounds:
         raise LengthMismatch("hr and vo2 must share grid and segments")
-    parts = de_residual_raw(hr.values, vo2.values, vo2.segment_bounds, vo2.dt, lam)
+    parts = collocation_residuals(
+        hr.values, np.log(_check_positive_vo2(vo2.values)), vo2.segment_bounds,
+        vo2.dt / SECONDS_PER_MINUTE, lam.as_array(),
+    )
     return np.concatenate(parts) if parts else np.empty(0)

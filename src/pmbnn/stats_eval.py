@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .errors import (
     AllZeroDifferences,
@@ -61,6 +60,34 @@ def rmse(ref, pred) -> float:
         raise EmptySeries("rmse needs at least 1 sample")
     d = a - b
     return math.sqrt(float(d @ d) / len(d))
+
+
+def _r2_rmse(ref: np.ndarray, pred: np.ndarray) -> dict:
+    r2 = None
+    if len(ref) >= 2:
+        try:
+            r2 = r_squared(ref, pred)
+        except ConstantReference:
+            pass
+    return {"r2": r2, "rmse": rmse(ref, pred)}
+
+
+def score_predictions(ref, pred, labels) -> dict:
+    """R^2 and RMSE overall and per activity label, labels in first-seen order.
+
+    Returns ``{"overall": {"r2", "rmse"}, "per_activity": {label: {...}}}``.
+    R^2 is None where it is undefined (a constant reference or fewer than 2
+    samples); RMSE needs at least 1 sample.
+    """
+    a, b = _paired(ref, pred)
+    labels = np.asarray(labels)
+    if labels.shape != a.shape:
+        raise LengthMismatch(f"{labels.shape} labels for {a.shape} samples")
+    per_activity = {}
+    for label in dict.fromkeys(labels.tolist()):
+        mask = labels == label
+        per_activity[label] = _r2_rmse(a[mask], b[mask])
+    return {"overall": _r2_rmse(a, b), "per_activity": per_activity}
 
 
 @dataclass(frozen=True)
@@ -247,6 +274,10 @@ def linear_fit_ci(xs, ys, level: float = 0.95, band: str = "mean") -> LinearFitC
     widens it by the residual variance term. Coverage is the fraction of
     observed ys inside the band.
     """
+    # imported here: scipy.stats costs over a second to import, and nothing
+    # else in the package needs it
+    from scipy.stats import t as student_t
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     n = len(x)
@@ -454,44 +485,6 @@ def report_to_dict(report: EvalReport) -> dict:
             for act, comps in report.per_activity_comparisons.items()
         },
     }
-
-
-def report_from_dict(payload: dict) -> EvalReport:
-    def test_obj(v):
-        if v == INSUFFICIENT:
-            return INSUFFICIENT
-        return PairedTestResult(
-            p_one_tailed=v["p_one_tailed"],
-            cohens_d=v["cohens_d"],
-            n_pairs=v["n_pairs"],
-            direction=v["direction"],
-            n_zero_dropped=v["n_zero_dropped"],
-            exact=v["exact"],
-        )
-
-    subjects = [
-        SubjectMetrics(
-            participant=s["participant"],
-            overall={m: MetricPair(**v) for m, v in s["overall"].items()},
-            per_activity={
-                act: {m: MetricPair(**v) for m, v in by_model.items()}
-                for act, by_model in s["per_activity"].items()
-            },
-        )
-        for s in payload["subjects"]
-    ]
-    return EvalReport(
-        subjects=tuple(subjects),
-        models=tuple(payload["models"]),
-        summary=payload["summary"],
-        comparisons={k: test_obj(v) for k, v in payload["comparisons"].items()},
-        per_activity_summary=payload["per_activity_summary"],
-        per_activity_comparisons={
-            act: {k: test_obj(v) for k, v in comps.items()}
-            for act, comps in payload["per_activity_comparisons"].items()
-        },
-        schema_version=payload["schema_version"],
-    )
 
 
 def emit_report(report: EvalReport, out_dir) -> dict[str, str]:

@@ -29,9 +29,8 @@ from .signal_pipeline import SubjectRecord, UniformSeries
 class LossBreakdown:
     """One epoch's loss components: l_tot = l_data + w * l_de.
 
-    l_data is in bpm^2; l_de is the mean squared training residual in
-    per-second units ((bpm/s)^2), the convention that keeps the default
-    DE weight of 1e5 commensurate with the data term.
+    l_data is in bpm^2; l_de is the mean squared collocation residual in
+    (bpm/min)^2, the unit of :func:`loss_de` and of the PM fit.
     """
 
     l_data: float
@@ -46,7 +45,9 @@ class TrainConfig:
 
     max_epochs: int = 5000
     stop_threshold: float = 10.0
-    de_weight: float = 1e5
+    # 1e5 per (bpm/s)^2 of residual, the weight that keeps the DE term
+    # commensurate with the data term; L_DE is in (bpm/min)^2
+    de_weight: float = 1e5 / 3600
     learning_rate: float = 0.01
     seed: int = 0
     rmsprop_rho: float = 0.99
@@ -87,13 +88,6 @@ def loss_de(hr_pred: UniformSeries, vo2: UniformSeries, lam: LambdaParams) -> fl
     """Mean squared collocation residual over interior samples ((bpm/min)^2)."""
     res = physio_model.de_residual_series(hr_pred, vo2, lam)
     return float(res @ res) / len(res)
-
-
-def loss_total(l_data: float, l_de: float, w: float) -> float:
-    """Composite loss l_data + w * l_de."""
-    if w < 0:
-        raise LengthMismatch(f"de weight must be >= 0, got {w}")
-    return l_data + w * l_de
 
 
 def _batch_from_record(rec: SubjectRecord, cfg: TrainConfig, w: float) -> TrainBatch:
@@ -251,6 +245,11 @@ def lbfgs_minimize(
 
 # --- standalone PM fitting -------------------------------------------------
 
+#: PM fit objectives: MSE of the simulated trajectory, or of the
+#: collocation residual along the measured HR
+PM_OBJECTIVES = ("trajectory", "collocation")
+
+
 @dataclass(frozen=True)
 class PmFitConfig:
     """Settings for the standalone physiological-model fit."""
@@ -258,7 +257,7 @@ class PmFitConfig:
     iters: int = 150
     memory: int = 10
     fd_step: float = 1e-6
-    objective: str = "trajectory"   # or "collocation"
+    objective: str = "trajectory"   # one of PM_OBJECTIVES
     # The trajectory map has three exact flat directions no data can
     # resolve: (i) l5 only ever multiplies g(vo2), so (l5, g) -> (l5/k,
     # k*g) changes nothing; (ii) scaling (l1, l2) by k and (l3, l4) by

@@ -151,6 +151,56 @@ class TestErrorPaths:
             run([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--train.epochs", "3"],            # key outside DEFAULTS
+        ["gradcheck", "--foo", "1"],                     # not a --section.key flag
+        ["gradcheck", "--train.max_epochs"],             # flag without a value
+        ["gradcheck", "--pm.objective", "bogus"],        # not an objective
+    ])
+    def test_bad_config_flag_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        '{"train.epochs": 3}',   # key outside DEFAULTS
+        '{"train.max_epochs": ',  # not JSON
+        '[1, 2]',                 # not a JSON object
+        None,                     # missing file
+    ])
+    def test_bad_config_file_exits_two(self, tmp_path, content):
+        path = tmp_path / "run.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            run(["gradcheck", "--config", str(path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--input", "{missing}", "--out", "{out}"],
+        ["reconstruct", "--checkpoint", "{missing}", "--input", "{missing}",
+         "--out", "{out}"],
+        ["evaluate", "--pred", "{missing}", "--out", "{out}"],
+        ["report", "--metrics", "{missing}", "--out", "{out}"],
+    ])
+    def test_unreadable_input_is_io_failure(self, tmp_path, capsys, argv):
+        names = {"missing": str(tmp_path / "absent.csv"), "out": str(tmp_path / "o")}
+        assert run([a.format(**names) for a in argv]) == 1
+        assert "IoFailure" in capsys.readouterr().err
+
+
+def test_evaluate_one_sample_activity(tmp_path):
+    # a 5-sample activity segment leaves one test sample after the split
+    pred = tmp_path / "predictions_pmbnn.csv"
+    pred.write_text("t_s,hr_true,hr_pmbnn,activity\n"
+                    "4,70,71,sprint\n50,80,79,rest\n51,82,83,rest\n52,85,85,rest\n")
+    assert run(["evaluate", "--pred", str(pred), "--out", str(tmp_path / "e")]) == 0
+    payload = json.loads((tmp_path / "e" / "metrics.json").read_text())
+    per_activity = payload["models"]["pmbnn"]["per_activity"]
+    assert per_activity["sprint"] == {"r2": None, "rmse": 1.0}
+    assert per_activity["rest"]["r2"] is not None
+
 
 class TestConfigPlumbing:
     def test_file_config_with_flag_override(self, tmp_path):
@@ -259,24 +309,25 @@ def test_log_env_variable(tmp_path, monkeypatch, caplog):
 
 
 def test_public_api_experiment_smoke():
-    import pmbnn
+    from pmbnn import experiment, training
+    from pmbnn.physio_model import LambdaParams
 
-    spec = pmbnn.SyntheticSpec(
+    spec = experiment.SyntheticSpec(
         subject_id="api",
         plan=(
-            pmbnn.experiment.ActivityPhase("rest", 100, 0.4),
-            pmbnn.experiment.ActivityPhase("run", 100, 2.0),
+            experiment.ActivityPhase("rest", 100, 0.4),
+            experiment.ActivityPhase("run", 100, 2.0),
         ),
-        lambda_true=pmbnn.LambdaParams(0.02, 0.1, -5.3, 10.5, 0.44, 0.0),
+        lambda_true=LambdaParams(0.02, 0.1, -5.3, 10.5, 0.44, 0.0),
         hr0=70.0,
         seed=1,
     )
-    rec = pmbnn.generate_synthetic_subject(spec)
-    cfg = pmbnn.experiment.ExperimentConfig(
-        pmbnn=pmbnn.TrainConfig(max_epochs=10, seed=1),
-        fcnn=pmbnn.TrainConfig(max_epochs=10, seed=1),
-        pm_fit=pmbnn.training.PmFitConfig(iters=15),
+    rec = experiment.generate_synthetic_subject(spec)
+    cfg = experiment.ExperimentConfig(
+        pmbnn=training.TrainConfig(max_epochs=10, seed=1),
+        fcnn=training.TrainConfig(max_epochs=10, seed=1),
+        pm_fit=training.PmFitConfig(iters=15),
     )
-    split, results, manifest = pmbnn.run_subject_experiment(rec, cfg)
+    split, results, manifest = experiment.run_subject_experiment(rec, cfg)
     assert set(results) == {"pmbnn", "fcnn", "pm", "pmbnn_r"}
     assert manifest["subject_id"] == "api"

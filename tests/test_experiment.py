@@ -186,6 +186,21 @@ class TestRunSubjectExperiment:
             assert "r2" in entry and "rmse" in entry
 
 
+def test_five_sample_segment_scores_without_r2():
+    # a 5-sample activity leaves 1 test sample: R^2 is undefined there
+    rec = make_record([5, 60], ["sprint", "rest"])
+    cfg = ExperimentConfig(
+        pmbnn=TrainConfig(seed=1, max_epochs=3),
+        fcnn=TrainConfig(seed=1, max_epochs=3),
+        pm_fit=PmFitConfig(iters=3),
+    )
+    _, results, _ = run_subject_experiment(rec, cfg)
+    for res in results.values():
+        assert res.per_activity["sprint"]["r2"] is None
+        assert res.per_activity["sprint"]["rmse"] >= 0
+        assert res.per_activity["rest"]["r2"] is not None
+
+
 def test_oracle_soundness_zero_noise_fit():
     _, _, rec = oracle_subject(8)
     split = split_by_activity(rec)

@@ -8,21 +8,21 @@ from hypothesis import strategies as st
 from pmbnn.errors import (
     BadBounds,
     InvalidStep,
+    IoFailure,
     NonFiniteGradient,
     OutOfBounds,
+    SegmentTooShort,
 )
 from pmbnn.nn_core import (
-    Gradients,
     MlpParams,
     TrainBatch,
     bounded_inverse,
-    bounded_transform,
     gradient_check,
     lambda_from_theta,
     load_checkpoint,
     loss_and_gradients,
+    loss_only,
     make_gradcheck_case,
-    mlp_backward,
     mlp_forward,
     rmsprop_step,
     run_gradcheck,
@@ -31,37 +31,52 @@ from pmbnn.nn_core import (
     xavier_init,
     RmspropState,
 )
-from pmbnn.physio_model import DEFAULT_INITIAL, LambdaBounds
+from pmbnn.physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
+
+
+def box(lo, hi):
+    """The same (lo, hi) box for all six lambdas."""
+    return LambdaBounds(**{f"l{k}": (lo, hi) for k in range(1, 7)})
+
+
+def lam_of(theta, bounds):
+    """Bounded lambdas for one theta value broadcast to all six."""
+    return lambda_from_theta(np.full(6, theta), bounds).as_array()
 
 
 class TestBoundedTransform:
+    """The logistic map from theta into the lambda boxes."""
+
     def test_midpoint(self):
-        assert bounded_transform(0.0, 2.0, 6.0) == pytest.approx(4.0, abs=1e-15)
+        np.testing.assert_allclose(lam_of(0.0, box(2.0, 6.0)), 4.0, atol=1e-15)
 
     def test_saturation(self):
-        assert bounded_transform(50.0, 2.0, 6.0) == pytest.approx(6.0, abs=1e-12)
+        np.testing.assert_allclose(lam_of(50.0, box(2.0, 6.0)), 6.0, atol=1e-12)
 
     def test_lambda5_target(self):
         # direct logit arithmetic: theta for 0.44 in (0.1, 0.6)
         theta = bounded_inverse(0.44, 0.1, 0.6)
         assert theta == pytest.approx(math.log(0.68 / 0.32), rel=1e-12)
-        assert bounded_transform(theta, 0.1, 0.6) == pytest.approx(0.44, rel=1e-12)
+        theta6 = theta_from_lambda(DEFAULT_INITIAL, LambdaBounds())
+        assert theta6[4] == theta
+        assert lambda_from_theta(theta6, LambdaBounds()).l5 == pytest.approx(0.44, rel=1e-12)
 
     def test_bad_bounds(self):
         with pytest.raises(BadBounds):
-            bounded_transform(0.0, 1.0, 1.0)
+            bounded_inverse(1.0, 1.0, 1.0)
 
     @given(st.floats(-30, 30), st.floats(-5, 5), st.floats(0.1, 10))
     @settings(max_examples=200, deadline=None)
     def test_image_strictly_inside(self, theta, lo, width):
         hi = lo + width
-        out = bounded_transform(theta, lo, hi)
-        assert lo < out < hi
+        out = lam_of(theta, box(lo, hi))
+        assert np.all(lo < out) and np.all(out < hi)
 
     @given(st.floats(-25, 25))
     @settings(max_examples=100, deadline=None)
     def test_strictly_monotone(self, theta):
-        assert bounded_transform(theta + 1e-3, 0.0, 1.0) > bounded_transform(theta, 0.0, 1.0)
+        bounds = box(0.0, 1.0)
+        assert np.all(lam_of(theta + 1e-3, bounds) > lam_of(theta, bounds))
 
 
 class TestBoundedInverse:
@@ -71,11 +86,12 @@ class TestBoundedInverse:
     def test_round_trip(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
-            lo = rng.uniform(-3, 3)
-            hi = lo + rng.uniform(0.1, 5)
-            lam = rng.uniform(lo + 1e-6, hi - 1e-6)
-            theta = bounded_inverse(lam, lo, hi)
-            assert bounded_transform(theta, lo, hi) == pytest.approx(lam, rel=1e-12)
+            lo = rng.uniform(-3, 3, 6)
+            hi = lo + rng.uniform(0.1, 5, 6)
+            bounds = LambdaBounds(**{f"l{k + 1}": (lo[k], hi[k]) for k in range(6)})
+            lam = LambdaParams.from_array(rng.uniform(lo + 1e-6, hi - 1e-6))
+            back = lambda_from_theta(theta_from_lambda(lam, bounds), bounds)
+            np.testing.assert_allclose(back.as_array(), lam.as_array(), rtol=1e-12)
 
     def test_boundary_rejected(self):
         with pytest.raises(OutOfBounds):
@@ -138,7 +154,7 @@ class TestMlpForward:
         )
 
 
-def batch_for(p, vo2, hr, w=1e5, bounds=LambdaBounds()):
+def batch_for(p, vo2, hr, w=1e5 / 3600, bounds=LambdaBounds()):
     n = len(vo2)
     return TrainBatch(
         vo2=np.asarray(vo2, dtype=float),
@@ -158,7 +174,7 @@ class TestBackward:
         p.theta[5] = 0.0  # l6 box is symmetric, so theta 0 -> l6 = 0
         vo2 = np.full(30, 1.2)
         hr = mlp_forward(p, vo2)
-        grads = mlp_backward(p, batch_for(p, vo2, hr))
+        grads = loss_and_gradients(p, batch_for(p, vo2, hr))[3]
         for arr in grads.arrays():
             np.testing.assert_allclose(arr, 0.0, atol=1e-12)
 
@@ -174,7 +190,7 @@ class TestBackward:
         vo2 = np.concatenate([np.linspace(0.4, 1.6, 15), np.linspace(1.8, 3.0, 15)])
         hr = 70 + 30 * rng.uniform(size=n)
         batch = TrainBatch(vo2=vo2, hr=hr, segment_bounds=((0, 15), (15, 30)),
-                           dt_seconds=1.0, bounds=LambdaBounds(), de_weight=1e5)
+                           dt_seconds=1.0, bounds=LambdaBounds(), de_weight=1e5 / 3600)
         assert gradient_check(p, batch, 1e-5) <= 1e-4
 
     def test_theta_gradient_chain_rule_at_midpoint(self):
@@ -183,9 +199,7 @@ class TestBackward:
         k = 5  # l6: box (-0.5, 0.5)
         p.theta[k] = 0.0
         lo, hi = batch.bounds.lo_hi_arrays()
-        analytic = mlp_backward(p, batch).theta[k]
-
-        from pmbnn.nn_core import loss_only
+        analytic = loss_and_gradients(p, batch)[3].theta[k]
 
         h_lam = 1e-7
         mid = 0.5 * (lo[k] + hi[k])
@@ -202,18 +216,18 @@ class TestRmsprop:
     def test_zero_gradient_is_fixed_point(self):
         p = xavier_init(2)
         st0 = RmspropState.init(p)
-        for arr in st0.arrays():
+        for arr in st0.v.arrays():
             arr += 0.5  # non-trivial accumulators
-        zero = Gradients(*[np.zeros_like(a) for a in p.arrays()])
+        zero = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
         p2, st1 = rmsprop_step(p, zero, st0)
         for a, b in zip(p.arrays(), p2.arrays()):
             np.testing.assert_array_equal(a, b)
-        for v in st1.arrays():
+        for v in st1.v.arrays():
             np.testing.assert_allclose(v, 0.5 * 0.99, rtol=1e-15)
 
     def test_first_step_magnitude(self):
         p = xavier_init(2)
-        g = Gradients(*[np.zeros_like(a) for a in p.arrays()])
+        g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
         g.b3 = np.array([0.37])
         p2, _ = rmsprop_step(p, g, RmspropState.init(p))
         expected = -0.01 * 0.37 / (math.sqrt(0.01 * 0.37 ** 2) + 1e-8)
@@ -222,17 +236,17 @@ class TestRmsprop:
 
     def test_accumulator_after_two_constant_steps(self):
         p = xavier_init(2)
-        g = Gradients(*[np.zeros_like(a) for a in p.arrays()])
+        g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
         g.b3 = np.array([1.3])
         st0 = RmspropState.init(p)
         p1, st1 = rmsprop_step(p, g, st0)
         _, st2 = rmsprop_step(p1, g, st1)
         rho = 0.99
-        assert st2.b3[0] == pytest.approx((1 - rho) * (rho + 1) * 1.3 ** 2, rel=1e-12)
+        assert st2.v.b3[0] == pytest.approx((1 - rho) * (rho + 1) * 1.3 ** 2, rel=1e-12)
 
     def test_non_finite_gradient_rejected(self):
         p = xavier_init(2)
-        g = Gradients(*[np.zeros_like(a) for a in p.arrays()])
+        g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
         g.w2[0, 0] = np.nan
         with pytest.raises(NonFiniteGradient):
             rmsprop_step(p, g, RmspropState.init(p))
@@ -279,3 +293,34 @@ def test_loss_and_gradients_breakdown_consistency():
     l_data, l_de, l_tot, _ = loss_and_gradients(p, batch)
     assert l_tot == pytest.approx(l_data + batch.de_weight * l_de, rel=1e-15)
     assert l_data >= 0 and l_de >= 0
+
+
+def test_segments_under_three_samples_raise():
+    # every segment too short for a central difference: no residual at all
+    p = xavier_init(4)
+    vo2 = np.array([0.5, 0.6, 1.0, 1.1])
+    batch = TrainBatch(vo2=vo2, hr=np.full(4, 80.0), segment_bounds=((0, 2), (2, 4)),
+                       dt_seconds=1.0, bounds=LambdaBounds(), de_weight=1.0)
+    with pytest.raises(SegmentTooShort):
+        loss_and_gradients(p, batch)
+    with pytest.raises(SegmentTooShort):
+        loss_only(p, batch)
+
+
+def test_loss_de_in_bpm_per_minute_squared():
+    # the training L_DE equals the mean squared residual of the PM's
+    # collocation residual series, in (bpm/min)^2, at the network's lambdas
+    from pmbnn.physio_model import de_residual_series
+    from pmbnn.signal_pipeline import UniformSeries
+
+    p, batch = make_gradcheck_case(5)
+    pred = UniformSeries(0.0, 1.0, mlp_forward(p, batch.vo2), batch.segment_bounds, "bpm")
+    vo2 = UniformSeries(0.0, 1.0, batch.vo2, batch.segment_bounds, "L/min")
+    res = de_residual_series(pred, vo2, lambda_from_theta(p.theta, batch.bounds))
+    _, l_de, _, _ = loss_and_gradients(p, batch)
+    assert l_de == pytest.approx(float(res @ res) / len(res), rel=1e-12)
+
+
+def test_missing_checkpoint_is_io_failure(tmp_path):
+    with pytest.raises(IoFailure):
+        load_checkpoint(tmp_path / "absent.json")

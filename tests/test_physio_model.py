@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pmbnn.errors import (
-    InvertedPressures,
     LengthMismatch,
     NonPositiveVo2,
     SegmentTooShort,
@@ -15,11 +14,7 @@ from pmbnn.physio_model import (
     LambdaBounds,
     LambdaParams,
     coupling_g,
-    coupling_g_dv,
     de_residual_series,
-    map_from_sbp_dbp,
-    mean_arterial_pressure,
-    ode_rhs,
     peripheral_resistance,
     simulate_hr,
     stroke_volume,
@@ -80,53 +75,37 @@ class TestHemodynamicAlgebra:
                         + lam.l2 * lam.l4)
             assert coupling_g(lam, v) == pytest.approx(expanded, rel=1e-12)
 
-    def test_map_composition(self):
-        state = mean_arterial_pressure(60.0, INIT, 1.0)
-        assert state.co == pytest.approx(6.0, rel=1e-12)
-        assert state.map == pytest.approx(63.0, rel=1e-12)
-
-    def test_map_at_zero_hr(self):
-        state = mean_arterial_pressure(0.0, INIT, 1.4)
-        assert state.co == 0.0 and state.map == 0.0
-
     def test_map_equals_hr_times_coupling(self):
+        # the residual is the dynamics dHR/dt = l5 * dMAP/dt + l6 with
+        # MAP = CO * TPR and CO = HR * SV, differenced by hand here
         rng = np.random.default_rng(12)
-        for _ in range(30):
-            hr = rng.uniform(40, 200)
-            v = rng.uniform(0.2, 4.0)
-            state = mean_arterial_pressure(hr, INIT, v)
-            assert state.map == pytest.approx(hr * coupling_g(INIT, v), rel=1e-12)
-
-    def test_cuff_map_formula(self):
-        assert map_from_sbp_dbp(120.0, 80.0) == pytest.approx(93.333333333333, rel=1e-12)
-
-    def test_cuff_map_degenerate(self):
-        assert map_from_sbp_dbp(95.0, 95.0) == pytest.approx(95.0, rel=1e-15)
-
-    def test_cuff_map_inverted(self):
-        with pytest.raises(InvertedPressures):
-            map_from_sbp_dbp(80.0, 120.0)
+        n = 30
+        hr = rng.uniform(40, 200, n)
+        v = rng.uniform(0.2, 4.0, n)
+        mean_ap = hr * stroke_volume(INIT, v) * peripheral_resistance(INIT, v)
+        dt_min = 1.0 / 60.0
+        expected = ((hr[2:] - hr[:-2]) / (2 * dt_min) - INIT.l6
+                    - INIT.l5 * (mean_ap[2:] - mean_ap[:-2]) / (2 * dt_min))
+        res = de_residual_series(vo2_series(hr), vo2_series(v), INIT)
+        np.testing.assert_allclose(res, expected, rtol=1e-9, atol=1e-9)
 
 
 class TestOdeRhs:
-    def test_zero_at_constant_vo2_without_bias(self):
-        lam = LambdaParams(0.02, 0.1, -5.3, 10.5, 0.44, 0.0)
-        assert ode_rhs(70.0, 1.0, 0.0, lam) == 0.0
-
     def test_table1_value_and_implicit_form(self):
-        rhs = ode_rhs(70.0, 1.0, 0.0, INIT)
-        assert rhs == pytest.approx(0.3 / 0.538, rel=1e-12)
-        # substitute back into the implicit dynamics:
-        # rhs = l5*(rhs*g + hr*g'(v)*dv) + l6
-        g = coupling_g(INIT, 1.0)
-        gdv = coupling_g_dv(INIT, 1.0)
-        residual = rhs - INIT.l5 * (rhs * g + 70.0 * gdv * 0.0) - INIT.l6
-        assert abs(residual) <= 1e-12
+        # at constant vo2 = 1 the dynamics give dHR/dt = l6 / (1 - l5 * g),
+        # 0.3 / 0.538 bpm/min for the tabulated initials
+        hr = simulate_hr(vo2_series(np.full(3, 1.0)), INIT, [70.0]).values
+        rhs = (hr[1] - hr[0]) * 60.0
+        assert rhs == pytest.approx(0.3 / 0.538, rel=1e-9)
+        # substitute back into the implicit dynamics: rhs = l5*rhs*g + l6
+        residual = rhs - INIT.l5 * rhs * coupling_g(INIT, 1.0) - INIT.l6
+        assert abs(residual) <= 1e-9
 
     def test_singularity_raised(self):
+        # 1 - l5 * g(1.0) is zero up to round-off: the pole sits on every sample
         lam = LambdaParams(0.02, 0.1, -5.3, 10.5, 1.0 / 1.05, 0.3)
         with pytest.raises(Singularity):
-            ode_rhs(70.0, 1.0, 0.0, lam)
+            simulate_hr(vo2_series(np.full(10, 1.0)), lam, [70.0])
 
 
 class TestSimulateHr:

@@ -26,8 +26,8 @@ from pmbnn.stats_eval import (
     linear_fit_ci,
     log_curve_fit,
     r_squared,
-    report_from_dict,
     rmse,
+    score_predictions,
     signed_rank_distribution,
     summary_stats,
     wilcoxon_signed_rank,
@@ -57,6 +57,50 @@ class TestRSquared:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             r_squared([1.0, 2.0], [1.0])
+
+
+class TestScorePredictions:
+    def test_overall_and_per_activity(self):
+        ref = np.array([60.0, 62.0, 65.0, 90.0, 95.0, 97.0])
+        pred = ref + np.array([1.0, -1.0, 0.5, 2.0, 0.0, -2.0])
+        labels = ["rest"] * 3 + ["run"] * 3
+        scores = score_predictions(ref, pred, labels)
+        assert scores["overall"] == {"r2": r_squared(ref, pred), "rmse": rmse(ref, pred)}
+        assert list(scores["per_activity"]) == ["rest", "run"]
+        assert scores["per_activity"]["run"] == {
+            "r2": r_squared(ref[3:], pred[3:]), "rmse": rmse(ref[3:], pred[3:])}
+
+    def test_r2_none_where_undefined(self):
+        # one sample, or a constant reference: R^2 is None, RMSE still defined
+        ref = np.array([60.0, 70.0, 80.0, 75.0, 75.0])
+        pred = np.array([61.0, 69.0, 81.0, 74.0, 77.0])
+        scores = score_predictions(ref, pred, ["a", "a", "a", "b", "b"])
+        assert scores["per_activity"]["b"] == {"r2": None, "rmse": math.sqrt(2.5)}
+        one = score_predictions(ref[:1], pred[:1], ["a"])
+        assert one["overall"] == {"r2": None, "rmse": 1.0}
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptySeries):
+            score_predictions([], [], [])
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            score_predictions([1.0, 2.0], [1.0, 2.0], ["a"])
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes over a second to import; only linear_fit_ci needs it
+    import os
+    import subprocess
+    import sys
+
+    import pmbnn
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pmbnn.__file__)))
+    code = ("import sys, pmbnn, pmbnn.cli; "
+            "sys.exit(1 if 'scipy.stats' in sys.modules else 0)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 class TestRmse:
@@ -361,10 +405,27 @@ class TestReport:
         assert "insufficient pairs" in text
 
     def test_json_round_trip(self, tmp_path):
+        # every metric and test statistic reads back from report.json exactly
         report = build_eval_report(mock_subjects())
         emit_report(report, tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert report_from_dict(payload) == report
+        assert payload["models"] == list(report.models)
+        for s, entry in zip(report.subjects, payload["subjects"]):
+            assert entry["participant"] == s.participant
+            for m, mp in s.overall.items():
+                assert entry["overall"][m] == {"r2": mp.r2, "rmse": mp.rmse}
+            for act, by_model in s.per_activity.items():
+                for m, mp in by_model.items():
+                    assert entry["per_activity"][act][m] == {"r2": mp.r2, "rmse": mp.rmse}
+        assert payload["summary"] == report.summary
+        for key, res in report.comparisons.items():
+            got = payload["comparisons"][key]
+            assert got["p_one_tailed"] == res.p_one_tailed
+            assert got["cohens_d"] == res.cohens_d
+            assert (got["n_pairs"], got["direction"], got["exact"]) == (
+                res.n_pairs, res.direction, res.exact)
+        assert set(payload["per_activity_comparisons"]) == set(
+            report.per_activity_comparisons)
 
     def test_summary_medians_are_sample_medians(self):
         subjects = mock_subjects()

@@ -5,10 +5,19 @@ from oracle_utils import ORACLE_INIT, coupling_products, oracle_subject
 
 from pmbnn.errors import EmptySeries, LengthMismatch, SegmentTooShort
 from pmbnn.experiment import split_by_activity
-from pmbnn.nn_core import mlp_forward, xavier_init
+from pmbnn.nn_core import (
+    MlpParams,
+    TrainBatch,
+    loss_and_gradients,
+    loss_only,
+    mlp_forward,
+    theta_from_lambda,
+    xavier_init,
+)
 from pmbnn.physio_model import (
     DEFAULT_INITIAL,
     LambdaBounds,
+    LambdaParams,
     de_residual_series,
     simulate_hr,
 )
@@ -22,7 +31,6 @@ from pmbnn.training import (
     lbfgs_minimize,
     loss_data,
     loss_de,
-    loss_total,
     simulate_record_hr,
     train_fcnn,
     train_pmbnn,
@@ -84,15 +92,42 @@ class TestLossDe:
             loss_de(hr, v, DEFAULT_INITIAL)
 
 
+def flat_net_batch(hr_target, l6, w):
+    """A net that outputs 70 bpm everywhere, on constant vo2 = 1 L/min.
+
+    The prediction is flat, so the collocation residual is -l6 at every
+    interior sample and L_DE = l6^2 exactly.
+    """
+    lam = LambdaParams(*DEFAULT_INITIAL.as_array()[:5], l6)
+    p = MlpParams(
+        w1=np.zeros((64, 1)), b1=np.zeros(64), w2=np.zeros((64, 64)),
+        b2=np.zeros(64), w3=np.zeros((1, 64)), b3=np.array([70.0]),
+        theta=theta_from_lambda(lam, LambdaBounds()),
+    )
+    batch = TrainBatch(vo2=np.ones(20), hr=np.full(20, hr_target),
+                       segment_bounds=((0, 20),), dt_seconds=1.0,
+                       bounds=LambdaBounds(), de_weight=w)
+    return p, batch
+
+
 class TestLossTotal:
+    """L_tot = L_data + w * L_DE as the training loss computes it."""
+
     def test_weighted_sum(self):
-        assert loss_total(4.0, 3e-5, 1e5) == pytest.approx(7.0, rel=1e-14)
+        p, batch = flat_net_batch(72.0, 0.3, 3.0 / 0.09)
+        l_data, l_de, l_tot, _ = loss_and_gradients(p, batch)
+        assert l_data == 4.0
+        assert l_de == pytest.approx(0.09, rel=1e-12)
+        assert l_tot == pytest.approx(7.0, rel=1e-12)
+        assert loss_only(p, batch) == l_tot
 
     def test_zero_weight(self):
-        assert loss_total(4.0, 123.0, 0.0) == 4.0
+        p, batch = flat_net_batch(72.0, 0.3, 0.0)
+        assert loss_and_gradients(p, batch)[2] == loss_only(p, batch) == 4.0
 
     def test_zero_losses(self):
-        assert loss_total(0.0, 0.0, 1e5) == 0.0
+        p, batch = flat_net_batch(70.0, 0.0, 1e5 / 3600)
+        assert loss_and_gradients(p, batch)[2] == loss_only(p, batch) == 0.0
 
 
 @pytest.fixture(scope="module")
