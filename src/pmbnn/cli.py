@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import nn_core, stats_eval, training
-from .errors import IoFailure, PmbnnError
+from .errors import IoFailure, PmbnnError, malformed_fields
 from .experiment import (
     ActivityPhase,
     DEFAULT_PLAN,
@@ -57,8 +57,6 @@ DEFAULTS = {
     "train.lr": 0.01,
     "train.seed": 0,
     "pm.iters": 150,
-    "pm.fd_step": 1e-6,
-    "pm.objective": "trajectory",
     "pm.proximal": 1e-3,
 }
 
@@ -79,7 +77,8 @@ def _resolve_config(path: str | None, extras: list[str]) -> dict:
     """DEFAULTS, then the ``--config`` file, then ``--section.key`` flags.
 
     Raises ValueError for a usage error: an unreadable or malformed config
-    file, a malformed flag, a key outside DEFAULTS or a bad ``pm.objective``.
+    file, a malformed flag, a key outside DEFAULTS or a value whose type
+    does not fit its default.
     """
     cfg = dict(DEFAULTS)
     if path:
@@ -112,10 +111,21 @@ def _resolve_config(path: str | None, extras: list[str]) -> dict:
     unknown = sorted(set(cfg) - set(DEFAULTS))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    if cfg["pm.objective"] not in training.PM_OBJECTIVES:
-        raise ValueError(f"pm.objective must be one of {training.PM_OBJECTIVES}, "
-                         f"got {cfg['pm.objective']!r}")
+    for key, value in cfg.items():
+        if not _fits_default_type(value, DEFAULTS[key]):
+            raise ValueError(f"{key} must be {type(DEFAULTS[key]).__name__}, "
+                             f"got {value!r}")
     return cfg
+
+
+def _fits_default_type(value, default) -> bool:
+    """A bool only for bool keys, an integral number for int keys, any
+    number for float keys."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, int):
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    return isinstance(value, (int, float))
 
 
 def _filter_config(cfg: dict) -> FilterConfig:
@@ -135,15 +145,6 @@ def _train_config(cfg: dict, seed_override: int | None) -> TrainConfig:
         de_weight=float(cfg["train.de_weight"]),
         learning_rate=float(cfg["train.lr"]),
         seed=int(cfg["train.seed"] if seed_override is None else seed_override),
-    )
-
-
-def _pm_config(cfg: dict) -> PmFitConfig:
-    return PmFitConfig(
-        iters=int(cfg["pm.iters"]),
-        fd_step=float(cfg["pm.fd_step"]),
-        objective=str(cfg["pm.objective"]),
-        proximal=float(cfg["pm.proximal"]),
     )
 
 
@@ -221,24 +222,21 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
 def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
     payload = _read_json(path)
-    plan = tuple(
-        ActivityPhase(
-            label=p["label"],
-            duration_s=int(p["duration_s"]),
-            target_vo2=float(p["target_vo2"]),
-            tau_s=float(p.get("tau_s", 30.0)),
+    with malformed_fields(path):
+        plan = tuple(
+            ActivityPhase(p["label"], int(p["duration_s"]), float(p["target_vo2"]),
+                          float(p.get("tau_s", 30.0)))
+            for p in payload["plan"]
         )
-        for p in payload["plan"]
-    )
-    return SyntheticSpec(
-        subject_id=payload.get("subject_id", "synthetic"),
-        plan=plan,
-        lambda_true=LambdaParams.from_array(payload["lambda_true"]),
-        hr0=float(payload.get("hr0", 70.0)),
-        noise_sigma_hr=float(payload.get("noise_sigma_hr", 0.0)),
-        noise_sigma_vo2=float(payload.get("noise_sigma_vo2", 0.0)),
-        seed=int(payload.get("seed", 0) if seed is None else seed),
-    )
+        return SyntheticSpec(
+            subject_id=payload.get("subject_id", "synthetic"),
+            plan=plan,
+            lambda_true=LambdaParams.from_array(payload["lambda_true"]),
+            hr0=float(payload.get("hr0", 70.0)),
+            noise_sigma_hr=float(payload.get("noise_sigma_hr", 0.0)),
+            noise_sigma_vo2=float(payload.get("noise_sigma_vo2", 0.0)),
+            seed=int(payload.get("seed", 0) if seed is None else seed),
+        )
 
 
 def cmd_synth(args, cfg: dict) -> int:
@@ -322,8 +320,9 @@ def cmd_train(args, cfg: dict) -> int:
             },
         }
     else:
-        pm_cfg = _pm_config(cfg)
-        lam = training.fit_pm(split.train, cfg=pm_cfg)
+        pm_cfg = PmFitConfig(iters=int(cfg["pm.iters"]),
+                             proximal=float(cfg["pm.proximal"]))
+        lam, fit = training.fit_pm(split.train, cfg=pm_cfg)
         pred = reconstruct_pmbnn_r(split.test, lam).values
         ckpt = os.path.join(args.out, "pm_lambda.json")
         with open(ckpt, "w", encoding="utf-8") as fh:
@@ -333,6 +332,8 @@ def cmd_train(args, cfg: dict) -> int:
         train_pred = training.simulate_record_hr(split.train, lam).values
         extra = {
             "train_mse": training.loss_data(train_pred, split.train.hr.values),
+            "lbfgs": {k: getattr(fit, k)
+                      for k in ("iterations", "converged", "line_search_failed")},
         }
 
     wall = time.perf_counter() - started
@@ -435,15 +436,16 @@ def cmd_report(args, cfg: dict) -> int:
     for path in args.metrics:
         payload = _read_json(path)
         overall, per_activity = {}, {}
-        for model, entry in payload["models"].items():
-            overall[model] = stats_eval.MetricPair(**entry["overall"])
-            for act, m in entry["per_activity"].items():
-                per_activity.setdefault(act, {})[model] = stats_eval.MetricPair(**m)
-        subjects.append(stats_eval.SubjectMetrics(
-            participant=payload["participant"],
-            overall=overall,
-            per_activity=per_activity,
-        ))
+        with malformed_fields(path):
+            for model, entry in payload["models"].items():
+                overall[model] = stats_eval.MetricPair(**entry["overall"])
+                for act, m in entry["per_activity"].items():
+                    per_activity.setdefault(act, {})[model] = stats_eval.MetricPair(**m)
+            subjects.append(stats_eval.SubjectMetrics(
+                participant=payload["participant"],
+                overall=overall,
+                per_activity=per_activity,
+            ))
     report = stats_eval.build_eval_report(subjects)
     paths = stats_eval.emit_report(report, args.out)
     _write_manifest(args.out, "report_manifest.json", {

@@ -4,6 +4,8 @@ Every domain failure raises a subclass of :class:`PmbnnError` so the CLI can
 map any library error to exit code 1 with a module-qualified message.
 """
 
+from contextlib import contextmanager
+
 
 class PmbnnError(Exception):
     """Base class for all pmbnn domain errors."""
@@ -107,3 +109,12 @@ class DegenerateDesign(PmbnnError):
 
 class IoFailure(PmbnnError):
     """An input file could not be read, or an output could not be written."""
+
+
+@contextmanager
+def malformed_fields(path):
+    """Turn a missing or mis-shaped field of a parsed input into IoFailure."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise IoFailure(f"{path}: missing or malformed field: {exc!r}") from exc

@@ -243,7 +243,7 @@ def run_subject_experiment(rec: SubjectRecord, cfg: ExperimentConfig = Experimen
         wall=t_fcnn)
 
     t0 = time.perf_counter()
-    lam_pm = training.fit_pm(split.train, cfg.bounds, cfg=cfg.pm_fit)
+    lam_pm, _ = training.fit_pm(split.train, cfg.bounds, cfg=cfg.pm_fit)
     t_pm = time.perf_counter() - t0
     add("pm", reconstruct_pmbnn_r(test, lam_pm, cfg.bounds).values,
         lam=lam_pm, wall=t_pm)

@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteLoss,
     OutOfBounds,
+    malformed_fields,
 )
 from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
 
@@ -362,9 +363,8 @@ def load_checkpoint(path) -> tuple[MlpParams, LambdaBounds, int, str]:
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
-    kwargs = {}
-    for name in ARRAY_FIELDS:
-        shape = tuple(payload["layer_shapes"][name])
-        kwargs[name] = np.array(payload["arrays"][name], dtype=float).reshape(shape)
-    bounds = LambdaBounds(**{k: tuple(v) for k, v in payload["bounds"].items()})
-    return MlpParams(**kwargs), bounds, payload["seed"], payload["config_hash"]
+    with malformed_fields(path):
+        arrays = {name: np.array(payload["arrays"][name], dtype=float)
+                  .reshape(payload["layer_shapes"][name]) for name in ARRAY_FIELDS}
+        bounds = LambdaBounds(**{k: tuple(v) for k, v in payload["bounds"].items()})
+        return MlpParams(**arrays), bounds, payload["seed"], payload["config_hash"]

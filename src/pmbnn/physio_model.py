@@ -120,9 +120,7 @@ def coupling_g(lam: LambdaParams, vo2):
 
 
 def _denominator(lam: LambdaParams, v: np.ndarray) -> np.ndarray:
-    logv = np.log(v)
-    g = (lam.l1 * logv + lam.l2) * (lam.l3 * logv + lam.l4)
-    den = 1.0 - lam.l5 * g
+    den = 1.0 - lam.l5 * coupling_g(lam, v)
     if np.any(np.abs(den) <= EPS_DEN):
         bad = float(v[np.argmin(np.abs(den))])
         raise Singularity(f"1 - l5*g within {EPS_DEN} of zero at vo2={bad}")

@@ -9,6 +9,7 @@ mean squared error of the forward-simulated heart-rate trajectory.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -148,6 +149,12 @@ def train_fcnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Traine
 
 # --- L-BFGS ---------------------------------------------------------------
 
+#: an accepted step that lowers f by at most this fraction of |f| ends the
+#: run as converged (the ``factr`` test of L-BFGS-B): later steps only
+#: trade round-off
+REL_DECREASE_TOL = 1e-12
+
+
 @dataclass
 class LbfgsResult:
     x: np.ndarray
@@ -164,44 +171,40 @@ def lbfgs_minimize(
     m: int = 10,
     gtol: float = 1e-10,
     c1: float = 1e-4,
-    value_only=None,
 ) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking (halving).
 
-    ``objective(x)`` returns ``(f, grad)``. Keeps the best iterate seen;
-    a failed line search returns it with ``line_search_failed`` set.
-    When gradients are expensive (finite differences), pass ``value_only``
-    so line-search probes skip the gradient.
+    ``objective(x)`` returns ``(f, grad)``; every line-search probe calls
+    it. Converges when the largest gradient entry is at most ``gtol`` or
+    an accepted step lowers f by at most ``REL_DECREASE_TOL * |f|``.
+    Accepted values never increase, so the last iterate is the best; a
+    failed line search returns it with ``line_search_failed`` set.
     """
     x = np.asarray(x0, dtype=float).copy()
     f, g = objective(x)
     if not np.isfinite(f):
         raise NonFiniteLoss(f"objective not finite at x0: {f}")
-    best_x, best_f = x.copy(), f
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history: deque = deque(maxlen=m)   # (s, y, 1 / s.y) of recent steps
 
     for it in range(1, iters + 1):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= gtol:
-            return LbfgsResult(best_x, best_f, it - 1, True, False)
+            return LbfgsResult(x, f, it - 1, True, False)
 
         # two-loop recursion
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, y, rho in reversed(history):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
-        if s_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
-            q *= gamma
+        if history:
+            s, y, _ = history[-1]
+            q *= (s @ y) / (y @ y)
         else:
             q /= max(1.0, gnorm)
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
+        for (s, y, rho), a in zip(history, reversed(alphas)):
+            q += (a - rho * (y @ q)) * s
         d = -q
         slope = float(g @ d)
         if slope >= 0:
@@ -210,44 +213,44 @@ def lbfgs_minimize(
 
         # Armijo backtracking with halving
         alpha = 1.0
-        accepted = False
         for _ in range(60):
             x_new = x + alpha * d
-            if value_only is not None:
-                f_new = value_only(x_new)
-            else:
-                f_new, g_new = objective(x_new)
+            f_new, g_new = objective(x_new)
             if np.isfinite(f_new) and f_new <= f + c1 * alpha * slope:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            return LbfgsResult(best_x, best_f, it, False, True)
-        if value_only is not None:
-            f_new, g_new = objective(x_new)
+        else:
+            return LbfgsResult(x, f, it, False, True)
 
         s = x_new - x
-        yv = g_new - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
-            s_hist.append(s)
-            y_hist.append(yv)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > m:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+            history.append((s, y, 1.0 / sy))
+        stalled = f - f_new <= REL_DECREASE_TOL * abs(f)
         x, f, g = x_new, f_new, g_new
-        if f < best_f:
-            best_x, best_f = x.copy(), f
-    return LbfgsResult(best_x, best_f, iters, False, False)
+        if stalled:
+            return LbfgsResult(x, f, it, True, False)
+    return LbfgsResult(x, f, iters, False, False)
 
 
 # --- standalone PM fitting -------------------------------------------------
 
-#: PM fit objectives: MSE of the simulated trajectory, or of the
-#: collocation residual along the measured HR
-PM_OBJECTIVES = ("trajectory", "collocation")
+#: L-BFGS history length of the PM fit
+PM_MEMORY = 10
+
+# The trajectory map has three exact flat directions no data can resolve:
+# (i) (l5, g) -> (l5/k, k*g); (ii) (l1, l2) -> k*(l1, l2) with (l3, l4) ->
+# (l3, l4)/k, which leaves g unchanged; (iii) scaling 1 - l5*g and l6 by
+# one constant. Pinning the theta coordinates of l2, l4 and l5 at the
+# initial (prior) values removes all three, which makes the fit
+# deterministic and keeps l1, l3, l6 and the coupling products
+# identifiable; a tiny proximal term (``PmFitConfig.proximal``)
+# regularizes the rest.
+
+#: weight of the gauge penalty on the theta coordinates of l2, l4 and l5
+GAUGE_PIN = 1.0
+GAUGE_PIN_COORDS = (1, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -255,74 +258,59 @@ class PmFitConfig:
     """Settings for the standalone physiological-model fit."""
 
     iters: int = 150
-    memory: int = 10
-    fd_step: float = 1e-6
-    objective: str = "trajectory"   # one of PM_OBJECTIVES
-    # The trajectory map has three exact flat directions no data can
-    # resolve: (i) l5 only ever multiplies g(vo2), so (l5, g) -> (l5/k,
-    # k*g) changes nothing; (ii) scaling (l1, l2) by k and (l3, l4) by
-    # 1/k leaves g itself unchanged; (iii) scaling 1 - l5*g by a constant
-    # while scaling l6 with it reproduces every trajectory. Pinning the
-    # theta coordinates of l2, l4 and l5 at the initial (prior) values
-    # removes all three, which makes the fit deterministic and keeps the
-    # remaining parameters (l1, l3, l6 and the coupling products)
-    # identifiable. A tiny proximal term regularizes the rest.
-    gauge_pin: float = 1.0
     proximal: float = 1e-3
-
-
-#: theta coordinates pinned by the gauge penalty (l2, l4, l5)
-GAUGE_PIN_COORDS = (1, 3, 4)
-
-
-def first_hr_per_segment(rec: SubjectRecord) -> list[float]:
-    return [float(rec.hr.values[a]) for a, _ in rec.hr.segment_bounds]
 
 
 def simulate_record_hr(rec: SubjectRecord, lam: LambdaParams) -> UniformSeries:
     """Simulate HR over a record's vo2, seeded by measured segment starts."""
-    return physio_model.simulate_hr(rec.vo2, lam, first_hr_per_segment(rec))
+    hr0 = [float(rec.hr.values[a]) for a, _ in rec.hr.segment_bounds]
+    return physio_model.simulate_hr(rec.vo2, lam, hr0)
 
 
 def _pm_objective(rec: SubjectRecord, bounds: LambdaBounds, cfg: PmFitConfig,
                   theta0: np.ndarray):
-    hr_meas = rec.hr.values
+    """Penalized trajectory MSE over theta and its exact gradient.
 
-    def value(theta: np.ndarray) -> float:
+    Per segment the simulator steps HR_i * den_i = h0 * den_0 + l6 * t_i
+    with den = 1 - l5 * g(vo2) and t_i in minutes from the segment start,
+    so dHR_i/dl = (h0 * dden_0/dl - HR_i * dden_i/dl + t_i * [l = l6])
+    / den_i. A singular candidate scores +inf.
+    """
+    hr_meas = rec.hr.values
+    vo2 = rec.vo2.values
+    n = len(hr_meas)
+    # index of each sample's segment start, and its minutes since then
+    start = np.concatenate([np.full(b - a, a) for a, b in rec.vo2.segment_bounds])
+    t_min = (np.arange(n) - start) * (rec.vo2.dt / physio_model.SECONDS_PER_MINUTE)
+    h0 = hr_meas[start]
+    weight = np.full(6, cfg.proximal)
+    weight[list(GAUGE_PIN_COORDS)] += GAUGE_PIN
+
+    def objective(theta: np.ndarray):
         lam = nn_core.lambda_from_theta(theta, bounds)
         try:
-            if cfg.objective == "trajectory":
-                pred = simulate_record_hr(rec, lam).values
-                err = pred - hr_meas
-                data_term = float(err @ err) / len(err)
-            else:
-                res = physio_model.de_residual_series(rec.hr, rec.vo2, lam)
-                data_term = float(res @ res) / len(res)
+            hr = simulate_record_hr(rec, lam).values
         except physio_model.Singularity:
-            return math.inf
+            return math.inf, np.zeros_like(theta)
+        log_vo2 = np.log(vo2)
+        sv = physio_model.stroke_volume(lam, vo2)
+        tpr = physio_model.peripheral_resistance(lam, vo2)
+        den = 1.0 - lam.l5 * sv * tpr
+        dden = np.column_stack((
+            -lam.l5 * tpr * log_vo2, -lam.l5 * tpr,
+            -lam.l5 * sv * log_vo2, -lam.l5 * sv,
+            -sv * tpr, np.zeros(n),
+        ))
+        dhr = (h0[:, None] * dden[start] - hr[:, None] * dden) / den[:, None]
+        dhr[:, 5] += t_min / den
+        err = hr - hr_meas
         drift = theta - theta0
-        pins = sum(drift[i] * drift[i] for i in GAUGE_PIN_COORDS)
-        return data_term + cfg.gauge_pin * pins + cfg.proximal * float(drift @ drift)
+        f = float(err @ err) / n + float(weight @ (drift * drift))
+        grad = ((2.0 / n) * (err @ dhr) * nn_core.theta_jacobian(theta, bounds)
+                + 2.0 * weight * drift)
+        return f, grad
 
-    def value_and_grad(theta: np.ndarray):
-        f0 = value(theta)
-        grad = np.zeros_like(theta)
-        for i in range(len(theta)):
-            step = np.zeros_like(theta)
-            step[i] = cfg.fd_step
-            fp = value(theta + step)
-            fm = value(theta - step)
-            if math.isinf(fp) and math.isinf(fm):
-                grad[i] = 0.0
-            elif math.isinf(fp):
-                grad[i] = (f0 - fm) / cfg.fd_step
-            elif math.isinf(fm):
-                grad[i] = (fp - f0) / cfg.fd_step
-            else:
-                grad[i] = (fp - fm) / (2.0 * cfg.fd_step)
-        return f0, grad
-
-    return value_and_grad, value
+    return objective
 
 
 def fit_pm(
@@ -330,17 +318,17 @@ def fit_pm(
     bounds: LambdaBounds = LambdaBounds(),
     init: LambdaParams = DEFAULT_INITIAL,
     cfg: PmFitConfig = PmFitConfig(),
-) -> LambdaParams:
+) -> tuple[LambdaParams, LbfgsResult]:
     """Fit l1..l6 by L-BFGS over the sigmoid-reparameterized box.
 
     The objective is the trajectory MSE of the forward simulation seeded
-    with the first measured HR of each segment; gradients come from
-    central finite differences on the six theta coordinates. Singular
-    candidates score +inf and are rejected by the line search.
+    with the first measured HR of each segment, plus the gauge pins and
+    the proximal term; its gradient is exact. Singular candidates score
+    +inf and are rejected by the line search. Returns the fitted lambdas
+    and the optimizer result, whose iterations and convergence flags are
+    the fit's diagnostics.
     """
     theta0 = nn_core.theta_from_lambda(init, bounds)
-    objective, value_only = _pm_objective(train, bounds, cfg, theta0)
-    result = lbfgs_minimize(
-        objective, theta0, iters=cfg.iters, m=cfg.memory, value_only=value_only
-    )
-    return nn_core.lambda_from_theta(result.x, bounds)
+    objective = _pm_objective(train, bounds, cfg, theta0)
+    result = lbfgs_minimize(objective, theta0, iters=cfg.iters, m=PM_MEMORY)
+    return nn_core.lambda_from_theta(result.x, bounds), result

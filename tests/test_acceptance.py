@@ -96,9 +96,11 @@ def test_criterion_02_ode_loss_consistency():
 def test_criterion_03_pm_trajectory_recovery(subjects):
     start = time.perf_counter()
     worst = {"rmse": 0.0, "r2": 1.0, "prod": 0.0, "noisy": 0.0}
+    fits = []
     for sub in subjects:
         split = sub["clean_split"]
-        lam_fit = fit_pm(split.train, init=ORACLE_INIT)
+        lam_fit, fit = fit_pm(split.train, init=ORACLE_INIT)
+        fits.append(fit)
         pred = reconstruct_pmbnn_r(split.test, lam_fit).values
         ref = split.test.hr.values
         worst["rmse"] = max(worst["rmse"], rmse(ref, pred))
@@ -107,7 +109,8 @@ def test_criterion_03_pm_trajectory_recovery(subjects):
         worst["prod"] = max(worst["prod"], float(np.max(np.abs(ratio - 1.0))))
 
         nsplit = sub["noisy_split"]
-        lam_noisy = fit_pm(nsplit.train, init=ORACLE_INIT)
+        lam_noisy, fit = fit_pm(nsplit.train, init=ORACLE_INIT)
+        fits.append(fit)
         npred = reconstruct_pmbnn_r(nsplit.test, lam_noisy).values
         worst["noisy"] = max(worst["noisy"], rmse(nsplit.test.hr.values, npred))
     elapsed = time.perf_counter() - start
@@ -115,11 +118,13 @@ def test_criterion_03_pm_trajectory_recovery(subjects):
     assert worst["r2"] >= 0.999
     assert worst["prod"] <= 0.05
     assert worst["noisy"] <= 4.5
+    # every fit stops on its own rule, none at the iteration cap
+    assert all(f.converged and f.iterations < 150 for f in fits)
     assert elapsed <= 120.0
     report_line(3, "PM trajectory recovery",
                 f"(worst clean rmse {worst['rmse']:.3f}, worst r2 {worst['r2']:.5f}, "
                 f"worst product err {worst['prod']:.1%}, worst noisy rmse "
-                f"{worst['noisy']:.2f}, {elapsed:.0f}s)")
+                f"{worst['noisy']:.2f}, {len(fits)} fits converged, {elapsed:.0f}s)")
 
 
 def test_criterion_04_pmbnn_end_to_end(subjects):

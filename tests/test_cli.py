@@ -78,6 +78,9 @@ class TestPipeline:
         assert len(manifest["lambda"]) == 6
         assert manifest["wall_time_s"] > 0
         assert manifest["stopped_reason"] in ("threshold", "epoch-cap")
+        fit = json.loads((d / "pm_run_manifest.json").read_text())["lbfgs"]
+        assert set(fit) == {"iterations", "converged", "line_search_failed"}
+        assert 0 < fit["iterations"] <= 40
 
     def test_all_manifests_share_split_hash(self, pipeline_dirs):
         d = pipeline_dirs["train"]
@@ -155,13 +158,26 @@ class TestErrorPaths:
         ["gradcheck", "--train.epochs", "3"],            # key outside DEFAULTS
         ["gradcheck", "--foo", "1"],                     # not a --section.key flag
         ["gradcheck", "--train.max_epochs"],             # flag without a value
-        ["gradcheck", "--pm.objective", "bogus"],        # not an objective
+        ["gradcheck", "--pm.objective", "bogus"],        # key removed from DEFAULTS
     ])
     def test_bad_config_flag_exits_two(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("train.max_epochs", "abc"),   # not a number for an int key
+        ("pm.iters", "1.5"),           # non-integral float for an int key
+        ("filter.sg_on_hr", '"no"'),   # a string for a bool key
+    ])
+    def test_wrong_type_config_value_exits_two(self, tmp_path, capsys, key, value):
+        model = "pm" if key.startswith("pm.") else "pmbnn"
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--model", model, "--input", str(tmp_path / "absent.csv"),
+                 "--out", str(tmp_path / "t"), f"--{key}", value])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [
         '{"train.epochs": 3}',   # key outside DEFAULTS
@@ -188,6 +204,22 @@ class TestErrorPaths:
         names = {"missing": str(tmp_path / "absent.csv"), "out": str(tmp_path / "o")}
         assert run([a.format(**names) for a in argv]) == 1
         assert "IoFailure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["report", "--metrics", "{json}", "--out", "{out}"], {}),
+    (["reconstruct", "--checkpoint", "{json}", "--input", "{json}", "--out", "{out}"],
+     {"arrays": {}}),
+    (["synth", "--spec", "{json}", "--out", "{out}"],
+     {"plan": [{"label": "rest", "target_vo2": 0.4}],
+      "lambda_true": [0.02, 0.1, -5.3, 10.5, 0.44, 0.0]}),
+])
+def test_json_input_missing_field_is_io_failure(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    names = {"json": str(path), "out": str(tmp_path / "o")}
+    assert run([a.format(**names) for a in argv]) == 1
+    assert "IoFailure" in capsys.readouterr().err
 
 
 def test_evaluate_one_sample_activity(tmp_path):

@@ -204,6 +204,6 @@ def test_five_sample_segment_scores_without_r2():
 def test_oracle_soundness_zero_noise_fit():
     _, _, rec = oracle_subject(8)
     split = split_by_activity(rec)
-    lam_fit = fit_pm(split.train, init=ORACLE_INIT)
+    lam_fit, _ = fit_pm(split.train, init=ORACLE_INIT)
     pred = simulate_record_hr(split.test, lam_fit).values
     assert rmse(split.test.hr.values, pred) <= 0.5
