@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn_core, physio_model, stats_eval, training
-from .errors import NonPositiveVo2, SegmentTooShort
+from .errors import NonPositiveVo2, OutOfBounds, SegmentTooShort
 from .physio_model import LambdaBounds, LambdaParams
 from .signal_pipeline import SubjectRecord, UniformSeries, segments_from_labels
 from .training import PmFitConfig, TrainConfig
@@ -62,7 +62,13 @@ def _subrecord(rec: SubjectRecord, chunks: list[np.ndarray]) -> SubjectRecord:
 
 
 def split_by_activity(rec: SubjectRecord, ratio: float = 0.8) -> SplitRecord:
-    """Per segment: first floor(ratio*n) samples to train, rest to test."""
+    """Per segment: first floor(ratio*n) samples to train, rest to test.
+
+    The ratio must lie strictly inside (0, 1) and give every segment at
+    least one train sample; every segment then keeps a test sample too.
+    """
+    if not 0.0 < ratio < 1.0:
+        raise OutOfBounds(f"split.ratio must be inside (0, 1), got {ratio}")
     train_chunks, test_chunks = [], []
     seg_ids = np.empty(len(rec), dtype=np.int64)
     for sid, (a, b) in enumerate(rec.vo2.segment_bounds):
@@ -70,6 +76,11 @@ def split_by_activity(rec: SubjectRecord, ratio: float = 0.8) -> SplitRecord:
         if n < 5:
             raise SegmentTooShort(f"segment [{a},{b}) has {n} < 5 samples")
         k = int(math.floor(ratio * n))
+        # a ratio below 1 rounds ratio * n below n, so only train can be empty
+        if k == 0:
+            raise SegmentTooShort(
+                f"split.ratio {ratio} leaves segment [{a},{b}) of {n} samples "
+                "without a train sample")
         seg_ids[a:b] = sid
         train_chunks.append(np.arange(a, a + k))
         test_chunks.append(np.arange(a + k, b))

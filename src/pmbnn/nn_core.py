@@ -131,10 +131,20 @@ def xavier_init(
     )
 
 
-def _forward_full(p: MlpParams, x: np.ndarray):
+def _forward_full(p: MlpParams, x: np.ndarray, a1: np.ndarray, a2: np.ndarray):
+    """Hidden activations and output for 1-D input ``x``.
+
+    Writes the two (len(x), HIDDEN) hidden activations into ``a1`` and
+    ``a2`` in place and returns them with ``X = x[:, None]`` and the
+    freshly allocated output ``y``.
+    """
     X = x[:, None]
-    a1 = np.tanh(X @ p.w1.T + p.b1)
-    a2 = np.tanh(a1 @ p.w2.T + p.b2)
+    np.multiply(X, p.w1[:, 0], out=a1)
+    a1 += p.b1
+    np.tanh(a1, out=a1)
+    np.matmul(a1, p.w2.T, out=a2)
+    a2 += p.b2
+    np.tanh(a2, out=a2)
     y = (a2 @ p.w3.T)[:, 0] + p.b3[0]
     return X, a1, a2, y
 
@@ -142,7 +152,8 @@ def _forward_full(p: MlpParams, x: np.ndarray):
 def mlp_forward(p: MlpParams, vo2):
     """Network output for scalar or 1-D vo2 input."""
     arr = np.atleast_1d(np.asarray(vo2, dtype=float))
-    y = _forward_full(p, arr)[3]
+    y = _forward_full(p, arr, np.empty((len(arr), HIDDEN)),
+                      np.empty((len(arr), HIDDEN)))[3]
     return y if np.ndim(vo2) else float(y[0])
 
 
@@ -152,6 +163,10 @@ class TrainBatch:
 
     Validates vo2 positivity once and caches log(vo2), the sample spacing
     in minutes and the bound arrays so repeated loss evaluations stay cheap.
+    The batch also owns the loss kernel's three (n, HIDDEN) scratch
+    buffers, which every :func:`loss_only` and :func:`loss_and_gradients`
+    call overwrites: one batch must not be evaluated by two calls at the
+    same time.
     """
 
     vo2: np.ndarray
@@ -170,11 +185,16 @@ class TrainBatch:
         object.__setattr__(self, "_dt_min", self.dt_seconds / pm.SECONDS_PER_MINUTE)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_work", tuple(
+            np.empty((len(self.vo2), HIDDEN)) for _ in range(3)))
 
 
 def _forward_loss(p: MlpParams, batch: TrainBatch):
-    """Forward pass, L_data and L_DE, plus what the backward pass reuses."""
-    X, a1, a2, y = _forward_full(p, batch.vo2)
+    """Forward pass, L_data and L_DE, plus what the backward pass reuses.
+
+    The hidden activations live in the batch's first two scratch buffers.
+    """
+    X, a1, a2, y = _forward_full(p, batch.vo2, *batch._work[:2])
     resid = y - batch.hr
     l_data = float(resid @ resid) / len(y)
     lam = batch._lo + (batch._hi - batch._lo) * sigmoid(p.theta)
@@ -192,7 +212,8 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     L_data is in bpm^2 and L_DE, the mean squared collocation residual,
     in (bpm/min)^2. Lambda gradients flow through the logistic bound map;
     prediction-series time derivatives inside L_DE are handled as a linear
-    (segment-aware) operator on the batch outputs.
+    (segment-aware) operator on the batch outputs. The backward pass runs
+    in the batch's scratch buffers; every returned array is fresh.
     """
     (X, a1, a2, y), resid, lam, res, m, l_data, l_de = _forward_loss(p, batch)
     w = batch.de_weight
@@ -226,16 +247,21 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
             cdot = (c[2:] - c[:-2]) / (2 * dt)
             dlam[k] += -l5 * 2.0 / m * float(f @ cdot)
 
-    # backprop through the MLP
+    # backprop through the MLP; a1 and a2 become 1 - a^2 once their
+    # weight gradients are taken, and a2's buffer then holds dz1
     dyc = dy[:, None]
     dw3 = dyc.T @ a2
     db3 = np.array([dy.sum()])
-    da2 = dyc @ p.w3
-    dz2 = da2 * (1.0 - a2 * a2)
+    dz2 = np.multiply(dyc, p.w3[0], out=batch._work[2])
+    np.multiply(a2, a2, out=a2)
+    np.subtract(1.0, a2, out=a2)
+    dz2 *= a2
     dw2 = dz2.T @ a1
     db2 = dz2.sum(axis=0)
-    da1 = dz2 @ p.w2
-    dz1 = da1 * (1.0 - a1 * a1)
+    dz1 = np.matmul(dz2, p.w2, out=a2)
+    np.multiply(a1, a1, out=a1)
+    np.subtract(1.0, a1, out=a1)
+    dz1 *= a1
     dw1 = dz1.T @ X
     db1 = dz1.sum(axis=0)
 

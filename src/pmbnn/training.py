@@ -57,10 +57,19 @@ class TrainConfig:
     init_lambda: LambdaParams = DEFAULT_INITIAL
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise LengthMismatch("max_epochs must be >= 1")
-        if self.de_weight < 0 or self.stop_threshold <= 0:
-            raise LengthMismatch("need de_weight >= 0 and stop_threshold > 0")
+        _require(self.max_epochs >= 1, "train.max_epochs", self.max_epochs, ">= 1")
+        _require(math.isfinite(self.stop_threshold) and self.stop_threshold > 0,
+                 "train.stop_threshold", self.stop_threshold, "finite and > 0")
+        _require(math.isfinite(self.de_weight) and self.de_weight >= 0,
+                 "train.de_weight", self.de_weight, "finite and >= 0")
+        _require(math.isfinite(self.learning_rate) and self.learning_rate > 0,
+                 "train.lr", self.learning_rate, "finite and > 0")
+
+
+def _require(ok: bool, key: str, value, rule: str) -> None:
+    """Reject a config value outside its range, naming its config key."""
+    if not ok:
+        raise LengthMismatch(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -259,6 +268,11 @@ class PmFitConfig:
 
     iters: int = 150
     proximal: float = 1e-3
+
+    def __post_init__(self):
+        _require(self.iters >= 1, "pm.iters", self.iters, ">= 1")
+        _require(math.isfinite(self.proximal) and self.proximal >= 0,
+                 "pm.proximal", self.proximal, "finite and >= 0")
 
 
 def simulate_record_hr(rec: SubjectRecord, lam: LambdaParams) -> UniformSeries:

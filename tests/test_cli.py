@@ -206,6 +206,28 @@ class TestErrorPaths:
         assert "IoFailure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, key, value", [
+    ("pm", "split.ratio", "2"),        # was an IndexError traceback
+    ("pm", "split.ratio", "NaN"),      # was a ValueError traceback
+    ("pm", "split.ratio", "1.0"),      # was a misleading LengthMismatch
+    ("pm", "split.ratio", "0"),
+    ("pm", "split.ratio", "-0.5"),
+    ("pm", "pm.iters", "-1"),          # exited 0 with the initial lambdas
+    ("pm", "pm.iters", "0"),
+    ("pm", "pm.proximal", "-1"),       # exited 0 after 150 iterations
+    ("pmbnn", "train.lr", "-0.01"),    # trained uphill to the epoch cap
+    ("pmbnn", "train.de_weight", "NaN"),
+    ("pmbnn", "train.stop_threshold", "Infinity"),
+])
+def test_out_of_range_config_value_exits_one(pipeline_dirs, tmp_path, capsys,
+                                             model, key, value):
+    argv = ["train", "--model", model,
+            "--input", str(pipeline_dirs["prep"] / "preprocessed.csv"),
+            "--out", str(tmp_path / "t"), f"--{key}", value]
+    assert run(argv) == 1
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, payload", [
     (["report", "--metrics", "{json}", "--out", "{out}"], {}),
     (["reconstruct", "--checkpoint", "{json}", "--input", "{json}", "--out", "{out}"],

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_utils import ORACLE_INIT, oracle_subject
 
-from pmbnn.errors import OutOfBounds, SegmentTooShort, Singularity
+from pmbnn.errors import OutOfBounds, PmbnnError, SegmentTooShort, Singularity
 from pmbnn.experiment import (
     ActivityPhase,
     ExperimentConfig,
@@ -76,6 +80,41 @@ class TestSplitByActivity:
     def test_short_segment_rejected(self):
         with pytest.raises(SegmentTooShort):
             split_by_activity(make_record([4]))
+
+    @pytest.mark.parametrize("ratio", [2.0, math.nan, 1.0, 0.0, -0.5, math.inf])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(OutOfBounds, match="split.ratio"):
+            split_by_activity(make_record([300]), ratio)
+
+    @pytest.mark.parametrize("ratio, lengths", [(0.1, [300, 5]), (1e-300, [300])])
+    def test_ratio_leaving_an_empty_train_chunk_rejected(self, ratio, lengths):
+        # floor(ratio * n) is 0 for the last segment
+        with pytest.raises(SegmentTooShort, match="split.ratio"):
+            split_by_activity(make_record(lengths), ratio)
+
+
+_RATIOS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+    # nextafter(1, 0): the largest ratio below 1 must still leave a test sample
+    st.sampled_from([math.nan, 0.0, 1.0, 1.5, -0.5, 0.8, math.nextafter(1.0, 0.0)]),
+)
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=5), _RATIOS)
+@settings(max_examples=300, deadline=None)
+def test_split_property_partition_or_typed_error(lengths, ratio):
+    rec = make_record(lengths)
+    try:
+        split = split_by_activity(rec, ratio)
+    except PmbnnError:
+        return
+    merged = np.sort(np.concatenate([split.train_indices, split.test_indices]))
+    np.testing.assert_array_equal(merged, np.arange(len(rec)))
+    seg_ids = split.segment_ids
+    n_seg = len(lengths)
+    assert np.all(np.bincount(seg_ids[split.train_indices], minlength=n_seg) >= 1)
+    assert np.all(np.bincount(seg_ids[split.test_indices], minlength=n_seg) >= 1)
 
 
 class TestGenerateSyntheticSubject:

@@ -324,3 +324,75 @@ def test_loss_de_in_bpm_per_minute_squared():
 def test_missing_checkpoint_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         load_checkpoint(tmp_path / "absent.json")
+
+
+class TestWorkspace:
+    """The loss kernel reuses the batch's scratch buffers between calls."""
+
+    @pytest.fixture
+    def case(self):
+        # 1,440 samples in six segments, the size of a paper training split
+        rng = np.random.default_rng(11)
+        n, segs = 1440, 6
+        vo2 = 0.4 + 2.6 * rng.uniform(size=n)
+        hr = 60.0 + 40.0 * rng.uniform(size=n)
+        bounds = tuple((k * n // segs, (k + 1) * n // segs) for k in range(segs))
+        batch = TrainBatch(vo2=vo2, hr=hr, segment_bounds=bounds, dt_seconds=1.0,
+                           bounds=LambdaBounds(), de_weight=1e5 / 3600)
+        return xavier_init(2), batch
+
+    def test_no_hidden_sized_allocation(self, case):
+        import tracemalloc
+
+        p, batch = case
+        loss_and_gradients(p, batch)  # warm-up
+        tracemalloc.start()
+        try:
+            loss_and_gradients(p, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(batch.vo2) * 64 * 8  # one (N, 64) float64 array
+
+    def test_repeat_calls_identical(self, case):
+        p, batch = case
+        first = loss_and_gradients(p, batch)
+        loss_only(p, batch)
+        second = loss_and_gradients(p, batch)
+        assert first[:3] == second[:3]
+        for a, b in zip(first[3].arrays(), second[3].arrays()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_gradients_do_not_alias_buffers(self, case):
+        p, batch = case
+        grads = loss_and_gradients(p, batch)[3]
+        for arr in grads.arrays():
+            for buf in batch._work:
+                assert not np.shares_memory(arr, buf)
+
+    def test_loss_only_and_forward_agree_bitwise(self, case):
+        p, batch = case
+        l_data, _, l_tot, _ = loss_and_gradients(p, batch)
+        assert loss_only(p, batch) == l_tot
+        resid = mlp_forward(p, batch.vo2) - batch.hr
+        assert float(resid @ resid) / len(resid) == l_data
+
+    def test_matches_allocating_reference(self, case):
+        # the in-place kernel does the reference's arithmetic in the same
+        # order, so the data-term gradients agree bit for bit
+        from dataclasses import replace
+
+        p, batch = case
+        batch = replace(batch, de_weight=0.0)
+        X = batch.vo2[:, None]
+        a1 = np.tanh(X @ p.w1.T + p.b1)
+        a2 = np.tanh(a1 @ p.w2.T + p.b2)
+        y = (a2 @ p.w3.T)[:, 0] + p.b3[0]
+        dy = (2.0 / len(y)) * (y - batch.hr)
+        dz2 = (dy[:, None] @ p.w3) * (1.0 - a2 * a2)
+        dz1 = (dz2 @ p.w2) * (1.0 - a1 * a1)
+        ref = [dz1.T @ X, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0),
+               dy[:, None].T @ a2, np.array([dy.sum()])]
+        grads = loss_and_gradients(p, batch)[3]
+        for got, want in zip(grads.arrays(), ref):
+            np.testing.assert_array_equal(got, want)

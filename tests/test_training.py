@@ -343,3 +343,17 @@ class TestFitPm:
                 for e in np.eye(6)
             ])
             assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: TrainConfig(learning_rate=-0.01), "train.lr"),        # trains uphill
+    (lambda: TrainConfig(de_weight=float("nan")), "train.de_weight"),
+    (lambda: TrainConfig(stop_threshold=float("inf")), "train.stop_threshold"),
+    (lambda: TrainConfig(max_epochs=0), "train.max_epochs"),
+    (lambda: PmFitConfig(iters=-1), "pm.iters"),   # returned the initial lambdas
+    (lambda: PmFitConfig(iters=0), "pm.iters"),
+    (lambda: PmFitConfig(proximal=-1.0), "pm.proximal"),
+])
+def test_out_of_range_config_rejected(make, key):
+    with pytest.raises(LengthMismatch, match=key):
+        make()
