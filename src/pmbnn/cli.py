@@ -128,6 +128,14 @@ def _fits_default_type(value, default) -> bool:
     return isinstance(value, (int, float))
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0, as numpy's generators require."""
+    value = int(text)  # argparse turns a ValueError into a usage error
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _filter_config(cfg: dict) -> FilterConfig:
     return FilterConfig(
         sg_window=int(cfg["filter.sg_window"]),
@@ -475,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, out=True):
         p.add_argument("--config", help="JSON config file with flat dotted keys")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         if out:
             p.add_argument("--out", required=True, help="output directory")
 

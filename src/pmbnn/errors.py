@@ -66,7 +66,7 @@ class BadBounds(PmbnnError):
 
 
 class OutOfBounds(PmbnnError):
-    """A parameter value falls outside its (lo, hi) box."""
+    """A parameter or config value falls outside its allowed range."""
 
 
 class NonFiniteLoss(PmbnnError):

@@ -123,6 +123,8 @@ class SyntheticSpec:
             if phase.duration_s < 60:
                 raise SegmentTooShort(f"phase shorter than 60 s: {phase}")
         self.bounds.require_inside(self.lambda_true)
+        if self.seed < 0:
+            raise OutOfBounds(f"seed must be >= 0, got {self.seed!r}")
 
 
 #: default plan: resting, then cycling and running at two intensities each

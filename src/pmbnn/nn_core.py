@@ -166,7 +166,8 @@ class TrainBatch:
     The batch also owns the loss kernel's three (n, HIDDEN) scratch
     buffers, which every :func:`loss_only` and :func:`loss_and_gradients`
     call overwrites: one batch must not be evaluated by two calls at the
-    same time.
+    same time. :func:`gradient_check`'s grouped probes read the batch but
+    run their forward pass in buffers of their own.
     """
 
     vo2: np.ndarray
@@ -271,7 +272,7 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
 
 
 def loss_only(p: MlpParams, batch: TrainBatch) -> float:
-    """L_tot without gradients (used by the finite-difference oracle)."""
+    """L_tot without gradients (the gradient check's theta probes)."""
     *_, l_data, l_de = _forward_loss(p, batch)
     return l_data + batch.de_weight * l_de
 
@@ -308,27 +309,81 @@ def rmsprop_step(
 def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
     """Max relative disagreement between reverse mode and central FD.
 
+    Central differences (L(p + h e_k) - L(p - h e_k)) / 2h serve as a
+    forward-only oracle that shares no code with the backward pass
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 1).
+    Each weight or bias probe changes one hidden unit, so the probes are
+    grouped by unit and a group's perturbed predictions y + delta come
+    from one small stacked forward pass (:func:`_loss_differences`). At
+    fixed lambdas L_data is quadratic in y and the collocation residual
+    affine, F(y + delta) = F(y) + A delta, so each numerator is taken
+    exactly as sum (d+ - d-) (2 r + d+ + d-) over the data residuals r
+    and the same form over F and A delta, instead of by subtracting two
+    nearly equal losses. The theta probes move the lambdas and take two
+    :func:`loss_only` calls each.
+
     Relative error per parameter: |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|).
     """
     if h <= 0:
         raise InvalidStep(f"step must be positive, got {h}")
     analytic = loss_and_gradients(p, batch)[3].to_vector()
-    work = p.copy()
-    fd = np.empty(len(analytic))
-    pos = 0
-    for arr in work.arrays():
-        flat = arr.reshape(-1)
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            f_plus = loss_only(work, batch)
-            flat[k] = orig - h
-            f_minus = loss_only(work, batch)
-            flat[k] = orig
-            fd[pos] = (f_plus - f_minus) / (2.0 * h)
-            pos += 1
+    fd = _loss_differences(p, batch, h).to_vector() / (2.0 * h)
     denom = np.maximum(1e-12, np.abs(analytic) + np.abs(fd))
     return float(np.max(np.abs(analytic - fd) / denom))
+
+
+def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
+    """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k."""
+    x, n = batch.vo2, len(batch.vo2)
+    _, a1, a2, y = _forward_full(p, x, np.empty((n, HIDDEN)), np.empty((n, HIDDEN)))
+    z1 = x[:, None] * p.w1[:, 0] + p.b1
+    z2 = a1 @ p.w2.T + p.b2
+    w3 = p.w3[0]
+    lam = batch._lo + (batch._hi - batch._lo) * sigmoid(p.theta)
+    two_r = 2.0 * (y - batch.hr)
+    two_f = [2.0 * f for f in pm.collocation_residuals(
+        y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam)]
+    m = sum(len(f) for f in two_f)
+    lam_a = np.append(lam[:5], 0.0)  # l6 = 0 leaves the linear part A
+
+    def apply_a(v):
+        return pm.collocation_residuals(
+            v, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a)
+
+    def diff(plus, minus):
+        # L(y + plus) - L(y + minus) for stacked prediction changes (..., n)
+        d, s = plus - minus, plus + minus
+        de = sum(np.sum(u * (f + v), axis=-1)
+                 for u, v, f in zip(apply_a(d), apply_a(s), two_f))
+        return np.sum(d * (two_r + s), axis=-1) / n + batch.de_weight * de / m
+
+    out = _Tree(*(np.empty_like(a) for a in p.arrays()))
+    # w1[j], b1[j]: unit j of layer 1 moves and layer 2 is recomputed,
+    # (2 signs, 2 probes, n, HIDDEN)
+    step = h * np.stack([x, np.ones(n)])
+    step = np.stack([step, -step])
+    for j in range(HIDDEN):
+        da1 = np.tanh(z1[:, j] + step) - a1[:, j]
+        delta = (np.tanh(z2 + da1[..., None] * p.w2[:, j]) - a2) @ w3
+        out.w1[j, 0], out.b1[j] = diff(*delta)
+    # w2[i, :], b2[i]: unit i of layer 2 moves, (2 signs, HIDDEN + 1, n)
+    step = h * np.vstack([a1.T, np.ones(n)])
+    step = np.stack([step, -step])
+    for i in range(HIDDEN):
+        num = diff(*(w3[i] * (np.tanh(z2[:, i] + step) - a2[:, i])))
+        out.w2[i], out.b2[i] = num[:-1], num[-1]
+    # w3, b3: the output moves by the probe times the unit's activation
+    step = h * np.vstack([a2.T, np.ones(n)])
+    num = diff(step, -step)
+    out.w3[0], out.b3[0] = num[:-1], num[-1]
+    work = p.copy()
+    for k, orig in enumerate(p.theta):
+        work.theta[k] = orig + h
+        f_plus = loss_only(work, batch)
+        work.theta[k] = orig - h
+        out.theta[k] = f_plus - loss_only(work, batch)
+        work.theta[k] = orig
+    return out
 
 
 def make_gradcheck_case(seed: int) -> tuple[MlpParams, TrainBatch]:

@@ -171,6 +171,11 @@ def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> li
     series, ``dt_min`` the sample spacing in minutes and ``lam`` the six
     lambdas as a plain sequence. This is the one discretization of the
     dynamics that the training loss and the PM fit both use.
+
+    ``hr`` may carry leading batch axes, (K, n) for K series on one vo2
+    grid; each lambda is then a scalar or a (K, 1) column, and every
+    residual is (K, len-2), row k bit for bit the 1-D call on ``hr[k]``
+    with the lambdas of row k.
     """
     l1, l2, l3, l4, l5, l6 = lam
     residuals = []
@@ -178,10 +183,11 @@ def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> li
         if b - a < 3:
             raise SegmentTooShort(f"segment [{a},{b}) needs >= 3 samples")
         lv = log_vo2[a:b]
-        h = hr[a:b]
+        h = hr[..., a:b]
         p = h * ((l1 * lv + l2) * (l3 * lv + l4))
         residuals.append(
-            ((h[2:] - h[:-2]) - l5 * (p[2:] - p[:-2])) / (2.0 * dt_min) - l6
+            ((h[..., 2:] - h[..., :-2]) - l5 * (p[..., 2:] - p[..., :-2]))
+            / (2.0 * dt_min) - l6
         )
     return residuals
 

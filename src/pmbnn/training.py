@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteGradient,
     NonFiniteLoss,
+    OutOfBounds,
 )
 from .nn_core import MlpParams, RmspropState, TrainBatch
 from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
@@ -64,12 +65,13 @@ class TrainConfig:
                  "train.de_weight", self.de_weight, "finite and >= 0")
         _require(math.isfinite(self.learning_rate) and self.learning_rate > 0,
                  "train.lr", self.learning_rate, "finite and > 0")
+        _require(self.seed >= 0, "train.seed", self.seed, ">= 0")
 
 
 def _require(ok: bool, key: str, value, rule: str) -> None:
     """Reject a config value outside its range, naming its config key."""
     if not ok:
-        raise LengthMismatch(f"{key} must be {rule}, got {value!r}")
+        raise OutOfBounds(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass

@@ -166,6 +166,18 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck"],
+        ["synth", "--out", "{out}"],
+        ["train", "--model", "pmbnn", "--input", "{out}", "--out", "{out}"],
+    ])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, argv):
+        # numpy's default_rng raised a ValueError traceback
+        with pytest.raises(SystemExit) as exc:
+            run([a.format(out=tmp_path / "o") for a in argv] + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("train.max_epochs", "abc"),   # not a number for an int key
         ("pm.iters", "1.5"),           # non-integral float for an int key
@@ -218,6 +230,7 @@ class TestErrorPaths:
     ("pmbnn", "train.lr", "-0.01"),    # trained uphill to the epoch cap
     ("pmbnn", "train.de_weight", "NaN"),
     ("pmbnn", "train.stop_threshold", "Infinity"),
+    ("pmbnn", "train.seed", "-1"),     # was a ValueError traceback
 ])
 def test_out_of_range_config_value_exits_one(pipeline_dirs, tmp_path, capsys,
                                              model, key, value):
@@ -351,6 +364,17 @@ class TestSynthSpecFile:
         csv_a = (a / "synthetic.csv").read_bytes()
         csv_b = (b / "synthetic.csv").read_bytes()
         assert csv_a != csv_b
+
+    def test_negative_spec_seed_exits_one(self, tmp_path, capsys):
+        spec = {
+            "plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
+            "lambda_true": [0.02, 0.1, -5.3, 10.5, 0.44, 0.1],
+            "seed": -1,
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 1
+        assert "OutOfBounds: seed" in capsys.readouterr().err
 
 
 def test_log_env_variable(tmp_path, monkeypatch, caplog):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmbnn import nn_core
 from pmbnn.errors import (
     BadBounds,
     InvalidStep,
@@ -14,6 +15,7 @@ from pmbnn.errors import (
     SegmentTooShort,
 )
 from pmbnn.nn_core import (
+    ARRAY_FIELDS,
     MlpParams,
     TrainBatch,
     bounded_inverse,
@@ -154,6 +156,16 @@ class TestMlpForward:
         )
 
 
+def random_case(segment_bounds):
+    """Plain random 30-sample instance with the full composite loss, pinned seed."""
+    rng = np.random.default_rng(0)
+    vo2 = np.concatenate([np.linspace(0.4, 1.6, 15), np.linspace(1.8, 3.0, 15)])
+    hr = 70 + 30 * rng.uniform(size=30)
+    return xavier_init(0), TrainBatch(vo2=vo2, hr=hr, segment_bounds=segment_bounds,
+                                      dt_seconds=1.0, bounds=LambdaBounds(),
+                                      de_weight=1e5 / 3600)
+
+
 def batch_for(p, vo2, hr, w=1e5 / 3600, bounds=LambdaBounds()):
     n = len(vo2)
     return TrainBatch(
@@ -183,15 +195,7 @@ class TestBackward:
         assert gradient_check(p, batch, 1e-5) <= 1e-4
 
     def test_random_instance_fd_agreement(self):
-        # plain random instance with the full composite loss, pinned seed
-        rng = np.random.default_rng(0)
-        p = xavier_init(0)
-        n = 30
-        vo2 = np.concatenate([np.linspace(0.4, 1.6, 15), np.linspace(1.8, 3.0, 15)])
-        hr = 70 + 30 * rng.uniform(size=n)
-        batch = TrainBatch(vo2=vo2, hr=hr, segment_bounds=((0, 15), (15, 30)),
-                           dt_seconds=1.0, bounds=LambdaBounds(), de_weight=1e5 / 3600)
-        assert gradient_check(p, batch, 1e-5) <= 1e-4
+        assert gradient_check(*random_case(((0, 15), (15, 30))), 1e-5) <= 1e-4
 
     def test_theta_gradient_chain_rule_at_midpoint(self):
         # dL/dtheta = dL/dlambda * (hi-lo)/4 when theta sits at 0
@@ -268,8 +272,49 @@ class TestGradientCheck:
         assert gradient_check(p, batch_for(p, vo2, hr, w=1.0), 1e-5) <= 1e-10
 
     def test_twenty_seeds_below_tolerance(self):
-        worst = max(run_gradcheck(seed) for seed in range(5))
+        worst = max(run_gradcheck(seed) for seed in range(20))
         assert worst <= 1e-4
+
+    @pytest.mark.parametrize("case", [
+        lambda: make_gradcheck_case(0),
+        lambda: random_case(((0, 15), (15, 30))),
+        lambda: random_case(((0, 3), (3, 10), (10, 30))),  # uneven, one minimal
+    ], ids=["gradcheck_case_0", "two_segments", "uneven_segments"])
+    def test_grouped_probes_match_per_parameter_loop(self, case):
+        # the reference is the plain loop: two loss_only calls per parameter
+        p, batch = case()
+        h = 1e-5
+        work = p.copy()
+        loop = []
+        for arr in work.arrays():
+            flat = arr.reshape(-1)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + h
+                f_plus = loss_only(work, batch)
+                flat[k] = orig - h
+                loop.append((f_plus - loss_only(work, batch)) / (2.0 * h))
+                flat[k] = orig
+        loop = np.array(loop)
+        grouped = nn_core._loss_differences(p, batch, h).to_vector() / (2.0 * h)
+        rel = np.abs(grouped - loop) / np.maximum(1e-12, np.abs(grouped) + np.abs(loop))
+        assert rel.max() <= 1e-5
+        # the theta probes are still the loop's loss_only calls
+        assert np.array_equal(grouped[-6:], loop[-6:])
+
+    @pytest.mark.parametrize("field", ARRAY_FIELDS)
+    def test_corrupted_gradient_entry_is_caught(self, monkeypatch, field):
+        # a 1% error on one reverse-mode entry of any block fails the check
+        exact = nn_core.loss_and_gradients
+
+        def corrupted(p, batch):
+            *losses, grads = exact(p, batch)
+            arr = getattr(grads, field)
+            arr.flat[2 * arr.size // 3] *= 1.01
+            return (*losses, grads)
+
+        monkeypatch.setattr(nn_core, "loss_and_gradients", corrupted)
+        assert gradient_check(*make_gradcheck_case(0)) > 1e-4
 
     def test_zero_step_rejected(self):
         p, batch = make_gradcheck_case(0)

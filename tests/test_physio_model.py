@@ -13,6 +13,7 @@ from pmbnn.physio_model import (
     DEFAULT_INITIAL,
     LambdaBounds,
     LambdaParams,
+    collocation_residuals,
     coupling_g,
     de_residual_series,
     peripheral_resistance,
@@ -171,6 +172,21 @@ class TestDeResidualSeries:
         v = vo2_series(np.full(40, 1.0))
         with pytest.raises(LengthMismatch):
             de_residual_series(hr, v, INIT)
+
+
+def test_collocation_residuals_batch_axis_matches_rows():
+    # a (K, n) stack with (K, 1) lambda columns is K 1-D calls, bit for bit
+    rng = np.random.default_rng(3)
+    k, segs = 5, ((0, 3), (3, 17), (17, 40))
+    hr = 70.0 + 30.0 * rng.uniform(size=(k, 40))
+    log_vo2 = np.log(rng.uniform(0.4, 3.0, 40))
+    lo, hi = LambdaBounds().lo_hi_arrays()
+    lam = rng.uniform(lo, hi, size=(k, 6))
+    stacked = collocation_residuals(hr, log_vo2, segs, 1 / 60, lam.T[:, :, None])
+    for row in range(k):
+        flat = collocation_residuals(hr[row], log_vo2, segs, 1 / 60, lam[row])
+        for got, want in zip(stacked, flat):
+            assert np.array_equal(got[row], want)
 
 
 class TestModelInvariants:

@@ -3,7 +3,7 @@ import pytest
 
 from oracle_utils import ORACLE_INIT, coupling_products, oracle_subject
 
-from pmbnn.errors import EmptySeries, LengthMismatch, SegmentTooShort
+from pmbnn.errors import EmptySeries, LengthMismatch, OutOfBounds, SegmentTooShort
 from pmbnn.experiment import split_by_activity
 from pmbnn.nn_core import (
     MlpParams,
@@ -350,10 +350,11 @@ class TestFitPm:
     (lambda: TrainConfig(de_weight=float("nan")), "train.de_weight"),
     (lambda: TrainConfig(stop_threshold=float("inf")), "train.stop_threshold"),
     (lambda: TrainConfig(max_epochs=0), "train.max_epochs"),
+    (lambda: TrainConfig(seed=-1), "train.seed"),    # numpy rejected it mid-run
     (lambda: PmFitConfig(iters=-1), "pm.iters"),   # returned the initial lambdas
     (lambda: PmFitConfig(iters=0), "pm.iters"),
     (lambda: PmFitConfig(proximal=-1.0), "pm.proximal"),
 ])
 def test_out_of_range_config_rejected(make, key):
-    with pytest.raises(LengthMismatch, match=key):
+    with pytest.raises(OutOfBounds, match=key):
         make()
