@@ -272,7 +272,7 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
 
 
 def loss_only(p: MlpParams, batch: TrainBatch) -> float:
-    """L_tot without gradients (the gradient check's theta probes)."""
+    """L_tot without gradients: the plain forward loss, one probe at a time."""
     *_, l_data, l_de = _forward_loss(p, batch)
     return l_data + batch.de_weight * l_de
 
@@ -319,8 +319,9 @@ def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
     affine, F(y + delta) = F(y) + A delta, so each numerator is taken
     exactly as sum (d+ - d-) (2 r + d+ + d-) over the data residuals r
     and the same form over F and A delta, instead of by subtracting two
-    nearly equal losses. The theta probes move the lambdas and take two
-    :func:`loss_only` calls each.
+    nearly equal losses. A theta probe moves one lambda and leaves y, and
+    the residual is affine in each lambda, so its numerator takes the same
+    product form over F with the exact logistic difference of lambda.
 
     Relative error per parameter: |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|).
     """
@@ -376,13 +377,23 @@ def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
     step = h * np.vstack([a2.T, np.ones(n)])
     num = diff(step, -step)
     out.w3[0], out.b3[0] = num[:-1], num[-1]
-    work = p.copy()
-    for k, orig in enumerate(p.theta):
-        work.theta[k] = orig + h
-        f_plus = loss_only(work, batch)
-        work.theta[k] = orig - h
-        out.theta[k] = f_plus - loss_only(work, batch)
-        work.theta[k] = orig
+    # theta[k] moves lambda k alone and leaves y, so only L_DE changes. F
+    # is affine in each lambda, F(l) = F + (l - lam_k) c_k with c_k the
+    # change of F from lambda k at 0 to lambda k at 1, so F+^2 - F-^2 is
+    # (l+ - l-) c (2F + (l+ + l- - 2 lam_k) c). The lambda steps up = l+ - lam
+    # and down = lam - l- come from s(a) - s(b) = -s(a) s(-b) expm1(b - a).
+    width = batch._hi - batch._lo
+    up = -width * sigmoid(p.theta + h) * sigmoid(-p.theta) * np.expm1(-h)
+    down = -width * sigmoid(p.theta) * sigmoid(h - p.theta) * np.expm1(-h)
+    own = np.eye(6, dtype=bool)
+    rows = np.vstack([np.where(own, 1.0, lam), np.where(own, 0.0, lam)])
+    ones_zeros = pm.collocation_residuals(
+        y, batch._log_vo2, batch.segment_bounds, batch._dt_min, rows.T[..., None])
+    de = np.zeros(6)
+    for f, tf in zip(ones_zeros, two_f):
+        c = f[:6] - f[6:]
+        de += np.sum(c * (tf + (up - down)[:, None] * c), axis=-1)
+    out.theta[:] = batch.de_weight * (up + down) * de / m
     return out
 
 
