@@ -468,9 +468,8 @@ def cmd_report(args, cfg: dict) -> int:
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
-    seed = args.seed if args.seed is not None else 0
-    err = nn_core.run_gradcheck(seed)
-    print(f"max relative gradient error (seed {seed}): {err:.3e}")
+    err = nn_core.run_gradcheck(args.seed)
+    print(f"max relative gradient error (seed {args.seed}): {err:.3e}")
     return 0 if err <= 1e-4 else 1
 
 
@@ -481,11 +480,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p, seed=False):
         p.add_argument("--config", help="JSON config file with flat dotted keys")
-        p.add_argument("--seed", type=_seed, default=None)
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        if seed:
+            p.add_argument("--seed", type=_seed, default=None)
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("preprocess", help="resample + filter a recording")
     p.add_argument("--input", required=True)
@@ -495,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic oracle subject")
     p.add_argument("--spec", help="synthetic spec JSON")
     p.add_argument("--noise-hr", type=float, default=0.0)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("split", help="per-activity 80/20 split")
@@ -506,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model on one subject")
     p.add_argument("--model", required=True, choices=("pmbnn", "fcnn", "pm"))
     p.add_argument("--input", required=True, help="preprocessed subject CSV")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("reconstruct", help="PM with lambdas from a checkpoint")
@@ -527,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("gradcheck", help="verify reverse-mode gradients")
-    common(p, out=False)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -537,8 +536,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("PMBNN_LOG", "WARNING"))
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
+    if args.func is cmd_gradcheck and extras:
+        parser.error(f"gradcheck takes no configuration: {' '.join(extras)}")
     try:
-        cfg = _resolve_config(args.config, extras)
+        cfg = _resolve_config(getattr(args, "config", None), extras)
     except ValueError as exc:
         parser.error(str(exc))
     try:

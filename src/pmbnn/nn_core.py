@@ -13,7 +13,7 @@ of :func:`physio_model.collocation_residuals` ((bpm/min)^2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +32,18 @@ from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
 
 HIDDEN = 64
 ARRAY_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3", "theta")
+# offsets of the layers and theta in a parameter tree's flat vector
+_L2 = 2 * HIDDEN
+_L3 = _L2 + HIDDEN * (HIDDEN + 1)
+_THETA = _L3 + HIDDEN + 1
+_SIZE = _THETA + 6
 
 
 def sigmoid(x):
     """Numerically stable logistic function."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 
@@ -75,44 +77,57 @@ def theta_jacobian(theta: np.ndarray, bounds: LambdaBounds) -> np.ndarray:
     return (hi - lo) * s * (1.0 - s)
 
 
-@dataclass
 class _Tree:
     """The seven parameter-shaped arrays: weights, biases and theta.
 
     One layout serves the network parameters, their gradients and the
-    RMSprop squared-gradient accumulators.
+    RMSprop squared-gradient accumulators. The arrays are views of one
+    vector ``flat``: ``layer1`` = [w1 | b1] (64, 2), ``layer2`` = [w2 | b2]
+    (64, 65), ``layer3`` = [w3 | b3] (65,), theta (6,). So each layer is one
+    gemm operand and an optimizer step is a few passes over ``flat``.
+    Assigning an array copies it into its view.
     """
 
-    w1: np.ndarray   # (64, 1)
-    b1: np.ndarray   # (64,)
-    w2: np.ndarray   # (64, 64)
-    b2: np.ndarray   # (64,)
-    w3: np.ndarray   # (1, 64)
-    b3: np.ndarray   # (1,)
-    theta: np.ndarray  # (6,) unconstrained pre-images of l1..l6
+    def __init__(self, w1, b1, w2, b2, w3, b3, theta):
+        self._bind(np.empty(_SIZE))
+        for name, value in zip(ARRAY_FIELDS, (w1, b1, w2, b2, w3, b3, theta)):
+            setattr(self, name, value)
+
+    @classmethod
+    def _of(cls, flat: np.ndarray) -> "_Tree":
+        tree = cls.__new__(cls)
+        tree._bind(flat)
+        return tree
+
+    def _bind(self, flat: np.ndarray) -> None:
+        layer1 = flat[:_L2].reshape(HIDDEN, 2)
+        layer2 = flat[_L2:_L3].reshape(HIDDEN, HIDDEN + 1)
+        layer3 = flat[_L3:_THETA]
+        self.__dict__.update(
+            flat=flat, layer1=layer1, layer2=layer2, layer3=layer3,
+            w1=layer1[:, :1], b1=layer1[:, 1], w2=layer2[:, :HIDDEN],
+            b2=layer2[:, HIDDEN], w3=layer3[None, :HIDDEN], b3=layer3[HIDDEN:],
+            theta=flat[_THETA:])
+
+    def __setattr__(self, name: str, value) -> None:
+        view = getattr(self, name)
+        if np.shape(value) != view.shape:
+            raise ValueError(f"{name} must have shape {view.shape}, got {np.shape(value)}")
+        view[...] = value
 
     def arrays(self):
         return [getattr(self, f) for f in ARRAY_FIELDS]
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.arrays()])
-
     def copy(self):
-        return _Tree(*(a.copy() for a in self.arrays()))
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
+        return _Tree._of(self.flat.copy())
 
 
 #: network weights/biases plus the six unconstrained lambda pre-images
 MlpParams = _Tree
 
 
-def xavier_init(
-    seed: int,
-    bounds: LambdaBounds = LambdaBounds(),
-    init_lambda: LambdaParams = DEFAULT_INITIAL,
-) -> MlpParams:
+def xavier_init(seed: int, bounds: LambdaBounds = LambdaBounds(),
+                init_lambda: LambdaParams = DEFAULT_INITIAL) -> MlpParams:
     """Xavier-uniform weights, zero biases, theta from the initial lambdas."""
     rng = np.random.default_rng(seed)
 
@@ -120,40 +135,32 @@ def xavier_init(
         limit = np.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-limit, limit, size=(n_out, n_in))
 
-    return MlpParams(
-        w1=layer(HIDDEN, 1),
-        b1=np.zeros(HIDDEN),
-        w2=layer(HIDDEN, HIDDEN),
-        b2=np.zeros(HIDDEN),
-        w3=layer(1, HIDDEN),
-        b3=np.zeros(1),
-        theta=theta_from_lambda(init_lambda, bounds),
-    )
+    return MlpParams(layer(HIDDEN, 1), np.zeros(HIDDEN), layer(HIDDEN, HIDDEN),
+                     np.zeros(HIDDEN), layer(1, HIDDEN), np.zeros(1),
+                     theta_from_lambda(init_lambda, bounds))
 
 
-def _forward_full(p: MlpParams, x: np.ndarray, a1: np.ndarray, a2: np.ndarray):
-    """Hidden activations and output for 1-D input ``x``.
+def _layer_inputs(vo2: np.ndarray):
+    """The network's input rows [vo2; 1] and two (HIDDEN + 1, n) activation
+    buffers whose last row holds ones, so that every bias rides in a gemm."""
+    ones = np.ones((2, HIDDEN + 1, len(vo2)))
+    return np.vstack([vo2, ones[0, 0]]), ones[0], ones[1]
 
-    Writes the two (len(x), HIDDEN) hidden activations into ``a1`` and
-    ``a2`` in place and returns them with ``X = x[:, None]`` and the
-    freshly allocated output ``y``.
-    """
-    X = x[:, None]
-    np.multiply(X, p.w1[:, 0], out=a1)
-    a1 += p.b1
-    np.tanh(a1, out=a1)
-    np.matmul(a1, p.w2.T, out=a2)
-    a2 += p.b2
-    np.tanh(a2, out=a2)
-    y = (a2 @ p.w3.T)[:, 0] + p.b3[0]
-    return X, a1, a2, y
+
+def _forward_full(p: MlpParams, x1: np.ndarray, a1: np.ndarray, a2: np.ndarray):
+    """Fresh output y for input rows ``x1``; writes the hidden activations
+    feature-major, (HIDDEN, n), into the top rows of ``a1`` and ``a2``."""
+    h1, h2 = a1[:HIDDEN], a2[:HIDDEN]
+    np.matmul(p.layer1, x1, out=h1)
+    np.tanh(h1, out=h1)
+    np.matmul(p.layer2, a1, out=h2)
+    np.tanh(h2, out=h2)
+    return p.layer3 @ a2
 
 
 def mlp_forward(p: MlpParams, vo2):
     """Network output for scalar or 1-D vo2 input."""
-    arr = np.atleast_1d(np.asarray(vo2, dtype=float))
-    y = _forward_full(p, arr, np.empty((len(arr), HIDDEN)),
-                      np.empty((len(arr), HIDDEN)))[3]
+    y = _forward_full(p, *_layer_inputs(np.atleast_1d(np.asarray(vo2, dtype=float))))
     return y if np.ndim(vo2) else float(y[0])
 
 
@@ -161,13 +168,12 @@ def mlp_forward(p: MlpParams, vo2):
 class TrainBatch:
     """Everything a loss evaluation needs besides the parameters.
 
-    Validates vo2 positivity once and caches log(vo2), the sample spacing
-    in minutes and the bound arrays so repeated loss evaluations stay cheap.
-    The batch also owns the loss kernel's three (n, HIDDEN) scratch
-    buffers, which every :func:`loss_only` and :func:`loss_and_gradients`
-    call overwrites: one batch must not be evaluated by two calls at the
-    same time. :func:`gradient_check`'s grouped probes read the batch but
-    run their forward pass in buffers of their own.
+    Validates vo2 positivity once and caches what every loss evaluation
+    reuses: lv = log(vo2) and its powers (1, lv, lv^2), the input rows
+    [vo2; 1], the spacing in minutes, the bound arrays and the kernel's
+    scratch buffers. Every :func:`loss_only` and :func:`loss_and_gradients`
+    call overwrites those buffers, so one batch must not be evaluated by
+    two calls at the same time; :func:`gradient_check` uses its own.
     """
 
     vo2: np.ndarray
@@ -182,20 +188,17 @@ class TrainBatch:
             raise LengthMismatch("vo2 and hr must be aligned")
         pm._check_positive_vo2(self.vo2)
         lo, hi = self.bounds.lo_hi_arrays()
-        object.__setattr__(self, "_log_vo2", np.log(self.vo2))
-        object.__setattr__(self, "_dt_min", self.dt_seconds / pm.SECONDS_PER_MINUTE)
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_hi", hi)
-        object.__setattr__(self, "_work", tuple(
-            np.empty((len(self.vo2), HIDDEN)) for _ in range(3)))
+        lv = np.log(self.vo2)
+        x1, a1, a2 = _layer_inputs(self.vo2)
+        self.__dict__.update(  # the dataclass is frozen; caches bypass that
+            _log_vo2=lv, _lv_powers=np.vstack([x1[1], lv, lv * lv]), _x1=x1,
+            _dt_min=self.dt_seconds / pm.SECONDS_PER_MINUTE, _lo=lo, _hi=hi,
+            _work=(a1, a2, np.empty((HIDDEN, len(lv)))))
 
 
 def _forward_loss(p: MlpParams, batch: TrainBatch):
-    """Forward pass, L_data and L_DE, plus what the backward pass reuses.
-
-    The hidden activations live in the batch's first two scratch buffers.
-    """
-    X, a1, a2, y = _forward_full(p, batch.vo2, *batch._work[:2])
+    """Forward pass into the batch's buffers, L_data and L_DE."""
+    y = _forward_full(p, batch._x1, *batch._work[:2])
     resid = y - batch.hr
     l_data = float(resid @ resid) / len(y)
     lam = batch._lo + (batch._hi - batch._lo) * sigmoid(p.theta)
@@ -204,70 +207,61 @@ def _forward_loss(p: MlpParams, batch: TrainBatch):
     )
     m = sum(len(f) for f in res)
     l_de = sum(float(f @ f) for f in res) / m
-    return (X, a1, a2, y), resid, lam, res, m, l_data, l_de
+    return y, resid, lam, res, m, l_data, l_de
 
 
 def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     """Evaluate L_data, L_DE, L_tot and exact reverse-mode gradients.
 
     L_data is in bpm^2 and L_DE, the mean squared collocation residual,
-    in (bpm/min)^2. Lambda gradients flow through the logistic bound map;
-    prediction-series time derivatives inside L_DE are handled as a linear
-    (segment-aware) operator on the batch outputs. The backward pass runs
-    in the batch's scratch buffers; every returned array is fresh.
+    in (bpm/min)^2. The residual is F = D(y (1 - l5 g)) - l6 with D the
+    per-segment central difference and g = SV * TPR quadratic in lv, so
+    summing by parts, sum F D(v) = sum v q with q = D^T F, gives
+    dL_DE/dy = 2 (1 - l5 g) q / m and each lambda partial from sum F and
+    the moments sum y q lv^k, k = 0, 1, 2; theta's follow through the
+    logistic map. With ``de_weight == 0`` the theta gradient is 0. The
+    backward pass runs in the batch's buffers and returns a fresh tree.
     """
-    (X, a1, a2, y), resid, lam, res, m, l_data, l_de = _forward_loss(p, batch)
+    y, resid, lam, res, m, l_data, l_de = _forward_loss(p, batch)
     w = batch.de_weight
     l_tot = l_data + w * l_de
     if not np.isfinite(l_tot):
         raise NonFiniteLoss(f"L_tot = {l_tot}")
 
-    # d L_tot / d prediction
-    dy = (2.0 / len(y)) * resid
-    dt = batch._dt_min
-    l1, l2, l3, l4, l5, _ = lam
-    dlam = np.zeros(6)
-    for (a, b), f in zip(batch.segment_bounds, res):
-        lv = batch._log_vo2[a:b]
-        h = y[a:b]
-        sv = l1 * lv + l2
-        tpr = l3 * lv + l4
-        g = sv * tpr
-        fp = np.zeros(b - a)
-        fp[1:-1] = f
-        # adjoint of the central-difference stencil, edges contribute zero
-        shift_back = np.concatenate(([0.0], fp[:-1]))
-        shift_fwd = np.concatenate((fp[1:], [0.0]))
-        dy[a:b] += w * (1.0 - l5 * g) * (shift_back - shift_fwd) / (m * dt)
+    grads = _Tree._of(np.zeros(_SIZE))
+    dy = (2.0 / len(y)) * resid  # d L_tot / d prediction
+    if w:
+        q = np.zeros(len(y))
+        for (a, b), f in zip(batch.segment_bounds, res):
+            q[a + 2:b] += f
+            q[a:b - 2] -= f
+        q /= 2.0 * batch._dt_min
+        l1, l2, l3, l4, l5, _ = lam
+        # coefficients of 1, lv, lv^2 in dg/dl1..dg/dl4 and in g
+        coef = np.array([[0.0, l4, l3], [l4, l3, 0.0], [0.0, l2, l1],
+                         [l2, l1, 0.0], [l2 * l4, l1 * l4 + l2 * l3, l1 * l3]])
+        dy += (2.0 * w / m) * (1.0 - l5 * (coef[4] @ batch._lv_powers)) * q
+        sums = np.append(coef @ (batch._lv_powers @ (y * q)), sum(f.sum() for f in res))
+        dlam = np.array([l5, l5, l5, l5, 1.0, 1.0]) * sums
+        grads.theta[:] = w * (-2.0 / m) * dlam * theta_jacobian(p.theta, batch.bounds)
 
-        pdot = (h[2:] * g[2:] - h[:-2] * g[:-2]) / (2 * dt)
-        dlam[5] += -2.0 / m * float(np.sum(f))
-        dlam[4] += -2.0 / m * float(f @ pdot)
-        for k, gpart in enumerate((lv * tpr, tpr, sv * lv, sv)):
-            c = h * gpart
-            cdot = (c[2:] - c[:-2]) / (2 * dt)
-            dlam[k] += -l5 * 2.0 / m * float(f @ cdot)
-
-    # backprop through the MLP; a1 and a2 become 1 - a^2 once their
-    # weight gradients are taken, and a2's buffer then holds dz1
-    dyc = dy[:, None]
-    dw3 = dyc.T @ a2
-    db3 = np.array([dy.sum()])
-    dz2 = np.multiply(dyc, p.w3[0], out=batch._work[2])
-    np.multiply(a2, a2, out=a2)
-    np.subtract(1.0, a2, out=a2)
-    dz2 *= a2
-    dw2 = dz2.T @ a1
-    db2 = dz2.sum(axis=0)
-    dz1 = np.matmul(dz2, p.w2, out=a2)
-    np.multiply(a1, a1, out=a1)
-    np.subtract(1.0, a1, out=a1)
-    dz1 *= a1
-    dw1 = dz1.T @ X
-    db1 = dz1.sum(axis=0)
-
-    dtheta = w * dlam * theta_jacobian(p.theta, batch.bounds)
-    grads = _Tree(dw1, db1, dw2, db2, dw3, db3, dtheta)
+    # backprop through the MLP, feature-major. a2's hidden rows become
+    # G = (1 - a2^2) dy, so dz2 = w3 G is never formed: dW2 is G [a1; 1]^T
+    # scaled by w3 per row and dz1 = (w3 w2)^T G (1 - a1^2)
+    a1, a2, dz1 = batch._work
+    h1, h2 = a1[:HIDDEN], a2[:HIDDEN]
+    np.matmul(a2, dy, out=grads.layer3)
+    np.multiply(h2, h2, out=h2)
+    np.subtract(1.0, h2, out=h2)
+    h2 *= dy
+    w3 = p.layer3[:HIDDEN, None]
+    np.matmul(h2, a1.T, out=grads.layer2)
+    grads.layer2 *= w3
+    np.matmul((w3 * p.w2).T, h2, out=dz1)
+    np.multiply(h1, h1, out=h1)
+    np.subtract(1.0, h1, out=h1)
+    dz1 *= h1
+    np.matmul(dz1, batch._x1.T, out=grads.layer1)
     return l_data, l_de, l_tot, grads
 
 
@@ -289,21 +283,27 @@ class RmspropState:
     @classmethod
     def init(cls, p: MlpParams, rho: float = 0.99, eps: float = 1e-8,
              lr: float = 0.01) -> "RmspropState":
-        return cls(_Tree(*(np.zeros_like(a) for a in p.arrays())), rho, eps, lr)
+        return cls(_Tree._of(np.zeros(_SIZE)), rho, eps, lr)
 
 
 def rmsprop_step(
     p: MlpParams, g: MlpParams, st: RmspropState
 ) -> tuple[MlpParams, RmspropState]:
-    """v <- rho*v + (1-rho)*g^2; p <- p - lr * g / (sqrt(v) + eps)."""
-    if not g.is_finite():
+    """v <- rho*v + (1-rho)*g^2; p <- p - lr * g / (sqrt(v) + eps).
+
+    Passes over the flat vectors: ``st.v`` is updated in place and
+    returned with fresh parameters; ``p`` is left as it was.
+    """
+    if not np.isfinite(g.flat).all():
         raise NonFiniteGradient("gradient contains NaN or inf")
-    new_p, new_v = [], []
-    for pv, gv, v in zip(p.arrays(), g.arrays(), st.v.arrays()):
-        v = st.rho * v + (1.0 - st.rho) * gv * gv
-        new_v.append(v)
-        new_p.append(pv - st.lr * gv / (np.sqrt(v) + st.eps))
-    return _Tree(*new_p), replace(st, v=_Tree(*new_v))
+    v, gf = st.v.flat, g.flat
+    v *= st.rho
+    t = (1.0 - st.rho) * gf
+    t *= gf
+    v += t
+    np.multiply(st.lr, gf, out=t)
+    t /= np.sqrt(v) + st.eps
+    return _Tree._of(p.flat - t), st
 
 
 def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
@@ -327,19 +327,18 @@ def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
     """
     if h <= 0:
         raise InvalidStep(f"step must be positive, got {h}")
-    analytic = loss_and_gradients(p, batch)[3].to_vector()
-    fd = _loss_differences(p, batch, h).to_vector() / (2.0 * h)
+    analytic = loss_and_gradients(p, batch)[3].flat
+    fd = _loss_differences(p, batch, h).flat / (2.0 * h)
     denom = np.maximum(1e-12, np.abs(analytic) + np.abs(fd))
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
 def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
     """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k."""
-    x, n = batch.vo2, len(batch.vo2)
-    _, a1, a2, y = _forward_full(p, x, np.empty((n, HIDDEN)), np.empty((n, HIDDEN)))
-    z1 = x[:, None] * p.w1[:, 0] + p.b1
-    z2 = a1 @ p.w2.T + p.b2
-    w3 = p.w3[0]
+    x1, a1e, a2e = _layer_inputs(batch.vo2)
+    y = _forward_full(p, x1, a1e, a2e)
+    a1, a2 = a1e[:HIDDEN], a2e[:HIDDEN]
+    z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
     lam = batch._lo + (batch._hi - batch._lo) * sigmoid(p.theta)
     two_r = 2.0 * (y - batch.hr)
     two_f = [2.0 * f for f in pm.collocation_residuals(
@@ -358,25 +357,19 @@ def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
                  for u, v, f in zip(apply_a(d), apply_a(s), two_f))
         return np.sum(d * (two_r + s), axis=-1) / n + batch.de_weight * de / m
 
-    out = _Tree(*(np.empty_like(a) for a in p.arrays()))
-    # w1[j], b1[j]: unit j of layer 1 moves and layer 2 is recomputed,
-    # (2 signs, 2 probes, n, HIDDEN)
-    step = h * np.stack([x, np.ones(n)])
-    step = np.stack([step, -step])
+    out = _Tree._of(np.empty(_SIZE))
+    # [w1 | b1] row j: unit j of layer 1 moves and layer 2 is recomputed,
+    # (2 signs, 2 probes, HIDDEN, n)
+    step = np.stack([h * x1, -h * x1])
     for j in range(HIDDEN):
-        da1 = np.tanh(z1[:, j] + step) - a1[:, j]
-        delta = (np.tanh(z2 + da1[..., None] * p.w2[:, j]) - a2) @ w3
-        out.w1[j, 0], out.b1[j] = diff(*delta)
-    # w2[i, :], b2[i]: unit i of layer 2 moves, (2 signs, HIDDEN + 1, n)
-    step = h * np.vstack([a1.T, np.ones(n)])
-    step = np.stack([step, -step])
+        da1 = np.tanh(z1[j] + step) - a1[j]
+        out.layer1[j] = diff(*(w3 @ (np.tanh(z2 + da1[..., None, :] * p.w2[:, j, None]) - a2)))
+    # [w2 | b2] row i: unit i of layer 2 moves, (2 signs, HIDDEN + 1, n)
+    step = np.stack([h * a1e, -h * a1e])
     for i in range(HIDDEN):
-        num = diff(*(w3[i] * (np.tanh(z2[:, i] + step) - a2[:, i])))
-        out.w2[i], out.b2[i] = num[:-1], num[-1]
-    # w3, b3: the output moves by the probe times the unit's activation
-    step = h * np.vstack([a2.T, np.ones(n)])
-    num = diff(step, -step)
-    out.w3[0], out.b3[0] = num[:-1], num[-1]
+        out.layer2[i] = diff(*(w3[i] * (np.tanh(z2[i] + step) - a2[i])))
+    # [w3 | b3]: the output moves by the probe times the unit's activation
+    out.layer3[:] = diff(h * a2e, -h * a2e)
     # theta[k] moves lambda k alone and leaves y, so only L_DE changes. F
     # is affine in each lambda, F(l) = F + (l - lam_k) c_k with c_k the
     # change of F from lambda k at 0 to lambda k at 1, so F+^2 - F-^2 is
@@ -408,9 +401,8 @@ def make_gradcheck_case(seed: int) -> tuple[MlpParams, TrainBatch]:
     """
     rng = np.random.default_rng(seed)
     p = xavier_init(seed)
-    for name in ("w1", "w2", "w3"):
-        arr = getattr(p, name)
-        setattr(p, name, 0.3 * np.abs(arr) + 0.02)
+    for arr in (p.w1, p.w2, p.w3):
+        arr[...] = 0.3 * np.abs(arr) + 0.02
     half = 16
     vo2 = np.concatenate([
         np.linspace(0.4, 1.8, half) + rng.uniform(-0.005, 0.005, half),

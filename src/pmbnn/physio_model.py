@@ -160,8 +160,6 @@ def simulate_hr(
     )
 
 
-
-
 def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> list:
     """Central-difference collocation residuals per segment (bpm/min).
 

@@ -157,13 +157,28 @@ class FilterConfig:
     sg_on_hr: bool = False      # vo2 always gets SG; HR only if enabled
 
 
-def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
-    """Parse a ``time_s,vo2_lpm,hr_bpm,activity`` CSV into a RawRecording.
+def _cell(text: str, missing_ok: bool) -> float:
+    """A CSV number cell: empty (missing, NaN) where allowed, else a finite number."""
+    if missing_ok and not text.strip():
+        return math.nan
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
-    Missing vo2/hr cells are empty strings. Raises MalformedHeader,
-    NonMonotonicTime or NonPositiveSignal on invalid content.
-    """
-    text = data.decode("utf-8")
+
+def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
+    """Parse a ``time_s,vo2_lpm,hr_bpm,activity`` UTF-8 CSV into a RawRecording.
+
+    A vo2/hr cell is empty (missing) or a finite number, a time cell a
+    finite number. Raises MalformedRow naming the line for any other cell
+    or a byte that is not UTF-8, and MalformedHeader, NonMonotonicTime or
+    NonPositiveSignal on invalid content."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[:exc.start].count(b"\n") + 1
+        raise MalformedRow(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -180,19 +195,13 @@ def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
         if len(row) != 4:
             raise MalformedRow(f"line {lineno}: expected 4 fields, got {len(row)}")
         try:
-            times.append(float(row[0]))
-            vo2s.append(float(row[1]) if row[1].strip() else math.nan)
-            hrs.append(float(row[2]) if row[2].strip() else math.nan)
+            times.append(_cell(row[0], missing_ok=False))
+            vo2s.append(_cell(row[1], missing_ok=True))
+            hrs.append(_cell(row[2], missing_ok=True))
         except ValueError as exc:
             raise MalformedRow(f"line {lineno}: {exc}") from None
         acts.append(row[3].strip())
-    return RawRecording(
-        subject_id=subject_id,
-        time=np.array(times),
-        vo2=np.array(vo2s),
-        hr=np.array(hrs),
-        activity=tuple(acts),
-    )
+    return RawRecording(subject_id, np.array(times), np.array(vo2s), np.array(hrs), tuple(acts))
 
 
 def _interp_column(grid: np.ndarray, time: np.ndarray, col: np.ndarray) -> np.ndarray:

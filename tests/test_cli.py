@@ -155,14 +155,15 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["gradcheck", "--train.epochs", "3"],            # key outside DEFAULTS
-        ["gradcheck", "--foo", "1"],                     # not a --section.key flag
-        ["gradcheck", "--train.max_epochs"],             # flag without a value
-        ["gradcheck", "--pm.objective", "bogus"],        # key removed from DEFAULTS
+        ["--train.epochs", "3"],            # key outside DEFAULTS
+        ["--foo", "1"],                     # not a --section.key flag
+        ["--train.max_epochs"],             # flag without a value
+        ["--pm.objective", "bogus"],        # key removed from DEFAULTS
     ])
     def test_bad_config_flag_exits_two(self, argv, capsys):
+        # the config is resolved before the subcommand reads its input
         with pytest.raises(SystemExit) as exc:
-            run(argv)
+            run(["split", "--input", "absent.csv", "--out", "absent"] + argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
@@ -202,8 +203,44 @@ class TestErrorPaths:
         if content is not None:
             path.write_text(content)
         with pytest.raises(SystemExit) as exc:
-            run(["gradcheck", "--config", str(path)])
+            run(["split", "--input", "absent.csv", "--out", "absent", "--config", str(path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--train.de_weight", "0", "--pm.iters", "5"],  # exited 0, ignoring both
+        ["--config", "run.json"],
+    ])
+    def test_gradcheck_rejects_configuration(self, capsys, extra):
+        # the check runs on its own fixed instance and reads no config
+        with pytest.raises(SystemExit) as exc:
+            run(["gradcheck", "--seed", "3"] + extra)
+        assert exc.value.code == 2
+        assert "gradcheck takes no configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--input", "x.csv"],
+        ["split", "--input", "x.csv"],
+        ["reconstruct", "--checkpoint", "c.json", "--input", "x.csv"],
+        ["evaluate", "--pred", "p.csv"],
+        ["report", "--metrics", "m.json"],
+    ])
+    def test_seed_on_subcommand_without_randomness_exits_two(self, capsys, argv):
+        # --seed was listed on these subcommands and silently ignored
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", "o", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, shown", [
+        (b"1,nan,71,rest", "line 3: 'nan' is not a finite number"),
+        (b"1,1.0,inf,rest", "line 3: 'inf' is not a finite number"),
+        (b"1,1.0,71,r\xe9st", "line 3: byte 0xe9 is not UTF-8"),
+    ], ids=["nan", "inf", "latin1"])
+    def test_bad_csv_cell_exits_one(self, tmp_path, capsys, row, shown):
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"time_s,vo2_lpm,hr_bpm,activity\n0,1.0,70,rest\n" + row + b"\n")
+        assert run(["preprocess", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert f"MalformedRow: {shown}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["preprocess", "--input", "{missing}", "--out", "{out}"],

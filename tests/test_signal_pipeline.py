@@ -64,6 +64,26 @@ class TestParseRecordingCsv:
         with pytest.raises(MalformedRow):
             parse_recording_csv(csv_bytes(["0.0,,,rest", "1.0,1.0,71,rest"]))
 
+    # a cell is empty or a finite number; each case below once ended in a
+    # traceback, a silent gap or a misnamed error
+    @pytest.mark.parametrize("row", [
+        "1.0,nan,71,rest",     # was read as a missing vo2 value
+        "1.0,1.0,NaN,rest",
+        "1.0,1.0,inf,rest",    # was NonPositiveSignal: values must be finite
+        "1.0,-Infinity,71,rest",
+        "1.0,1.0,1e999,rest",  # overflows to inf
+        "nan,1.0,71,rest",
+    ])
+    def test_non_finite_cell_names_its_line(self, row):
+        with pytest.raises(MalformedRow, match="line 3: .* is not a finite number"):
+            parse_recording_csv(csv_bytes(["0.0,1.0,70,rest", row, "2.0,1.0,72,rest"]))
+
+    def test_undecodable_byte_names_its_line(self):
+        # a Latin-1 label: was a UnicodeDecodeError traceback
+        data = csv_bytes(["0.0,1.0,70,rest", "1.0,1.1,71,rest"]).replace(b"rest\n1", b"r\xe9st\n1")
+        with pytest.raises(MalformedRow, match="line 2: byte 0xe9 is not UTF-8"):
+            parse_recording_csv(data)
+
 
 class TestResample:
     def test_linear_midpoint(self):
