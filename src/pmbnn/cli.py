@@ -17,16 +17,17 @@ import json
 import logging
 import os
 import sys
-import time
 
 import numpy as np
 
-from . import nn_core, stats_eval, training
-from .errors import IoFailure, PmbnnError, malformed_fields
+from . import nn_core, stats_eval
+from .errors import IoFailure, MalformedRow, PmbnnError, malformed_fields
 from .experiment import (
     ActivityPhase,
     DEFAULT_PLAN,
+    ExperimentConfig,
     SyntheticSpec,
+    fit_model,
     generate_synthetic_subject,
     reconstruct_pmbnn_r,
     split_by_activity,
@@ -35,6 +36,7 @@ from .physio_model import LambdaParams
 from .signal_pipeline import (
     FilterConfig,
     SubjectRecord,
+    _cell,
     parse_recording_csv,
     preprocess_subject,
     record_to_csv_bytes,
@@ -146,13 +148,18 @@ def _filter_config(cfg: dict) -> FilterConfig:
     )
 
 
-def _train_config(cfg: dict, seed_override: int | None) -> TrainConfig:
-    return TrainConfig(
-        max_epochs=int(cfg["train.max_epochs"]),
-        stop_threshold=float(cfg["train.stop_threshold"]),
-        de_weight=float(cfg["train.de_weight"]),
-        learning_rate=float(cfg["train.lr"]),
-        seed=int(cfg["train.seed"] if seed_override is None else seed_override),
+def _experiment_config(cfg: dict, seed: int | None) -> ExperimentConfig:
+    """The split and fit settings; ``seed`` (``--seed``) overrides ``train.seed``."""
+    return ExperimentConfig(
+        split_ratio=float(cfg["split.ratio"]),
+        train=TrainConfig(
+            max_epochs=int(cfg["train.max_epochs"]),
+            stop_threshold=float(cfg["train.stop_threshold"]),
+            de_weight=float(cfg["train.de_weight"]),
+            learning_rate=float(cfg["train.lr"]),
+            seed=int(cfg["train.seed"] if seed is None else seed),
+        ),
+        pm_fit=PmFitConfig(iters=int(cfg["pm.iters"]), proximal=float(cfg["pm.proximal"])),
     )
 
 
@@ -187,12 +194,8 @@ def _read_json(path: str):
 
 
 def _read_record(path: str) -> SubjectRecord:
-    raw = parse_recording_csv(_read_bytes(path), subject_id=_subject_id(path))
-    return resample_linear_1hz(raw)
-
-
-def _subject_id(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
+    subject_id = os.path.splitext(os.path.basename(path))[0]
+    return resample_linear_1hz(parse_recording_csv(_read_bytes(path), subject_id=subject_id))
 
 
 def _write_predictions(path: str, column: str, times, hr_true, pred, labels):
@@ -304,50 +307,22 @@ def cmd_split(args, cfg: dict) -> int:
 
 def cmd_train(args, cfg: dict) -> int:
     rec = _read_record(args.input)
-    split = split_by_activity(rec, float(cfg["split.ratio"]))
-    times = _test_times(rec, split)
-    labels = split.test.activity_labels
-    hr_true = split.test.hr.values
+    ecfg = _experiment_config(cfg, args.seed)
+    split = split_by_activity(rec, ecfg.split_ratio)
+    fitted = fit_model(args.model, split, ecfg)
     os.makedirs(args.out, exist_ok=True)
-    started = time.perf_counter()
-
-    if args.model in ("pmbnn", "fcnn"):
-        tc = _train_config(cfg, args.seed)
-        trainer = training.train_pmbnn if args.model == "pmbnn" else training.train_fcnn
-        model = trainer(split.train, tc)
-        pred = nn_core.mlp_forward(model.mlp, split.test.vo2.values)
-        ckpt = os.path.join(args.out, f"{args.model}_checkpoint.json")
-        nn_core.save_checkpoint(ckpt, model.mlp, tc.bounds, tc.seed, _config_hash(cfg))
-        lam = model.lam
-        final = model.loss_history[-1] if model.loss_history else None
-        extra = {
-            "stopped_reason": model.stopped_reason,
-            "epochs_run": len(model.loss_history),
-            "final_losses": None if final is None else {
-                "l_data": final.l_data, "l_de": final.l_de, "l_tot": final.l_tot,
-            },
-        }
-    else:
-        pm_cfg = PmFitConfig(iters=int(cfg["pm.iters"]),
-                             proximal=float(cfg["pm.proximal"]))
-        lam, fit = training.fit_pm(split.train, cfg=pm_cfg)
-        pred = reconstruct_pmbnn_r(split.test, lam).values
-        ckpt = os.path.join(args.out, "pm_lambda.json")
-        with open(ckpt, "w", encoding="utf-8") as fh:
-            json.dump({"lambda": list(lam.as_array()),
+    if fitted.mlp is None:
+        with open(os.path.join(args.out, "pm_lambda.json"), "w", encoding="utf-8") as fh:
+            json.dump({"lambda": list(fitted.lam.as_array()),
                        "config_hash": _config_hash(cfg)}, fh, sort_keys=True)
             fh.write("\n")
-        train_pred = training.simulate_record_hr(split.train, lam).values
-        extra = {
-            "train_mse": training.loss_data(train_pred, split.train.hr.values),
-            "lbfgs": {k: getattr(fit, k)
-                      for k in ("iterations", "converged", "line_search_failed")},
-        }
-
-    wall = time.perf_counter() - started
-    pred_path = os.path.join(args.out, f"predictions_{args.model}.csv")
-    _write_predictions(pred_path, MODEL_COLUMNS[args.model], times, hr_true,
-                       pred, labels)
+    else:
+        nn_core.save_checkpoint(os.path.join(args.out, f"{args.model}_checkpoint.json"),
+                                fitted.mlp, ecfg.train.bounds, ecfg.train.seed,
+                                _config_hash(cfg))
+    _write_predictions(os.path.join(args.out, f"predictions_{args.model}.csv"),
+                       MODEL_COLUMNS[args.model], _test_times(rec, split),
+                       split.test.hr.values, fitted.predictions, split.test.activity_labels)
     _write_manifest(args.out, f"{args.model}_run_manifest.json", {
         "command": "train",
         "model": args.model,
@@ -355,9 +330,8 @@ def cmd_train(args, cfg: dict) -> int:
         "config": cfg,
         "config_hash": _config_hash(cfg),
         "split_hash": split.provenance_hash(),
-        "lambda": list(lam.as_array()),
-        "wall_time_s": wall,
-        **extra,
+        "lambda": list(fitted.lam.as_array()),
+        **fitted.diagnostics,
     })
     return 0
 
@@ -385,6 +359,11 @@ def cmd_reconstruct(args, cfg: dict) -> int:
 
 
 def _read_predictions(path: str):
+    """A predictions CSV's header and its ``(t_s, row)`` pairs, blank lines skipped.
+
+    Each row has one field per header column, and its ``t_s``, ``hr_true``
+    and model cells are finite numbers; else MalformedRow names the line.
+    """
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             header, *rows = list(csv.reader(fh)) or [[]]
@@ -393,18 +372,28 @@ def _read_predictions(path: str):
     model_cols = [h for h in header if h in MODEL_COLUMNS.values()]
     if header[:2] != ["t_s", "hr_true"] or header[-1:] != ["activity"] or not model_cols:
         raise PmbnnError(f"{path}: not a predictions CSV (header {header})")
-    return header, rows
+    numeric = [i for i, h in enumerate(header) if i < 2 or h in model_cols]
+    checked = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MalformedRow(f"{path} line {lineno}: expected {len(header)} fields, "
+                               f"got {len(row)}")
+        try:
+            cells = [_cell(row[i], missing_ok=False) for i in numeric]
+        except ValueError as exc:
+            raise MalformedRow(f"{path} line {lineno}: {exc}") from None
+        checked.append((cells[0], row))
+    return header, checked
 
 
 def cmd_evaluate(args, cfg: dict) -> int:
     joined: dict[float, dict] = {}
     for path in args.pred:
         header, rows = _read_predictions(path)
-        for row in rows:
-            t = float(row[0])
-            entry = joined.setdefault(
-                t, {"hr_true": row[1], "activity": row[-1]}
-            )
+        for t, row in rows:
+            entry = joined.setdefault(t, {"hr_true": row[1], "activity": row[-1]})
             for col, value in zip(header[2:-1], row[2:-1]):
                 entry[col] = value
     times = sorted(joined)

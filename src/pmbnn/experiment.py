@@ -197,13 +197,61 @@ def reconstruct_pmbnn_r(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Settings for a full per-subject comparison run."""
+    """Split and fit settings; ``train`` configures both networks, and its
+    ``bounds`` box the lambdas of every model, the PM's included."""
 
     split_ratio: float = 0.8
-    pmbnn: TrainConfig = field(default_factory=TrainConfig)
-    fcnn: TrainConfig = field(default_factory=TrainConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
     pm_fit: PmFitConfig = field(default_factory=PmFitConfig)
-    bounds: LambdaBounds = field(default_factory=LambdaBounds)
+
+
+@dataclass(frozen=True)
+class Fitted:
+    """One model fitted on a split's train part and run on its test part."""
+
+    predictions: np.ndarray
+    lam: LambdaParams
+    mlp: nn_core.MlpParams | None   # the network, for its checkpoint; None for the PM
+    diagnostics: dict               # the run manifest's fit block
+
+
+def fit_model(model: str, split: SplitRecord,
+              cfg: ExperimentConfig = ExperimentConfig()) -> Fitted:
+    """Fit ``pmbnn``, ``fcnn`` or ``pm`` on ``split.train``, predict ``split.test``.
+
+    A network's diagnostics are its stop rule, epoch count and final loss
+    parts; the PM's are its training MSE and the L-BFGS outcome. Both add
+    ``wall_time_s``, the seconds from the fit's start to its predictions.
+    """
+    if model not in ("pmbnn", "fcnn", "pm"):
+        raise OutOfBounds(f"model must be pmbnn, fcnn or pm, got {model!r}")
+    started = time.perf_counter()
+    bounds = cfg.train.bounds
+    if model == "pm":
+        lam, fit = training.fit_pm(split.train, bounds, cfg=cfg.pm_fit)
+        mlp = None
+        pred = reconstruct_pmbnn_r(split.test, lam, bounds).values
+        train_pred = training.simulate_record_hr(split.train, lam).values
+        diagnostics = {
+            "train_mse": training.loss_data(train_pred, split.train.hr.values),
+            "lbfgs": {k: getattr(fit, k)
+                      for k in ("iterations", "converged", "line_search_failed")},
+        }
+    else:
+        trainer = training.train_pmbnn if model == "pmbnn" else training.train_fcnn
+        net = trainer(split.train, cfg.train)
+        lam, mlp = net.lam, net.mlp
+        pred = nn_core.mlp_forward(mlp, split.test.vo2.values)
+        final = net.loss_history[-1] if net.loss_history else None
+        diagnostics = {
+            "stopped_reason": net.stopped_reason,
+            "epochs_run": len(net.loss_history),
+            "final_losses": None if final is None else {
+                "l_data": final.l_data, "l_de": final.l_de, "l_tot": final.l_tot,
+            },
+        }
+    diagnostics["wall_time_s"] = time.perf_counter() - started
+    return Fitted(pred, lam, mlp, diagnostics)
 
 
 @dataclass
@@ -215,68 +263,33 @@ class ModelResult:
     r2: float | None
     rmse: float
     per_activity: dict[str, dict[str, float | None]]
-    lam: LambdaParams | None
-    stopped_reason: str | None
-    final_loss: object = None   # LossBreakdown for the nets
-    wall_time_s: float = 0.0
+    lam: LambdaParams
 
 
 def run_subject_experiment(rec: SubjectRecord, cfg: ExperimentConfig = ExperimentConfig()):
-    """Split once, train PMB-NN / FCNN / PM on the same training part,
-    evaluate everything (plus the PMB-NN-R reconstruction) on the same
-    test part, and return per-model results with a manifest."""
+    """Split once, fit PMB-NN / FCNN / PM on the same training part,
+    score everything (plus the PMB-NN-R reconstruction) on the same test
+    part, and return per-model results with a manifest whose model
+    entries carry each fit's diagnostics."""
     split = split_by_activity(rec, cfg.split_ratio)
     test = split.test
-    ref = test.hr.values
+    fits = {m: fit_model(m, split, cfg) for m in ("pmbnn", "fcnn", "pm")}
+    lam_r = fits["pmbnn"].lam
+    fits["pmbnn_r"] = Fitted(reconstruct_pmbnn_r(test, lam_r, cfg.train.bounds).values,
+                             lam_r, None, {})
     results: dict[str, ModelResult] = {}
-
-    def add(name, pred, lam=None, stopped=None, final_loss=None, wall=0.0):
-        scores = stats_eval.score_predictions(ref, pred, test.activity_labels)
-        results[name] = ModelResult(
-            model=name, predictions=pred, r2=scores["overall"]["r2"],
-            rmse=scores["overall"]["rmse"], per_activity=scores["per_activity"],
-            lam=lam, stopped_reason=stopped, final_loss=final_loss,
-            wall_time_s=wall,
-        )
-
-    t0 = time.perf_counter()
-    pmbnn = training.train_pmbnn(split.train, cfg.pmbnn)
-    t_pmbnn = time.perf_counter() - t0
-    add("pmbnn", nn_core.mlp_forward(pmbnn.mlp, test.vo2.values), lam=pmbnn.lam,
-        stopped=pmbnn.stopped_reason,
-        final_loss=pmbnn.loss_history[-1] if pmbnn.loss_history else None,
-        wall=t_pmbnn)
-
-    t0 = time.perf_counter()
-    fcnn = training.train_fcnn(split.train, cfg.fcnn)
-    t_fcnn = time.perf_counter() - t0
-    add("fcnn", nn_core.mlp_forward(fcnn.mlp, test.vo2.values),
-        stopped=fcnn.stopped_reason,
-        final_loss=fcnn.loss_history[-1] if fcnn.loss_history else None,
-        wall=t_fcnn)
-
-    t0 = time.perf_counter()
-    lam_pm, _ = training.fit_pm(split.train, cfg.bounds, cfg=cfg.pm_fit)
-    t_pm = time.perf_counter() - t0
-    add("pm", reconstruct_pmbnn_r(test, lam_pm, cfg.bounds).values,
-        lam=lam_pm, wall=t_pm)
-
-    add("pmbnn_r", reconstruct_pmbnn_r(test, pmbnn.lam, cfg.bounds).values,
-        lam=pmbnn.lam)
-
+    models: dict[str, dict] = {}
+    for name, fit in fits.items():
+        scores = stats_eval.score_predictions(test.hr.values, fit.predictions,
+                                              test.activity_labels)
+        overall = scores["overall"]
+        results[name] = ModelResult(name, fit.predictions, overall["r2"], overall["rmse"],
+                                    scores["per_activity"], fit.lam)
+        models[name] = {**overall, "lambda": list(fit.lam.as_array()), **fit.diagnostics}
     manifest = {
         "subject_id": rec.subject_id,
         "split_ratio": cfg.split_ratio,
         "split_hash": split.provenance_hash(),
-        "models": {
-            name: {
-                "r2": res.r2,
-                "rmse": res.rmse,
-                "lambda": list(res.lam.as_array()) if res.lam else None,
-                "stopped_reason": res.stopped_reason,
-                "wall_time_s": res.wall_time_s,
-            }
-            for name, res in results.items()
-        },
+        "models": models,
     }
     return split, results, manifest

@@ -24,6 +24,7 @@ from .errors import (
     EmptySeries,
     IoFailure,
     LengthMismatch,
+    OutOfBounds,
     ZeroVariance,
 )
 
@@ -98,10 +99,10 @@ class MetricPair:
     rmse: float
 
     def __post_init__(self):
-        if self.rmse < 0:
-            raise LengthMismatch(f"rmse must be >= 0, got {self.rmse}")
-        if self.r2 is not None and self.r2 > 1.0 + 1e-12:
-            raise LengthMismatch(f"r2 cannot exceed 1, got {self.r2}")
+        if not (math.isfinite(self.rmse) and self.rmse >= 0):
+            raise OutOfBounds(f"rmse must be finite and >= 0, got {self.rmse}")
+        if self.r2 is not None and not (math.isfinite(self.r2) and self.r2 <= 1.0 + 1e-12):
+            raise OutOfBounds(f"r2 must be null or finite and <= 1, got {self.r2}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater") -> PairedTestResult
     """
     a, b = _paired(x, y)
     if alternative not in ("greater", "less"):
-        raise LengthMismatch(f"alternative must be greater|less, got {alternative}")
+        raise OutOfBounds(f"alternative must be greater|less, got {alternative}")
     d = a - b
     nonzero = d != 0
     n_zero = int(len(d) - nonzero.sum())

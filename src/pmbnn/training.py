@@ -102,17 +102,6 @@ def loss_de(hr_pred: UniformSeries, vo2: UniformSeries, lam: LambdaParams) -> fl
     return float(res @ res) / len(res)
 
 
-def _batch_from_record(rec: SubjectRecord, cfg: TrainConfig, w: float) -> TrainBatch:
-    return TrainBatch(
-        vo2=rec.vo2.values,
-        hr=rec.hr.values,
-        segment_bounds=rec.vo2.segment_bounds,
-        dt_seconds=rec.vo2.dt,
-        bounds=cfg.bounds,
-        de_weight=w,
-    )
-
-
 def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> TrainedModel:
     """Full-batch RMSprop training of the physiologically constrained net.
 
@@ -120,7 +109,9 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     L_tot < cfg.stop_threshold, at the epoch cap, or on divergence (the
     last finite parameters are then returned).
     """
-    batch = _batch_from_record(train, cfg, cfg.de_weight)
+    batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
+                       segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
+                       bounds=cfg.bounds, de_weight=cfg.de_weight)
     params = nn_core.xavier_init(cfg.seed, cfg.bounds, cfg.init_lambda)
     state = RmspropState.init(
         params, rho=cfg.rmsprop_rho, eps=cfg.rmsprop_eps, lr=cfg.learning_rate

@@ -268,6 +268,8 @@ class TestErrorPaths:
     ("pmbnn", "train.de_weight", "NaN"),
     ("pmbnn", "train.stop_threshold", "Infinity"),
     ("pmbnn", "train.seed", "-1"),     # was a ValueError traceback
+    ("pm", "train.lr", "-0.01"),       # each model's run ignored the other's keys
+    ("pmbnn", "pm.iters", "0"),
 ])
 def test_out_of_range_config_value_exits_one(pipeline_dirs, tmp_path, capsys,
                                              model, key, value):
@@ -304,6 +306,38 @@ def test_evaluate_one_sample_activity(tmp_path):
     per_activity = payload["models"]["pmbnn"]["per_activity"]
     assert per_activity["sprint"] == {"r2": None, "rmse": 1.0}
     assert per_activity["rest"]["r2"] is not None
+
+
+@pytest.mark.parametrize("row, shown", [
+    ("1,abc,71,rest", "line 3: could not convert string to float: 'abc'"),  # was a traceback
+    ("1,70", "line 3: expected 4 fields, got 2"),   # wrote 70 as the activity label
+    ("1,nan,71,rest", "line 3: 'nan' is not a finite number"),  # wrote NaN into metrics.json
+    ("1,70,inf,rest", "line 3: 'inf' is not a finite number"),
+], ids=["junk", "short", "nan", "inf"])
+def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, row, shown):
+    good = tmp_path / "predictions_pm.csv"
+    good.write_text("t_s,hr_true,hr_pm,activity\n0,70,71,rest\n1,72,71,rest\n")
+    bad = tmp_path / "predictions_pmbnn.csv"
+    bad.write_text(f"t_s,hr_true,hr_pmbnn,activity\n0,70,71,rest\n{row}\n")
+    out = tmp_path / "e"
+    assert run(["evaluate", "--pred", str(good), str(bad), "--out", str(out)]) == 1
+    assert f"MalformedRow: {bad} {shown}" in capsys.readouterr().err
+    assert not out.exists()   # every file is checked before anything is written
+
+
+@pytest.mark.parametrize("overall", [
+    '{"r2": 0.9, "rmse": -1}',      # was LengthMismatch
+    '{"r2": NaN, "rmse": NaN}',     # exited 0 and wrote nan rows
+    '{"r2": 1.5, "rmse": 2.0}',
+], ids=["negative-rmse", "nan", "r2-above-one"])
+def test_report_bad_metric_exits_one(tmp_path, capsys, overall):
+    path = tmp_path / "metrics.json"
+    path.write_text('{"participant": "s", "models": {"pmbnn": {"overall": %s, '
+                    '"per_activity": {}}}}' % overall)
+    out = tmp_path / "r"
+    assert run(["report", "--metrics", str(path), "--out", str(out)]) == 1
+    assert "OutOfBounds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestConfigPlumbing:
@@ -439,10 +473,42 @@ def test_public_api_experiment_smoke():
     )
     rec = experiment.generate_synthetic_subject(spec)
     cfg = experiment.ExperimentConfig(
-        pmbnn=training.TrainConfig(max_epochs=10, seed=1),
-        fcnn=training.TrainConfig(max_epochs=10, seed=1),
+        train=training.TrainConfig(max_epochs=10, seed=1),
         pm_fit=training.PmFitConfig(iters=15),
     )
     split, results, manifest = experiment.run_subject_experiment(rec, cfg)
     assert set(results) == {"pmbnn", "fcnn", "pm", "pmbnn_r"}
     assert manifest["subject_id"] == "api"
+
+
+def test_train_and_library_share_one_fit_path(tmp_path):
+    # one record and one config: `pmbnn train` writes the predictions and
+    # fit diagnostics that run_subject_experiment computes
+    from pmbnn import cli, experiment, training
+    from pmbnn.signal_pipeline import parse_recording_csv, resample_linear_1hz
+
+    assert run(["synth", "--out", str(tmp_path / "s"), "--seed", "4",
+                "--noise-hr", "2.0"]) == 0
+    csv_path = tmp_path / "s" / "synthetic.csv"
+    train = tmp_path / "t"
+    for model in ("pmbnn", "fcnn", "pm"):
+        assert run(["train", "--model", model, "--input", str(csv_path), "--out", str(train),
+                    "--seed", "3", "--train.max_epochs", "40", "--pm.iters", "20"]) == 0
+
+    rec = resample_linear_1hz(parse_recording_csv(csv_path.read_bytes(), "synthetic"))
+    cfg = experiment.ExperimentConfig(train=training.TrainConfig(max_epochs=40, seed=3),
+                                      pm_fit=training.PmFitConfig(iters=20))
+    split, results, manifest = experiment.run_subject_experiment(rec, cfg)
+    run_keys = {"command", "model", "subject_id", "config", "config_hash", "split_hash"}
+    for model in ("pmbnn", "fcnn", "pm"):
+        lib_csv = tmp_path / f"lib_{model}.csv"
+        cli._write_predictions(str(lib_csv), cli.MODEL_COLUMNS[model],
+                               cli._test_times(rec, split), split.test.hr.values,
+                               results[model].predictions, split.test.activity_labels)
+        assert lib_csv.read_bytes() == (train / f"predictions_{model}.csv").read_bytes()
+        run_manifest = json.loads((train / f"{model}_run_manifest.json").read_text())
+        cli_fit = {k: v for k, v in run_manifest.items() if k not in run_keys}
+        lib_fit = {k: v for k, v in manifest["models"][model].items() if k not in ("r2", "rmse")}
+        assert cli_fit.pop("wall_time_s") > 0 and lib_fit.pop("wall_time_s") > 0
+        assert cli_fit == lib_fit
+    assert "lbfgs" in manifest["models"]["pm"] and "epochs_run" in manifest["models"]["fcnn"]

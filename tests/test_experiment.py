@@ -18,8 +18,14 @@ from pmbnn.experiment import (
     split_by_activity,
 )
 from pmbnn.physio_model import LambdaParams, de_residual_series
-from pmbnn.signal_pipeline import SubjectRecord, UniformSeries, preprocess_subject
-from pmbnn.stats_eval import rmse
+from pmbnn.signal_pipeline import (
+    SubjectRecord,
+    UniformSeries,
+    parse_recording_csv,
+    preprocess_subject,
+    resample_linear_1hz,
+)
+from pmbnn.stats_eval import MetricPair, rmse, score_predictions
 from pmbnn.training import PmFitConfig, TrainConfig, fit_pm, simulate_record_hr
 
 
@@ -117,6 +123,45 @@ def test_split_property_partition_or_typed_error(lengths, ratio):
     assert np.all(np.bincount(seg_ids[split.test_indices], minlength=n_seg) >= 1)
 
 
+@st.composite
+def _recording_csv(draw):
+    """CSV bytes: label blocks of rows, clean or with empty, non-finite or
+    junk cells, in time order or with two rows swapped."""
+    cell = st.floats(0.05, 250.0).map(repr)
+    if draw(st.booleans()):
+        cell = st.one_of(cell, st.sampled_from(["", "nan", "inf", "-inf", "1e999", "abc",
+                                                "0", "-3", " 72 "]))
+    rows, t = [], draw(st.floats(-5.0, 5.0))
+    for label in draw(st.lists(st.sampled_from(["rest", "cycle", "run", ""]),
+                               min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(1, 40))):
+            t += draw(st.floats(0.2, 4.0))
+            rows.append([repr(t), draw(cell), draw(cell), label])
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    text = "time_s,vo2_lpm,hr_bpm,activity\n" + "".join(",".join(r) + "\n" for r in rows)
+    return text.encode()
+
+
+@given(_recording_csv())
+@settings(max_examples=80, deadline=None)
+def test_csv_chain_property_valid_output_or_typed_error(data):
+    # parse -> resample -> preprocess -> split -> score never ends in an
+    # untyped exception or a non-finite score
+    try:
+        rec = preprocess_subject(resample_linear_1hz(parse_recording_csv(data, "p")))
+        split = split_by_activity(rec)
+        test = split.test
+        scores = score_predictions(test.hr.values, 60.0 + 20.0 * test.vo2.values,
+                                   test.activity_labels)
+    except PmbnnError:
+        return
+    assert np.all(np.isfinite(rec.hr.values)) and np.all(rec.vo2.values > 0)
+    for pair in (scores["overall"], *scores["per_activity"].values()):
+        MetricPair(**pair)   # finite rmse >= 0, r2 null or finite and <= 1
+
+
 class TestGenerateSyntheticSubject:
     def test_rest_plateau_constant_hr(self):
         lam = LambdaParams(0.02, 0.1, -5.3, 10.5, 0.44, 0.0)
@@ -187,8 +232,7 @@ class TestReconstruct:
 def experiment_result():
     _, _, rec = oracle_subject(0, noise_sigma_hr=3.0)
     cfg = ExperimentConfig(
-        pmbnn=TrainConfig(seed=11),
-        fcnn=TrainConfig(seed=11),
+        train=TrainConfig(seed=11),
         pm_fit=PmFitConfig(),
     )
     return run_subject_experiment(preprocess_subject(rec), cfg)
@@ -229,8 +273,7 @@ def test_five_sample_segment_scores_without_r2():
     # a 5-sample activity leaves 1 test sample: R^2 is undefined there
     rec = make_record([5, 60], ["sprint", "rest"])
     cfg = ExperimentConfig(
-        pmbnn=TrainConfig(seed=1, max_epochs=3),
-        fcnn=TrainConfig(seed=1, max_epochs=3),
+        train=TrainConfig(seed=1, max_epochs=3),
         pm_fit=PmFitConfig(iters=3),
     )
     _, results, _ = run_subject_experiment(rec, cfg)

@@ -15,6 +15,7 @@ from pmbnn.errors import (
     EmptyInput,
     EmptySeries,
     LengthMismatch,
+    OutOfBounds,
     ZeroVariance,
 )
 from pmbnn.stats_eval import (
@@ -220,6 +221,30 @@ class TestWilcoxon:
             d, alternative="greater", correction=True, method="approx"
         )
         assert res.p_one_tailed == pytest.approx(ref.pvalue, rel=1e-9)
+
+    def test_bad_alternative_is_out_of_bounds(self):
+        # was LengthMismatch
+        with pytest.raises(OutOfBounds, match="alternative"):
+            wilcoxon_signed_rank([1.0, 2.0], [0.0, 0.0], "two-sided")
+
+
+class TestMetricPair:
+    def test_accepts_scores(self):
+        assert MetricPair(r2=None, rmse=0.0).rmse == 0.0
+        assert MetricPair(r2=-3.5, rmse=2.0).r2 == -3.5
+        assert MetricPair(r2=1.0, rmse=0.0).r2 == 1.0
+
+    @pytest.mark.parametrize("r2, rmse_value", [
+        (0.5, -1.0),              # was LengthMismatch
+        (0.5, math.nan),          # was accepted
+        (0.5, math.inf),
+        (math.nan, 1.0),
+        (-math.inf, 1.0),
+        (1.5, 1.0),               # was LengthMismatch
+    ])
+    def test_out_of_range_is_out_of_bounds(self, r2, rmse_value):
+        with pytest.raises(OutOfBounds):
+            MetricPair(r2=r2, rmse=rmse_value)
 
 
 class TestCohensD:
