@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import nn_core, stats_eval
-from .errors import IoFailure, MalformedRow, PmbnnError, malformed_fields
+from .errors import IoFailure, MalformedRow, OutOfBounds, PmbnnError, malformed_fields
 from .experiment import (
     ActivityPhase,
     DEFAULT_PLAN,
@@ -359,7 +359,8 @@ def cmd_reconstruct(args, cfg: dict) -> int:
 
 
 def _read_predictions(path: str):
-    """A predictions CSV's header and its ``(t_s, row)`` pairs, blank lines skipped.
+    """A predictions CSV's header and its ``(line, t_s, hr_true, row)``
+    entries, blank lines skipped.
 
     Each row has one field per header column, and its ``t_s``, ``hr_true``
     and model cells are finite numbers; else MalformedRow names the line.
@@ -384,7 +385,7 @@ def _read_predictions(path: str):
             cells = [_cell(row[i], missing_ok=False) for i in numeric]
         except ValueError as exc:
             raise MalformedRow(f"{path} line {lineno}: {exc}") from None
-        checked.append((cells[0], row))
+        checked.append((lineno, cells[0], cells[1], row))
     return header, checked
 
 
@@ -392,11 +393,31 @@ def cmd_evaluate(args, cfg: dict) -> int:
     joined: dict[float, dict] = {}
     for path in args.pred:
         header, rows = _read_predictions(path)
-        for t, row in rows:
-            entry = joined.setdefault(t, {"hr_true": row[1], "activity": row[-1]})
-            for col, value in zip(header[2:-1], row[2:-1]):
-                entry[col] = value
+        for lineno, t, hr, row in rows:
+            entry = joined.setdefault(t, {"hr": hr, "hr_true": row[1], "activity": row[-1]})
+            if (entry["hr"], entry["activity"]) != (hr, row[-1]):
+                raise MalformedRow(
+                    f"{path} line {lineno}: hr_true {row[1]!r} and activity {row[-1]!r} "
+                    f"at t_s {row[0]!r} disagree with an earlier row "
+                    f"({entry['hr_true']!r}, {entry['activity']!r})")
+            entry.update(zip(header[2:-1], row[2:-1]))
     times = sorted(joined)
+
+    metrics: dict[str, dict] = {}
+    for model, col in MODEL_COLUMNS.items():
+        have = [t for t in times if col in joined[t]]
+        if not have:
+            continue
+        pred = np.array([float(joined[t][col]) for t in have])
+        ref = np.array([joined[t]["hr"] for t in have])
+        labs = [joined[t]["activity"] for t in have]
+        # squared errors of finite cells can overflow; MetricPair rejects the result
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                metrics[model] = stats_eval.score_predictions(ref, pred, labs)
+            except OutOfBounds as exc:
+                raise OutOfBounds(f"{model}: {exc}") from None
+
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "predictions.csv")
     with open(pred_path, "w", encoding="utf-8", newline="") as fh:
@@ -407,16 +428,6 @@ def cmd_evaluate(args, cfg: dict) -> int:
             writer.writerow([f"{t:.10g}", e["hr_true"]]
                             + [e.get(c, "") for c in JOINED_HEADER[2:-1]]
                             + [e["activity"]])
-
-    metrics: dict[str, dict] = {}
-    for model, col in MODEL_COLUMNS.items():
-        have = [t for t in times if col in joined[t]]
-        if not have:
-            continue
-        pred = np.array([float(joined[t][col]) for t in have])
-        ref = np.array([float(joined[t]["hr_true"]) for t in have])
-        labs = [joined[t]["activity"] for t in have]
-        metrics[model] = stats_eval.score_predictions(ref, pred, labs)
     _write_manifest(args.out, "metrics.json", {
         "command": "evaluate",
         "participant": args.subject,

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,34 +63,6 @@ def rmse(ref, pred) -> float:
     return math.sqrt(float(d @ d) / len(d))
 
 
-def _r2_rmse(ref: np.ndarray, pred: np.ndarray) -> dict:
-    r2 = None
-    if len(ref) >= 2:
-        try:
-            r2 = r_squared(ref, pred)
-        except ConstantReference:
-            pass
-    return {"r2": r2, "rmse": rmse(ref, pred)}
-
-
-def score_predictions(ref, pred, labels) -> dict:
-    """R^2 and RMSE overall and per activity label, labels in first-seen order.
-
-    Returns ``{"overall": {"r2", "rmse"}, "per_activity": {label: {...}}}``.
-    R^2 is None where it is undefined (a constant reference or fewer than 2
-    samples); RMSE needs at least 1 sample.
-    """
-    a, b = _paired(ref, pred)
-    labels = np.asarray(labels)
-    if labels.shape != a.shape:
-        raise LengthMismatch(f"{labels.shape} labels for {a.shape} samples")
-    per_activity = {}
-    for label in dict.fromkeys(labels.tolist()):
-        mask = labels == label
-        per_activity[label] = _r2_rmse(a[mask], b[mask])
-    return {"overall": _r2_rmse(a, b), "per_activity": per_activity}
-
-
 @dataclass(frozen=True)
 class MetricPair:
     """R^2 and RMSE for one (subject, model) cell."""
@@ -105,6 +77,35 @@ class MetricPair:
             raise OutOfBounds(f"r2 must be null or finite and <= 1, got {self.r2}")
 
 
+def _r2_rmse(ref: np.ndarray, pred: np.ndarray) -> dict:
+    r2 = None
+    if len(ref) >= 2:
+        try:
+            r2 = r_squared(ref, pred)
+        except ConstantReference:
+            pass
+    return asdict(MetricPair(r2, rmse(ref, pred)))
+
+
+def score_predictions(ref, pred, labels) -> dict:
+    """R^2 and RMSE overall and per activity label, labels in first-seen order.
+
+    Returns ``{"overall": {"r2", "rmse"}, "per_activity": {label: {...}}}``.
+    R^2 is None where it is undefined (a constant reference or fewer than 2
+    samples); RMSE needs at least 1 sample. A score outside MetricPair's
+    range (an overflowed squared error) raises OutOfBounds.
+    """
+    a, b = _paired(ref, pred)
+    labels = np.asarray(labels)
+    if labels.shape != a.shape:
+        raise LengthMismatch(f"{labels.shape} labels for {a.shape} samples")
+    per_activity = {}
+    for label in dict.fromkeys(labels.tolist()):
+        mask = labels == label
+        per_activity[label] = _r2_rmse(a[mask], b[mask])
+    return {"overall": _r2_rmse(a, b), "per_activity": per_activity}
+
+
 @dataclass(frozen=True)
 class PairedTestResult:
     """One-tailed Wilcoxon p plus the matching paired effect size."""
@@ -117,22 +118,6 @@ class PairedTestResult:
     exact: bool = True
 
 
-def _rank_abs(d: np.ndarray) -> np.ndarray:
-    """Ranks of |d| with average ranks for ties."""
-    a = np.abs(d)
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a))
-    sorted_a = a[order]
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and sorted_a[j + 1] == sorted_a[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def signed_rank_distribution(n: int) -> np.ndarray:
     """Exact null counts of W+ over all 2^n sign patterns (ranks 1..n).
 
@@ -143,7 +128,7 @@ def signed_rank_distribution(n: int) -> np.ndarray:
     counts[0] = 1
     for r in range(1, n + 1):
         shifted = np.zeros_like(counts)
-        shifted[r:] = counts[:-r] if r else counts
+        shifted[r:] = counts[:-r]
         counts = counts + shifted
     return counts
 
@@ -168,9 +153,11 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater") -> PairedTestResult
     if n == 0:
         raise AllZeroDifferences("all paired differences are zero")
 
-    ranks = _rank_abs(d)
+    # average ranks of |d|: a run of k tied values ending at rank c gets c - (k-1)/2
+    _, run, tie_sizes = np.unique(np.abs(d), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(tie_sizes) - 0.5 * (tie_sizes - 1))[run]
     w_plus = float(ranks[d > 0].sum())
-    has_ties = len(np.unique(np.abs(d))) != n
+    has_ties = len(tie_sizes) != n
 
     if n <= EXACT_WILCOXON_MAX_N and not has_ties:
         counts = signed_rank_distribution(n)
@@ -183,9 +170,6 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater") -> PairedTestResult
         exact = True
     else:
         mean = n * (n + 1) / 4.0
-        tie_sizes = np.array(
-            [np.sum(np.abs(d) == u) for u in np.unique(np.abs(d))], dtype=float
-        )
         var = n * (n + 1) * (2 * n + 1) / 24.0 - float(
             np.sum(tie_sizes ** 3 - tie_sizes)
         ) / 48.0
@@ -331,80 +315,54 @@ class EvalReport:
     schema_version: int = REPORT_SCHEMA_VERSION
 
 
-def _collect(values_by_model: dict[str, list], metric: str):
-    pairs = {}
-    for model, metric_pairs in values_by_model.items():
-        vals = [getattr(mp, metric) for mp in metric_pairs]
-        if any(v is None for v in vals):
-            continue
-        pairs[model] = np.array(vals, dtype=float)
-    return pairs
+def _scope(cells: list[dict | None], models: tuple[str, ...]) -> tuple[dict, dict]:
+    """Summaries and paired tests of one scope (overall or one activity).
 
-
-def _compare(base: np.ndarray, other: np.ndarray, metric: str):
-    direction = METRIC_DIRECTIONS[metric]
-    try:
-        return wilcoxon_signed_rank(base, other, alternative=direction)
-    except AllZeroDifferences:
-        return None
-
-
-def _summaries_and_tests(values_by_model: dict[str, list]):
+    ``cells[i]`` is subject i's ``{model: MetricPair}`` in this scope, or
+    None if subject i lacks it. A model with an undefined value of a metric
+    stays out of that metric's summary and tests. A comparison pairs the
+    subject indices that have both models, by index: names may repeat.
+    """
     summary, comparisons = {}, {}
-    for metric in ("r2", "rmse"):
-        columns = _collect(values_by_model, metric)
-        for model, vals in columns.items():
-            med, mx, mn = summary_stats(vals)
-            summary.setdefault(model, {})[metric] = {
-                "median": med, "max": mx, "min": mn,
-            }
-        base = columns.get("pmbnn")
+    for metric, direction in METRIC_DIRECTIONS.items():
+        columns = {}
+        for model in models:
+            col = {i: getattr(c[model], metric) for i, c in enumerate(cells)
+                   if c and model in c}
+            if col and None not in col.values():
+                columns[model] = col
+                med, mx, mn = summary_stats(list(col.values()))
+                summary.setdefault(model, {})[metric] = {"median": med, "max": mx, "min": mn}
+        base = columns.get("pmbnn", {})
         for model in COMPARED_MODELS:
-            key = f"pmbnn_vs_{model}_{metric}"
-            if base is None or model not in columns or len(base) < 2:
-                comparisons[key] = INSUFFICIENT
-                continue
-            res = _compare(base, columns[model], metric)
-            comparisons[key] = res if res is not None else INSUFFICIENT
+            other = columns.get(model, {})
+            shared = [i for i in base if i in other]
+            result = INSUFFICIENT
+            if len(shared) >= 2:
+                try:
+                    result = wilcoxon_signed_rank([base[i] for i in shared],
+                                                  [other[i] for i in shared], direction)
+                except AllZeroDifferences:
+                    pass
+            comparisons[f"pmbnn_vs_{model}_{metric}"] = result
     return summary, comparisons
 
 
 def build_eval_report(subjects: list[SubjectMetrics]) -> EvalReport:
-    """Summaries plus paired tests (hybrid vs baseline and vs PM)."""
+    """Summaries plus paired tests (hybrid vs baseline and vs PM), overall
+    and per activity, each paired by subject (see _scope)."""
     if not subjects:
         raise EmptyInput("need at least one subject result")
-    models = []
-    for s in subjects:
-        for m in s.overall:
-            if m not in models:
-                models.append(m)
-
-    overall_values = {
-        m: [s.overall[m] for s in subjects if m in s.overall] for m in models
-    }
-    summary, comparisons = _summaries_and_tests(overall_values)
-
-    activities = []
-    for s in subjects:
-        for act in s.per_activity:
-            if act not in activities:
-                activities.append(act)
+    models = tuple(dict.fromkeys(m for s in subjects for m in s.overall))
+    activities = dict.fromkeys(act for s in subjects for act in s.per_activity)
+    summary, comparisons = _scope([s.overall for s in subjects], models)
     act_summary, act_comparisons = {}, {}
     for act in activities:
-        values = {}
-        for m in models:
-            col = [
-                s.per_activity[act][m]
-                for s in subjects
-                if act in s.per_activity and m in s.per_activity[act]
-            ]
-            if col:
-                values[m] = col
-        act_summary[act], act_comparisons[act] = _summaries_and_tests(values)
-
+        act_summary[act], act_comparisons[act] = _scope(
+            [s.per_activity.get(act) for s in subjects], models)
     return EvalReport(
         subjects=tuple(subjects),
-        models=tuple(models),
+        models=models,
         summary=summary,
         comparisons=comparisons,
         per_activity_summary=act_summary,
@@ -428,64 +386,21 @@ def _write_rows(path, header, rows):
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _footer_rows(comparisons: dict, models: tuple[str, ...], activity: str | None):
+def _participant_rows(participant: str, cells: dict, models, tail=()) -> list:
+    return [[participant, m, _fmt(cells[m].r2), _fmt(cells[m].rmse), *tail]
+            for m in models if m in cells]
+
+
+def _footer_rows(comparisons: dict, models, tail=()) -> list:
     rows = []
     for kind, attr in (("p_value", "p_one_tailed"), ("d_value", "cohens_d")):
         for model in COMPARED_MODELS:
             if model not in models:
                 continue
-            cells = {}
-            for metric in ("r2", "rmse"):
-                res = comparisons.get(f"pmbnn_vs_{model}_{metric}")
-                if res is None or res == INSUFFICIENT:
-                    cells[metric] = INSUFFICIENT
-                else:
-                    cells[metric] = _fmt(getattr(res, attr))
-            row = [kind, model, cells["r2"], cells["rmse"]]
-            if activity is not None:
-                row.append(activity)
-            rows.append(row)
+            tests = [comparisons[f"pmbnn_vs_{model}_{m}"] for m in ("r2", "rmse")]
+            cells = [t if t == INSUFFICIENT else _fmt(getattr(t, attr)) for t in tests]
+            rows.append([kind, model, *cells, *tail])
     return rows
-
-
-def report_to_dict(report: EvalReport) -> dict:
-    def test_dict(res):
-        if res == INSUFFICIENT or res is None:
-            return INSUFFICIENT
-        return {
-            "p_one_tailed": res.p_one_tailed,
-            "cohens_d": res.cohens_d,
-            "n_pairs": res.n_pairs,
-            "direction": res.direction,
-            "n_zero_dropped": res.n_zero_dropped,
-            "exact": res.exact,
-        }
-
-    def metric_dict(mp: MetricPair):
-        return {"r2": mp.r2, "rmse": mp.rmse}
-
-    return {
-        "schema_version": report.schema_version,
-        "models": list(report.models),
-        "subjects": [
-            {
-                "participant": s.participant,
-                "overall": {m: metric_dict(v) for m, v in s.overall.items()},
-                "per_activity": {
-                    act: {m: metric_dict(v) for m, v in by_model.items()}
-                    for act, by_model in s.per_activity.items()
-                },
-            }
-            for s in report.subjects
-        ],
-        "summary": report.summary,
-        "comparisons": {k: test_dict(v) for k, v in report.comparisons.items()},
-        "per_activity_summary": report.per_activity_summary,
-        "per_activity_comparisons": {
-            act: {k: test_dict(v) for k, v in comps.items()}
-            for act, comps in report.per_activity_comparisons.items()
-        },
-    }
 
 
 def emit_report(report: EvalReport, out_dir) -> dict[str, str]:
@@ -494,7 +409,7 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, str]:
     ``report.csv``: participant,model,r2,rmse rows plus p/d footer rows.
     ``report_by_activity.csv``: the same layout with an activity column.
     ``boxplot_long.csv``: long-format (model, metric, value) rows.
-    ``report.json``: machine-readable aggregate.
+    ``report.json``: machine-readable aggregate, the EvalReport's fields.
     """
     os.makedirs(out_dir, exist_ok=True)
     paths = {
@@ -503,46 +418,26 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, str]:
         "long": os.path.join(out_dir, "boxplot_long.csv"),
         "json": os.path.join(out_dir, "report.json"),
     }
+    header = ["participant", "model", "r2", "rmse"]
+    models = report.models
 
-    rows = []
-    for s in report.subjects:
-        for model in report.models:
-            if model in s.overall:
-                mp = s.overall[model]
-                rows.append([s.participant, model, _fmt(mp.r2), _fmt(mp.rmse)])
-    rows.extend(_footer_rows(report.comparisons, report.models, None))
-    _write_rows(paths["csv"], ["participant", "model", "r2", "rmse"], rows)
+    rows = [r for s in report.subjects for r in _participant_rows(s.participant, s.overall, models)]
+    _write_rows(paths["csv"], header, rows + _footer_rows(report.comparisons, models))
 
-    act_rows = []
-    for s in report.subjects:
-        for act, by_model in s.per_activity.items():
-            for model in report.models:
-                if model in by_model:
-                    mp = by_model[model]
-                    act_rows.append(
-                        [s.participant, model, _fmt(mp.r2), _fmt(mp.rmse), act]
-                    )
+    act_rows = [r for s in report.subjects for act, cells in s.per_activity.items()
+                for r in _participant_rows(s.participant, cells, models, [act])]
     for act, comps in report.per_activity_comparisons.items():
-        act_rows.extend(_footer_rows(comps, report.models, act))
-    _write_rows(
-        paths["by_activity"],
-        ["participant", "model", "r2", "rmse", "activity"],
-        act_rows,
-    )
+        act_rows += _footer_rows(comps, models, [act])
+    _write_rows(paths["by_activity"], header + ["activity"], act_rows)
 
-    long_rows = []
-    for s in report.subjects:
-        for model in report.models:
-            if model in s.overall:
-                mp = s.overall[model]
-                if mp.r2 is not None:
-                    long_rows.append([model, "r2", _fmt(mp.r2)])
-                long_rows.append([model, "rmse", _fmt(mp.rmse)])
+    # an undefined R^2 is an empty cell and gets no box-plot row
+    long_rows = [[m, metric, v] for _, m, *values in rows
+                 for metric, v in zip(("r2", "rmse"), values) if v]
     _write_rows(paths["long"], ["model", "metric", "value"], long_rows)
 
     try:
         with open(paths["json"], "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(report), fh, sort_keys=True, indent=1)
+            json.dump(asdict(report), fh, sort_keys=True, indent=1)
             fh.write("\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {paths['json']}: {exc}") from exc

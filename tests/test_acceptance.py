@@ -330,3 +330,12 @@ def test_criterion_12_report_shape(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["schema_version"] == 1
     report_line(12, "report shape", "(golden files match)")
+
+
+def test_report_json_and_boxplot_match_golden(tmp_path):
+    emit_report(build_eval_report(golden_mock_subjects()), tmp_path)
+    import pathlib
+
+    golden_dir = pathlib.Path(__file__).parent / "golden"
+    for name in ("report.json", "boxplot_long.csv"):
+        assert (tmp_path / name).read_bytes() == (golden_dir / name).read_bytes(), name

@@ -1,10 +1,14 @@
 import json
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmbnn.cli import main
+from pmbnn.cli import MODEL_COLUMNS, main
 
 
 def run(argv):
@@ -325,6 +329,42 @@ def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, row, shown):
     assert not out.exists()   # every file is checked before anything is written
 
 
+@pytest.mark.parametrize("row, shown", [
+    ("0,90,71,rest", "line 2: hr_true '90' and activity 'rest'"),
+    ("0,70,71,run", "line 2: hr_true '70' and activity 'run'"),
+], ids=["hr_true", "activity"])
+def test_evaluate_disagreeing_join_exits_one(tmp_path, capsys, row, shown):
+    # the first file's hr_true and activity used to be kept silently
+    fcnn = tmp_path / "predictions_fcnn.csv"
+    fcnn.write_text("t_s,hr_true,hr_fcnn,activity\n0,70,71,rest\n1,72,73,rest\n")
+    pm = tmp_path / "predictions_pm.csv"
+    pm.write_text(f"t_s,hr_true,hr_pm,activity\n{row}\n1,72,73,rest\n")
+    out = tmp_path / "e"
+    assert run(["evaluate", "--pred", str(fcnn), str(pm), "--out", str(out)]) == 1
+    assert f"MalformedRow: {pm} {shown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_joins_equal_numbers_written_differently(tmp_path):
+    fcnn = tmp_path / "predictions_fcnn.csv"
+    fcnn.write_text("t_s,hr_true,hr_fcnn,activity\n0,70,71,rest\n1,72,73,rest\n")
+    pm = tmp_path / "predictions_pm.csv"
+    pm.write_text("t_s,hr_true,hr_pm,activity\n0.0,70.0,71,rest\n1,7.2e1,73,rest\n")
+    assert run(["evaluate", "--pred", str(fcnn), str(pm), "--out", str(tmp_path / "e")]) == 0
+    models = json.loads((tmp_path / "e" / "metrics.json").read_text())["models"]
+    assert models["pm"]["overall"] == models["fcnn"]["overall"]
+
+
+def test_evaluate_overflowing_score_exits_one(tmp_path, capsys):
+    # wrote "rmse": Infinity into metrics.json and exited 0
+    pred = tmp_path / "predictions_pmbnn.csv"
+    pred.write_text("t_s,hr_true,hr_pmbnn,activity\n0,70,1e200,rest\n1,72,73,rest\n")
+    out = tmp_path / "e"
+    assert run(["evaluate", "--pred", str(pred), "--out", str(out)]) == 1
+    assert "OutOfBounds: pmbnn: rmse must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("overall", [
     '{"r2": 0.9, "rmse": -1}',      # was LengthMismatch
     '{"r2": NaN, "rmse": NaN}',     # exited 0 and wrote nan rows
@@ -338,6 +378,69 @@ def test_report_bad_metric_exits_one(tmp_path, capsys, overall):
     assert run(["report", "--metrics", str(path), "--out", str(out)]) == 1
     assert "OutOfBounds" in capsys.readouterr().err
     assert not out.exists()
+
+
+#: one cell a prediction file may change: hr_true or activity (a disagreement
+#: when another file has the row), or a number whose squared error overflows
+_EDITS = st.sampled_from([(1, "71"), (3, "cycle"), (1, "1e200"), (2, "1e200"),
+                          (2, "-1e300"), (1, "1e-320")])
+
+
+@st.composite
+def _prediction_files(draw):
+    """Per-model prediction CSVs over shared times, each file changing
+    one cell by an _EDITS entry one time in four."""
+    n = draw(st.integers(1, 6))
+    hr = [draw(st.sampled_from(["70", "70.0", "72", "85.5", "101"])) for _ in range(n)]
+    acts = [draw(st.sampled_from(["rest", "run"])) for _ in range(n)]
+    models = draw(st.lists(st.sampled_from(list(MODEL_COLUMNS)), min_size=1,
+                           max_size=4, unique=True))
+    files = {}
+    for model in models:
+        rows = [[str(t), hr[t], repr(draw(st.floats(40, 200))), acts[t]] for t in range(n)]
+        if draw(st.integers(0, 3)) == 0:
+            col, value = draw(_EDITS)
+            rows[draw(st.integers(0, n - 1))][col] = value
+        header = ["t_s", "hr_true", MODEL_COLUMNS[model], "activity"]
+        files[model] = "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    return files
+
+
+def _exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _strict_json(path):
+    def reject(name):
+        raise AssertionError(f"{path} holds {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@given(_prediction_files(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_report_property_exit_code_and_strict_json(files, n_subjects):
+    # evaluate -> report ends in exit 0, 1 or 2, never in another
+    # exception, and on 0 writes JSON without Infinity or NaN
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        preds = []
+        for model, text in files.items():
+            preds.append(root / f"predictions_{model}.csv")
+            preds[-1].write_text(text)
+        code = _exit_code(["evaluate", "--pred", *map(str, preds), "--out", str(root / "e")])
+        assert code in (0, 1, 2)
+        if code != 0:
+            return
+        metrics = root / "e" / "metrics.json"
+        _strict_json(metrics)
+        code = _exit_code(["report", "--metrics", *[str(metrics)] * n_subjects,
+                           "--out", str(root / "r")])
+        assert code in (0, 1, 2)
+        if code == 0:
+            _strict_json(root / "r" / "report.json")
 
 
 class TestConfigPlumbing:

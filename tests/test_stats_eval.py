@@ -212,6 +212,18 @@ class TestWilcoxon:
         )
         assert res.p_one_tailed == pytest.approx(ref.pvalue, rel=1e-9)
 
+    @pytest.mark.parametrize("d", [
+        [2.0, -2.0, 2.0, 0.0, 4.0, -1.0, 6.0, 6.0, -6.0, 0.0],
+        [1.5, -0.5, 1.0, 0.5] * 6 + [-1.5, 2.0],
+    ], ids=["runs-of-three-and-zeros", "runs-of-six-n26"])
+    def test_tie_runs_match_scipy_approx(self, d):
+        # average ranks and tie correction for longer runs of equal |d|
+        for alternative in ("greater", "less"):
+            res = wilcoxon_signed_rank(d, np.zeros(len(d)), alternative)
+            ref = scipy.stats.wilcoxon(d, alternative=alternative, correction=True,
+                                       method="approx")
+            assert res.p_one_tailed == pytest.approx(ref.pvalue, rel=1e-9)
+
     def test_large_sample_matches_scipy_approx(self):
         rng = np.random.default_rng(34)
         d = rng.normal(0.4, 1.0, size=30)
@@ -481,6 +493,71 @@ class TestReport:
         lines = (tmp_path / "report.csv").read_text().strip().split("\n")
         data_rows = [l for l in lines[1:] if not l.startswith(("p_value", "d_value"))]
         assert len(data_rows) == 12 * 4
+
+
+def ragged_subject(values, activities=("rest", "run")):
+    """One subject named "subject" (the ``evaluate --subject`` default) with
+    ``{model: (r2, rmse)}`` overall and each activity's values shifted."""
+    overall = {m: MetricPair(*v) for m, v in values.items()}
+    per_activity = {
+        act: {m: MetricPair(r2 - 0.1 * k, rmse + k) for m, (r2, rmse) in values.items()}
+        for k, act in enumerate(activities, start=1)
+    }
+    return SubjectMetrics("subject", overall, per_activity)
+
+
+def assert_paired_by_subject(subjects):
+    # every comparison is the test on the subjects that have both models,
+    # or "insufficient pairs" when fewer than two do
+    report = build_eval_report(subjects)
+    scopes = [([s.overall for s in subjects], report.comparisons)]
+    scopes += [([s.per_activity.get(act) for s in subjects], comps)
+               for act, comps in report.per_activity_comparisons.items()]
+    computed = 0
+    for cells, comparisons in scopes:
+        for model in ("fcnn", "pm"):
+            shared = [c for c in cells if c and "pmbnn" in c and model in c]
+            for metric, direction in (("r2", "greater"), ("rmse", "less")):
+                got = comparisons[f"pmbnn_vs_{model}_{metric}"]
+                if len(shared) < 2:
+                    assert got == "insufficient pairs"
+                    continue
+                expected = wilcoxon_signed_rank([getattr(c["pmbnn"], metric) for c in shared],
+                                                [getattr(c[model], metric) for c in shared],
+                                                direction)
+                assert got == expected
+                computed += 1
+    return report, computed
+
+
+class TestRaggedSubjects:
+    def test_models_missing_from_different_subjects_are_not_paired(self):
+        # s1 lacks fcnn, s2 lacks pmbnn: only s3 has both, so nothing is
+        # tested (the pairs used to shift: s1's pmbnn against s2's fcnn)
+        subjects = [
+            ragged_subject({"pmbnn": (0.8, 8.0)}),
+            ragged_subject({"fcnn": (0.7, 9.0)}),
+            ragged_subject({"pmbnn": (0.9, 7.0), "fcnn": (0.85, 7.5)}),
+        ]
+        report, computed = assert_paired_by_subject(subjects)
+        assert computed == 0
+        assert report.summary["fcnn"]["rmse"]["median"] == pytest.approx(8.25)
+
+    def test_unequal_model_counts_pair_the_shared_subjects(self):
+        # 4 pmbnn and 5 fcnn cells used to end in LengthMismatch
+        subjects = [
+            ragged_subject({"pmbnn": (0.80, 8.0), "fcnn": (0.78, 8.4), "pm": (0.5, 12.0)}),
+            ragged_subject({"pmbnn": (0.86, 7.1), "fcnn": (0.80, 7.9)}, ("rest",)),
+            ragged_subject({"fcnn": (0.70, 9.0), "pm": (0.4, 13.0)}),
+            ragged_subject({"pmbnn": (0.83, 7.6), "fcnn": (0.84, 7.7), "pm": (0.6, 11.2)}),
+            ragged_subject({"pmbnn": (0.91, 6.9), "fcnn": (0.88, 7.3), "pm": (0.55, 12.5)},
+                           ("run",)),
+        ]
+        report, computed = assert_paired_by_subject(subjects)
+        assert computed == 12   # 3 scopes x 2 models x 2 metrics, each with >= 2 pairs
+        assert report.comparisons["pmbnn_vs_fcnn_rmse"].n_pairs == 4
+        assert report.comparisons["pmbnn_vs_pm_r2"].n_pairs == 3
+        assert report.per_activity_comparisons["run"]["pmbnn_vs_pm_rmse"].n_pairs == 3
 
 
 class TestPairedTestProperties:
