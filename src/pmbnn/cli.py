@@ -4,8 +4,9 @@ Subcommands wire the pipeline end to end: ``preprocess`` -> ``split`` ->
 ``train`` (one model per invocation) -> ``reconstruct`` -> ``evaluate``
 -> ``report``, plus ``synth`` for generating oracle subjects and
 ``gradcheck`` for verifying the reverse-mode gradients. Configuration is
-a JSON file with flat dotted keys; any ``--section.key value`` flag
-overrides the file. Exit codes: 0 success, 1 domain error, 2 usage error.
+a JSON file with flat dotted keys; a ``--section.key value`` flag for a
+section the subcommand reads overrides the file. Exit codes: 0 success,
+1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -32,7 +35,7 @@ from .experiment import (
     reconstruct_pmbnn_r,
     split_by_activity,
 )
-from .physio_model import LambdaParams
+from .physio_model import LambdaBounds, LambdaParams
 from .signal_pipeline import (
     FilterConfig,
     SubjectRecord,
@@ -46,21 +49,12 @@ from .training import PmFitConfig, TrainConfig
 
 log = logging.getLogger("pmbnn")
 
-DEFAULTS = {
-    "filter.sg_window": 15,
-    "filter.sg_polyorder": 1,
-    "filter.fir_taps": 10,
-    "filter.vo2_floor": 0.05,
-    "filter.sg_on_hr": False,
-    "split.ratio": 0.8,
-    "train.max_epochs": 5000,
-    "train.stop_threshold": 10.0,
-    "train.de_weight": 1e5 / 3600,
-    "train.lr": 0.01,
-    "train.seed": 0,
-    "pm.iters": 150,
-    "pm.proximal": 1e-3,
-}
+#: each config section and the dataclass whose fields are its keys
+SECTIONS = {"filter": FilterConfig, "train": TrainConfig, "pm": PmFitConfig}
+#: every config key and its default: ``<section>.<field>``, and ``split.ratio``
+DEFAULTS = {**{f"{section}.{f.name}": f.default
+               for section, cls in SECTIONS.items() for f in fields(cls)},
+            "split.ratio": ExperimentConfig.split_ratio}
 
 MODEL_COLUMNS = {
     "pmbnn": "hr_pmbnn",
@@ -75,14 +69,16 @@ JOINED_HEADER = ["t_s", "hr_true", "hr_pmbnn", "hr_fcnn", "hr_pm",
 SYNTH_DEFAULT_LAMBDA = LambdaParams(0.025, 0.08, -2.8, 19.0, 0.44, 0.1)
 
 
-def _resolve_config(path: str | None, extras: list[str]) -> dict:
+def _resolve_config(path: str | None, extras: list[str], sections: tuple[str, ...]) -> dict:
     """DEFAULTS, then the ``--config`` file, then ``--section.key`` flags.
 
     Raises ValueError for a usage error: an unreadable or malformed config
-    file, a malformed flag, a key outside DEFAULTS or a value whose type
-    does not fit its default.
+    file, a malformed flag, a key outside DEFAULTS, a value whose type
+    does not fit its default, or a flag outside ``sections`` (the file may
+    hold any key, so one file serves the whole pipeline).
     """
     cfg = dict(DEFAULTS)
+    flagged = []
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -105,6 +101,7 @@ def _resolve_config(path: str | None, extras: list[str]) -> dict:
             if i >= len(extras):
                 raise ValueError(f"flag {token} expects a value")
             raw = extras[i]
+        flagged.append(key)
         try:
             cfg[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -117,6 +114,10 @@ def _resolve_config(path: str | None, extras: list[str]) -> dict:
         if not _fits_default_type(value, DEFAULTS[key]):
             raise ValueError(f"{key} must be {type(DEFAULTS[key]).__name__}, "
                              f"got {value!r}")
+    unread = [k for k in flagged if k.split(".")[0] not in sections]
+    if unread:
+        raise ValueError(f"{' '.join('--' + k for k in unread)}: this subcommand reads "
+                         f"only {', '.join(s + '.*' for s in sections)} settings")
     return cfg
 
 
@@ -138,29 +139,11 @@ def _seed(text: str) -> int:
     return value
 
 
-def _filter_config(cfg: dict) -> FilterConfig:
-    return FilterConfig(
-        sg_window=int(cfg["filter.sg_window"]),
-        sg_polyorder=int(cfg["filter.sg_polyorder"]),
-        fir_taps=int(cfg["filter.fir_taps"]),
-        vo2_floor=float(cfg["filter.vo2_floor"]),
-        sg_on_hr=bool(cfg["filter.sg_on_hr"]),
-    )
-
-
-def _experiment_config(cfg: dict, seed: int | None) -> ExperimentConfig:
-    """The split and fit settings; ``seed`` (``--seed``) overrides ``train.seed``."""
-    return ExperimentConfig(
-        split_ratio=float(cfg["split.ratio"]),
-        train=TrainConfig(
-            max_epochs=int(cfg["train.max_epochs"]),
-            stop_threshold=float(cfg["train.stop_threshold"]),
-            de_weight=float(cfg["train.de_weight"]),
-            learning_rate=float(cfg["train.lr"]),
-            seed=int(cfg["train.seed"] if seed is None else seed),
-        ),
-        pm_fit=PmFitConfig(iters=int(cfg["pm.iters"]), proximal=float(cfg["pm.proximal"])),
-    )
+def _section(section: str, cfg: dict):
+    """The section's config dataclass from its keys, each value cast to its
+    default's type."""
+    cls = SECTIONS[section]
+    return cls(**{f.name: type(f.default)(cfg[f"{section}.{f.name}"]) for f in fields(cls)})
 
 
 def _config_hash(cfg: dict) -> str:
@@ -169,13 +152,28 @@ def _config_hash(cfg: dict) -> str:
     ).hexdigest()
 
 
-def _write_manifest(out_dir: str, name: str, payload: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return path
+def _write(path: str, data: bytes) -> None:
+    """Write one artifact, creating its directory; a path that cannot be
+    written (``--out`` names a file, no permission, ...) is IoFailure."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _write_manifest(out_dir: str, name: str, payload: dict) -> None:
+    _write(os.path.join(out_dir, name),
+           json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n")
+
+
+def _csv_bytes(header: list[str], rows) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -199,11 +197,9 @@ def _read_record(path: str) -> SubjectRecord:
 
 
 def _write_predictions(path: str, column: str, times, hr_true, pred, labels):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_s", "hr_true", column, "activity"])
-        for t, h, p, a in zip(times, hr_true, pred, labels):
-            writer.writerow([f"{t:.10g}", f"{h:.10g}", f"{p:.10g}", a])
+    _write(path, _csv_bytes(["t_s", "hr_true", column, "activity"],
+                            ([f"{t:.10g}", f"{h:.10g}", f"{p:.10g}", a]
+                             for t, h, p, a in zip(times, hr_true, pred, labels))))
 
 
 def _test_times(rec: SubjectRecord, split) -> np.ndarray:
@@ -214,11 +210,9 @@ def _test_times(rec: SubjectRecord, split) -> np.ndarray:
 
 def cmd_preprocess(args, cfg: dict) -> int:
     rec = _read_record(args.input)
-    out = preprocess_subject(rec, _filter_config(cfg))
-    os.makedirs(args.out, exist_ok=True)
+    out = preprocess_subject(rec, _section("filter", cfg))
     dest = os.path.join(args.out, "preprocessed.csv")
-    with open(dest, "wb") as fh:
-        fh.write(record_to_csv_bytes(out))
+    _write(dest, record_to_csv_bytes(out))
     _write_manifest(args.out, "preprocess_manifest.json", {
         "command": "preprocess",
         "input": os.path.basename(args.input),
@@ -263,10 +257,8 @@ def cmd_synth(args, cfg: dict) -> int:
             seed=args.seed if args.seed is not None else 0,
         )
     rec = generate_synthetic_subject(spec)
-    os.makedirs(args.out, exist_ok=True)
     dest = os.path.join(args.out, f"{spec.subject_id}.csv")
-    with open(dest, "wb") as fh:
-        fh.write(record_to_csv_bytes(rec))
+    _write(dest, record_to_csv_bytes(rec))
     _write_manifest(args.out, "synth_manifest.json", {
         "command": "synth",
         "subject_id": spec.subject_id,
@@ -289,10 +281,8 @@ def cmd_synth(args, cfg: dict) -> int:
 def cmd_split(args, cfg: dict) -> int:
     rec = _read_record(args.input)
     split = split_by_activity(rec, float(cfg["split.ratio"]))
-    os.makedirs(args.out, exist_ok=True)
     for name, part in (("train", split.train), ("test", split.test)):
-        with open(os.path.join(args.out, f"{name}.csv"), "wb") as fh:
-            fh.write(record_to_csv_bytes(part))
+        _write(os.path.join(args.out, f"{name}.csv"), record_to_csv_bytes(part))
     _write_manifest(args.out, "split_manifest.json", {
         "command": "split",
         "subject_id": rec.subject_id,
@@ -307,22 +297,21 @@ def cmd_split(args, cfg: dict) -> int:
 
 def cmd_train(args, cfg: dict) -> int:
     rec = _read_record(args.input)
-    ecfg = _experiment_config(cfg, args.seed)
+    ecfg = ExperimentConfig(float(cfg["split.ratio"]), _section("train", cfg),
+                            _section("pm", cfg))
     split = split_by_activity(rec, ecfg.split_ratio)
     fitted = fit_model(args.model, split, ecfg)
-    os.makedirs(args.out, exist_ok=True)
-    if fitted.mlp is None:
-        with open(os.path.join(args.out, "pm_lambda.json"), "w", encoding="utf-8") as fh:
-            json.dump({"lambda": list(fitted.lam.as_array()),
-                       "config_hash": _config_hash(cfg)}, fh, sort_keys=True)
-            fh.write("\n")
-    else:
-        nn_core.save_checkpoint(os.path.join(args.out, f"{args.model}_checkpoint.json"),
-                                fitted.mlp, ecfg.train.bounds, ecfg.train.seed,
-                                _config_hash(cfg))
+    # the predictions go first: their write creates --out
     _write_predictions(os.path.join(args.out, f"predictions_{args.model}.csv"),
                        MODEL_COLUMNS[args.model], _test_times(rec, split),
                        split.test.hr.values, fitted.predictions, split.test.activity_labels)
+    if fitted.mlp is None:
+        _write(os.path.join(args.out, "pm_lambda.json"),
+               json.dumps({"lambda": list(fitted.lam.as_array()),
+                           "config_hash": _config_hash(cfg)}, sort_keys=True).encode() + b"\n")
+    else:
+        nn_core.save_checkpoint(os.path.join(args.out, f"{args.model}_checkpoint.json"),
+                                fitted.mlp, LambdaBounds(), ecfg.train.seed, _config_hash(cfg))
     _write_manifest(args.out, f"{args.model}_run_manifest.json", {
         "command": "train",
         "model": args.model,
@@ -342,7 +331,6 @@ def cmd_reconstruct(args, cfg: dict) -> int:
     rec = _read_record(args.input)
     split = split_by_activity(rec, float(cfg["split.ratio"]))
     pred = reconstruct_pmbnn_r(split.test, lam, bounds).values
-    os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "predictions_pmbnn_r.csv")
     _write_predictions(pred_path, MODEL_COLUMNS["pmbnn_r"],
                        _test_times(rec, split), split.test.hr.values, pred,
@@ -418,16 +406,9 @@ def cmd_evaluate(args, cfg: dict) -> int:
             except OutOfBounds as exc:
                 raise OutOfBounds(f"{model}: {exc}") from None
 
-    os.makedirs(args.out, exist_ok=True)
-    pred_path = os.path.join(args.out, "predictions.csv")
-    with open(pred_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(JOINED_HEADER)
-        for t in times:
-            e = joined[t]
-            writer.writerow([f"{t:.10g}", e["hr_true"]]
-                            + [e.get(c, "") for c in JOINED_HEADER[2:-1]]
-                            + [e["activity"]])
+    _write(os.path.join(args.out, "predictions.csv"), _csv_bytes(JOINED_HEADER, (
+        [f"{t:.10g}", e["hr_true"], *(e.get(c, "") for c in JOINED_HEADER[2:-1]), e["activity"]]
+        for t, e in sorted(joined.items()))))
     _write_manifest(args.out, "metrics.json", {
         "command": "evaluate",
         "participant": args.subject,
@@ -489,45 +470,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="resample + filter a recording")
     p.add_argument("--input", required=True)
     common(p)
-    p.set_defaults(func=cmd_preprocess)
+    p.set_defaults(func=cmd_preprocess, sections=("filter",))
 
     p = sub.add_parser("synth", help="generate a synthetic oracle subject")
     p.add_argument("--spec", help="synthetic spec JSON")
     p.add_argument("--noise-hr", type=float, default=0.0)
     common(p, seed=True)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, sections=())
 
     p = sub.add_parser("split", help="per-activity 80/20 split")
     p.add_argument("--input", required=True)
     common(p)
-    p.set_defaults(func=cmd_split)
+    p.set_defaults(func=cmd_split, sections=("split",))
 
     p = sub.add_parser("train", help="train one model on one subject")
     p.add_argument("--model", required=True, choices=("pmbnn", "fcnn", "pm"))
     p.add_argument("--input", required=True, help="preprocessed subject CSV")
     common(p, seed=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, sections=("split", "train", "pm"))
 
     p = sub.add_parser("reconstruct", help="PM with lambdas from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     common(p)
-    p.set_defaults(func=cmd_reconstruct)
+    p.set_defaults(func=cmd_reconstruct, sections=("split",))
 
     p = sub.add_parser("evaluate", help="join prediction CSVs and score them")
     p.add_argument("--pred", nargs="+", required=True)
     p.add_argument("--subject", default="subject")
     common(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, sections=())
 
     p = sub.add_parser("report", help="aggregate per-subject metrics files")
     p.add_argument("--metrics", nargs="+", required=True)
     common(p)
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, sections=())
 
     p = sub.add_parser("gradcheck", help="verify reverse-mode gradients")
     p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=cmd_gradcheck)
+    p.set_defaults(func=cmd_gradcheck, sections=())
 
     return parser
 
@@ -536,12 +517,14 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("PMBNN_LOG", "WARNING"))
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
-    if args.func is cmd_gradcheck and extras:
-        parser.error(f"gradcheck takes no configuration: {' '.join(extras)}")
+    if extras and not args.sections:
+        parser.error(f"{args.command} takes no configuration: {' '.join(extras)}")
     try:
-        cfg = _resolve_config(getattr(args, "config", None), extras)
+        cfg = _resolve_config(getattr(args, "config", None), extras, args.sections)
     except ValueError as exc:
         parser.error(str(exc))
+    if args.command == "train" and args.seed is not None:
+        cfg["train.seed"] = args.seed   # --seed is short for --train.seed
     try:
         return args.func(args, cfg)
     except PmbnnError as exc:

@@ -38,7 +38,7 @@ class WindowTooLarge(PmbnnError):
 
 
 class BadWindow(PmbnnError):
-    """Filter window is even or too small for the polynomial order."""
+    """Filter window is even or too small, or the polynomial order is negative."""
 
 
 # --- physiological model -------------------------------------------------

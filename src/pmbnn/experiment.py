@@ -61,7 +61,18 @@ def _subrecord(rec: SubjectRecord, chunks: list[np.ndarray]) -> SubjectRecord:
     )
 
 
-def split_by_activity(rec: SubjectRecord, ratio: float = 0.8) -> SplitRecord:
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Split and fit settings; ``train`` configures both networks. The
+    default ``LambdaBounds`` box the lambdas of every model."""
+
+    split_ratio: float = 0.8
+    train: TrainConfig = field(default_factory=TrainConfig)
+    pm_fit: PmFitConfig = field(default_factory=PmFitConfig)
+
+
+def split_by_activity(rec: SubjectRecord,
+                      ratio: float = ExperimentConfig.split_ratio) -> SplitRecord:
     """Per segment: first floor(ratio*n) samples to train, rest to test.
 
     The ratio must lie strictly inside (0, 1) and give every segment at
@@ -196,16 +207,6 @@ def reconstruct_pmbnn_r(
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Split and fit settings; ``train`` configures both networks, and its
-    ``bounds`` box the lambdas of every model, the PM's included."""
-
-    split_ratio: float = 0.8
-    train: TrainConfig = field(default_factory=TrainConfig)
-    pm_fit: PmFitConfig = field(default_factory=PmFitConfig)
-
-
-@dataclass(frozen=True)
 class Fitted:
     """One model fitted on a split's train part and run on its test part."""
 
@@ -226,11 +227,10 @@ def fit_model(model: str, split: SplitRecord,
     if model not in ("pmbnn", "fcnn", "pm"):
         raise OutOfBounds(f"model must be pmbnn, fcnn or pm, got {model!r}")
     started = time.perf_counter()
-    bounds = cfg.train.bounds
     if model == "pm":
-        lam, fit = training.fit_pm(split.train, bounds, cfg=cfg.pm_fit)
+        lam, fit = training.fit_pm(split.train, cfg=cfg.pm_fit)
         mlp = None
-        pred = reconstruct_pmbnn_r(split.test, lam, bounds).values
+        pred = reconstruct_pmbnn_r(split.test, lam).values
         train_pred = training.simulate_record_hr(split.train, lam).values
         diagnostics = {
             "train_mse": training.loss_data(train_pred, split.train.hr.values),
@@ -275,7 +275,7 @@ def run_subject_experiment(rec: SubjectRecord, cfg: ExperimentConfig = Experimen
     test = split.test
     fits = {m: fit_model(m, split, cfg) for m in ("pmbnn", "fcnn", "pm")}
     lam_r = fits["pmbnn"].lam
-    fits["pmbnn_r"] = Fitted(reconstruct_pmbnn_r(test, lam_r, cfg.train.bounds).values,
+    fits["pmbnn_r"] = Fitted(reconstruct_pmbnn_r(test, lam_r).values,
                              lam_r, None, {})
     results: dict[str, ModelResult] = {}
     models: dict[str, dict] = {}

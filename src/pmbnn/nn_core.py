@@ -271,19 +271,21 @@ def loss_only(p: MlpParams, batch: TrainBatch) -> float:
     return l_data + batch.de_weight * l_de
 
 
+#: RMSprop's squared-gradient decay and denominator guard
+RMSPROP_RHO = 0.99
+RMSPROP_EPS = 1e-8
+
+
 @dataclass
 class RmspropState:
-    """Squared-gradient accumulators plus the optimizer hyperparameters."""
+    """Squared-gradient accumulators plus the learning rate."""
 
     v: _Tree
-    rho: float = 0.99
-    eps: float = 1e-8
-    lr: float = 0.01
+    lr: float
 
     @classmethod
-    def init(cls, p: MlpParams, rho: float = 0.99, eps: float = 1e-8,
-             lr: float = 0.01) -> "RmspropState":
-        return cls(_Tree._of(np.zeros(_SIZE)), rho, eps, lr)
+    def init(cls, p: MlpParams, lr: float) -> "RmspropState":
+        return cls(_Tree._of(np.zeros(_SIZE)), lr)
 
 
 def rmsprop_step(
@@ -297,12 +299,12 @@ def rmsprop_step(
     if not np.isfinite(g.flat).all():
         raise NonFiniteGradient("gradient contains NaN or inf")
     v, gf = st.v.flat, g.flat
-    v *= st.rho
-    t = (1.0 - st.rho) * gf
+    v *= RMSPROP_RHO
+    t = (1.0 - RMSPROP_RHO) * gf
     t *= gf
     v += t
     np.multiply(st.lr, gf, out=t)
-    t /= np.sqrt(v) + st.eps
+    t /= np.sqrt(v) + RMSPROP_EPS
     return _Tree._of(p.flat - t), st
 
 
@@ -436,9 +438,12 @@ def save_checkpoint(path, p: MlpParams, bounds: LambdaBounds, seed: int,
         "seed": seed,
         "config_hash": config_hash,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def load_checkpoint(path) -> tuple[MlpParams, LambdaBounds, int, str]:

@@ -148,7 +148,7 @@ class SubjectRecord:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Settings for the preprocessing pipeline."""
+    """Settings for the preprocessing pipeline: the ``filter.*`` config keys."""
 
     sg_window: int = 15
     sg_polyorder: int = 1
@@ -279,7 +279,7 @@ def _odd_reflect_pad(x: np.ndarray, left: int, right: int) -> np.ndarray:
 
 def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     """Least-squares smoothing weights evaluated at the window center."""
-    if window % 2 == 0 or window < polyorder + 2:
+    if polyorder < 0 or window % 2 == 0 or window < polyorder + 2:
         raise BadWindow(f"window {window} invalid for polyorder {polyorder}")
     half = window // 2
     pos = np.arange(-half, half + 1, dtype=float)
@@ -293,9 +293,7 @@ def _filter_segment(x: np.ndarray, weights: np.ndarray, left: int, right: int) -
     return np.convolve(padded, weights[::-1], mode="valid")
 
 
-def savitzky_golay_smooth(
-    s: UniformSeries, window: int = 15, polyorder: int = 1
-) -> UniformSeries:
+def savitzky_golay_smooth(s: UniformSeries, window: int, polyorder: int) -> UniformSeries:
     """Per-segment Savitzky-Golay smoothing with odd-reflection edges."""
     weights = savgol_coefficients(window, polyorder)
     half = window // 2
@@ -310,7 +308,7 @@ def savitzky_golay_smooth(
     return s.with_values(out)
 
 
-def fir_lowpass(s: UniformSeries, taps: int = 10) -> UniformSeries:
+def fir_lowpass(s: UniformSeries, taps: int) -> UniformSeries:
     """Per-segment moving-average FIR (uniform taps, DC gain exactly 1)."""
     if taps < 1:
         raise BadWindow(f"taps must be >= 1, got {taps}")

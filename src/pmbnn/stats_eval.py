@@ -411,7 +411,10 @@ def emit_report(report: EvalReport, out_dir) -> dict[str, str]:
     ``boxplot_long.csv``: long-format (model, metric, value) rows.
     ``report.json``: machine-readable aggregate, the EvalReport's fields.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
     paths = {
         "csv": os.path.join(out_dir, "report.csv"),
         "by_activity": os.path.join(out_dir, "report_by_activity.csv"),

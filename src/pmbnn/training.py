@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,19 +43,15 @@ class LossBreakdown:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the network training loop."""
+    """Hyperparameters of the network training loop: the ``train.*`` config keys."""
 
     max_epochs: int = 5000
     stop_threshold: float = 10.0
     # 1e5 per (bpm/s)^2 of residual, the weight that keeps the DE term
     # commensurate with the data term; L_DE is in (bpm/min)^2
     de_weight: float = 1e5 / 3600
-    learning_rate: float = 0.01
+    lr: float = 0.01
     seed: int = 0
-    rmsprop_rho: float = 0.99
-    rmsprop_eps: float = 1e-8
-    bounds: LambdaBounds = field(default_factory=LambdaBounds)
-    init_lambda: LambdaParams = DEFAULT_INITIAL
 
     def __post_init__(self):
         _require(self.max_epochs >= 1, "train.max_epochs", self.max_epochs, ">= 1")
@@ -63,8 +59,8 @@ class TrainConfig:
                  "train.stop_threshold", self.stop_threshold, "finite and > 0")
         _require(math.isfinite(self.de_weight) and self.de_weight >= 0,
                  "train.de_weight", self.de_weight, "finite and >= 0")
-        _require(math.isfinite(self.learning_rate) and self.learning_rate > 0,
-                 "train.lr", self.learning_rate, "finite and > 0")
+        _require(math.isfinite(self.lr) and self.lr > 0, "train.lr", self.lr,
+                 "finite and > 0")
         _require(self.seed >= 0, "train.seed", self.seed, ">= 0")
 
 
@@ -107,15 +103,15 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
 
     Per epoch: forward pass, L_tot, backprop, parameter update. Stops when
     L_tot < cfg.stop_threshold, at the epoch cap, or on divergence (the
-    last finite parameters are then returned).
+    last finite parameters are then returned). The lambdas start at
+    ``DEFAULT_INITIAL`` inside the default ``LambdaBounds``.
     """
+    bounds = LambdaBounds()
     batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
                        segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
-                       bounds=cfg.bounds, de_weight=cfg.de_weight)
-    params = nn_core.xavier_init(cfg.seed, cfg.bounds, cfg.init_lambda)
-    state = RmspropState.init(
-        params, rho=cfg.rmsprop_rho, eps=cfg.rmsprop_eps, lr=cfg.learning_rate
-    )
+                       bounds=bounds, de_weight=cfg.de_weight)
+    params = nn_core.xavier_init(cfg.seed, bounds, DEFAULT_INITIAL)
+    state = RmspropState.init(params, cfg.lr)
     history: list[LossBreakdown] = []
     reason = "epoch-cap"
     for epoch in range(1, cfg.max_epochs + 1):
@@ -138,7 +134,7 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
         np.clip(params.theta, -30.0, 30.0, out=params.theta)
     return TrainedModel(
         mlp=params,
-        lam=nn_core.lambda_from_theta(params.theta, cfg.bounds),
+        lam=nn_core.lambda_from_theta(params.theta, bounds),
         loss_history=history,
         stopped_reason=reason,
     )
@@ -155,6 +151,10 @@ def train_fcnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Traine
 #: run as converged (the ``factr`` test of L-BFGS-B): later steps only
 #: trade round-off
 REL_DECREASE_TOL = 1e-12
+#: history length, gradient tolerance and Armijo constant of every L-BFGS run
+LBFGS_MEMORY = 10
+LBFGS_GTOL = 1e-10
+ARMIJO_C1 = 1e-4
 
 
 @dataclass
@@ -166,18 +166,11 @@ class LbfgsResult:
     line_search_failed: bool
 
 
-def lbfgs_minimize(
-    objective,
-    x0: np.ndarray,
-    iters: int = 200,
-    m: int = 10,
-    gtol: float = 1e-10,
-    c1: float = 1e-4,
-) -> LbfgsResult:
+def lbfgs_minimize(objective, x0: np.ndarray, iters: int = 200) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking (halving).
 
     ``objective(x)`` returns ``(f, grad)``; every line-search probe calls
-    it. Converges when the largest gradient entry is at most ``gtol`` or
+    it. Converges when the largest gradient entry is at most ``LBFGS_GTOL`` or
     an accepted step lowers f by at most ``REL_DECREASE_TOL * |f|``.
     Accepted values never increase, so the last iterate is the best; a
     failed line search returns it with ``line_search_failed`` set.
@@ -186,11 +179,11 @@ def lbfgs_minimize(
     f, g = objective(x)
     if not np.isfinite(f):
         raise NonFiniteLoss(f"objective not finite at x0: {f}")
-    history: deque = deque(maxlen=m)   # (s, y, 1 / s.y) of recent steps
+    history: deque = deque(maxlen=LBFGS_MEMORY)   # (s, y, 1 / s.y) of recent steps
 
     for it in range(1, iters + 1):
         gnorm = float(np.max(np.abs(g)))
-        if gnorm <= gtol:
+        if gnorm <= LBFGS_GTOL:
             return LbfgsResult(x, f, it - 1, True, False)
 
         # two-loop recursion
@@ -218,7 +211,7 @@ def lbfgs_minimize(
         for _ in range(60):
             x_new = x + alpha * d
             f_new, g_new = objective(x_new)
-            if np.isfinite(f_new) and f_new <= f + c1 * alpha * slope:
+            if np.isfinite(f_new) and f_new <= f + ARMIJO_C1 * alpha * slope:
                 break
             alpha *= 0.5
         else:
@@ -238,9 +231,6 @@ def lbfgs_minimize(
 
 # --- standalone PM fitting -------------------------------------------------
 
-#: L-BFGS history length of the PM fit
-PM_MEMORY = 10
-
 # The trajectory map has three exact flat directions no data can resolve:
 # (i) (l5, g) -> (l5/k, k*g); (ii) (l1, l2) -> k*(l1, l2) with (l3, l4) ->
 # (l3, l4)/k, which leaves g unchanged; (iii) scaling 1 - l5*g and l6 by
@@ -257,7 +247,7 @@ GAUGE_PIN_COORDS = (1, 3, 4)
 
 @dataclass(frozen=True)
 class PmFitConfig:
-    """Settings for the standalone physiological-model fit."""
+    """Settings for the standalone physiological-model fit: the ``pm.*`` config keys."""
 
     iters: int = 150
     proximal: float = 1e-3
@@ -337,5 +327,5 @@ def fit_pm(
     """
     theta0 = nn_core.theta_from_lambda(init, bounds)
     objective = _pm_objective(train, bounds, cfg, theta0)
-    result = lbfgs_minimize(objective, theta0, iters=cfg.iters, m=PM_MEMORY)
+    result = lbfgs_minimize(objective, theta0, cfg.iters)
     return nn_core.lambda_from_theta(result.x, bounds), result

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmbnn.cli import MODEL_COLUMNS, main
+from pmbnn.cli import DEFAULTS, MODEL_COLUMNS, main
 
 
 def run(argv):
@@ -615,3 +615,161 @@ def test_train_and_library_share_one_fit_path(tmp_path):
         assert cli_fit.pop("wall_time_s") > 0 and lib_fit.pop("wall_time_s") > 0
         assert cli_fit == lib_fit
     assert "lbfgs" in manifest["models"]["pm"] and "epochs_run" in manifest["models"]["fcnn"]
+
+
+#: the 13 config keys, their defaults and their types, as one literal in
+#: the CLI declared them before the config dataclasses did
+REFERENCE_DEFAULTS = {
+    "filter.sg_window": 15,
+    "filter.sg_polyorder": 1,
+    "filter.fir_taps": 10,
+    "filter.vo2_floor": 0.05,
+    "filter.sg_on_hr": False,
+    "split.ratio": 0.8,
+    "train.max_epochs": 5000,
+    "train.stop_threshold": 10.0,
+    "train.de_weight": 1e5 / 3600,
+    "train.lr": 0.01,
+    "train.seed": 0,
+    "pm.iters": 150,
+    "pm.proximal": 1e-3,
+}
+
+
+def test_config_keys_come_from_the_config_dataclasses():
+    assert DEFAULTS == REFERENCE_DEFAULTS
+    assert {k: type(v) for k, v in DEFAULTS.items()} == \
+        {k: type(v) for k, v in REFERENCE_DEFAULTS.items()}
+
+
+def _artifacts(pipeline_dirs) -> dict[str, str]:
+    return {"csv": str(pipeline_dirs["prep"] / "preprocessed.csv"),
+            "ckpt": str(pipeline_dirs["train"] / "pmbnn_checkpoint.json"),
+            "pred": str(pipeline_dirs["train"] / "predictions_pm.csv"),
+            "metrics": str(pipeline_dirs["eval"] / "metrics.json")}
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["evaluate", "--pred", "{pred}"], "train.lr"),   # echoed into metrics.json
+    (["synth"], "train.max_epochs"),
+    (["preprocess", "--input", "{csv}"], "pm.iters"),
+    (["reconstruct", "--checkpoint", "{ckpt}", "--input", "{csv}"], "train.lr"),
+])
+def test_flag_for_a_section_the_subcommand_does_not_read_exits_two(
+        pipeline_dirs, tmp_path, capsys, argv, key):
+    # each exited 0 and ignored the flag
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        run([a.format(**_artifacts(pipeline_dirs)) for a in argv]
+            + ["--out", str(out), f"--{key}", "3"])
+    assert exc.value.code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess", "--input", "{csv}"],
+    ["synth"],
+    ["split", "--input", "{csv}"],
+    ["train", "--model", "pm", "--input", "{csv}", "--pm.iters", "3"],
+    ["reconstruct", "--checkpoint", "{ckpt}", "--input", "{csv}"],
+    ["evaluate", "--pred", "{pred}"],
+    ["report", "--metrics", "{metrics}"],
+], ids=lambda argv: argv[0])
+def test_out_naming_a_file_is_io_failure(pipeline_dirs, tmp_path, capsys, argv):
+    # os.makedirs raised FileExistsError, a traceback
+    out = tmp_path / "taken"
+    out.write_text("a regular file\n")
+    assert run([a.format(**_artifacts(pipeline_dirs)) for a in argv]
+               + ["--out", str(out)]) == 1
+    assert "IoFailure: cannot write" in capsys.readouterr().err
+    assert out.read_text() == "a regular file\n"
+
+
+def test_train_manifest_records_the_seed_flag(pipeline_dirs, tmp_path):
+    # --seed trained with its seed but the manifest recorded train.seed 0
+    # and the config hash of a run without it
+    manifests = []
+    for seed in (1, 2):
+        out = tmp_path / str(seed)
+        assert run(["train", "--model", "pm", "--input", _artifacts(pipeline_dirs)["csv"],
+                    "--out", str(out), "--pm.iters", "3", "--seed", str(seed)]) == 0
+        manifests.append(json.loads((out / "pm_run_manifest.json").read_text()))
+        assert json.loads((out / "pm_lambda.json").read_text())["config_hash"] == \
+            manifests[-1]["config_hash"]
+    assert [m["config"]["train.seed"] for m in manifests] == [1, 2]
+    assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+
+
+def test_negative_polyorder_exits_one(pipeline_dirs, tmp_path, capsys):
+    # an IndexError traceback from the smoothing weights
+    assert run(["preprocess", "--input", _artifacts(pipeline_dirs)["csv"],
+                "--out", str(tmp_path / "o"), "--filter.sg_polyorder", "-1"]) == 1
+    assert "BadWindow" in capsys.readouterr().err
+
+
+#: valid and invalid values of each config key, the valid ones first;
+#: train.max_epochs and pm.iters stay <= 3 so that a run takes milliseconds
+_VALUES = {int: ["1", "3", "7", "0", "-1", "1.5", "abc"],
+           float: ["0.5", "0.9", "2", "0", "-1", "NaN", "Infinity", '"x"'],
+           bool: ["true", "false", "1", '"no"']}
+_SMALL = ["1", "3", "2.0", "0", "-1", "abc"]
+#: each subcommand's inputs and the config sections it reads
+_COMMANDS = {
+    "preprocess": (["--input", "{path}"], ("filter",)),
+    "synth": ([], ()),
+    "split": (["--input", "{path}"], ("split",)),
+    "train": (["--model", "{model}", "--input", "{path}",
+               "--train.max_epochs", "{small}", "--pm.iters", "{small}"],
+              ("split", "train", "pm")),
+    "reconstruct": (["--checkpoint", "{path}", "--input", "{path}"], ("split",)),
+    "evaluate": (["--pred", "{path}"], ()),
+    "report": (["--metrics", "{path}"], ()),
+    "gradcheck": ([], ()),
+}
+
+
+@st.composite
+def _argv(draw):
+    """One subcommand with drawn inputs, ``--out`` for all but gradcheck,
+    up to two config flags (mostly of sections it reads) and a seed, each
+    valid or not."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    inputs, sections = _COMMANDS[command]
+    drawn = {"{path}": st.sampled_from(["{csv}", "{csv}", "{absent}", "{taken}"]),
+             "{model}": st.sampled_from(["pmbnn", "fcnn", "pm"]),
+             "{small}": st.sampled_from(["1", "2", "3"])}
+    argv = [command] + [draw(drawn[a]) if a in drawn else a for a in inputs]
+    if command != "gradcheck":
+        argv += ["--out", draw(st.sampled_from(["{out}", "{out}", "{taken}"]))]
+    read = [k for k in sorted(DEFAULTS) if k.split(".")[0] in sections]
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(read if read and draw(st.integers(0, 3)) else sorted(DEFAULTS)))
+        small = key in ("train.max_epochs", "pm.iters")
+        argv += [f"--{key}", draw(st.sampled_from(
+            _SMALL if small else _VALUES[type(DEFAULTS[key])]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--seed", draw(st.sampled_from(["0", "7", "-1", "x"]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """A small valid recording and a regular file that is no input."""
+    root = tmp_path_factory.mktemp("argv")
+    rows = [f"{t},{0.4 if t < 40 else 1.5},{70 + t % 7},{'rest' if t < 40 else 'run'}"
+            for t in range(80)]
+    (root / "rec.csv").write_text("time_s,vo2_lpm,hr_bpm,activity\n" + "\n".join(rows) + "\n")
+    (root / "taken").write_text("a regular file\n")
+    return {"csv": str(root / "rec.csv"), "taken": str(root / "taken"),
+            "absent": str(root / "absent.csv")}
+
+
+@given(argv=_argv())
+@settings(max_examples=100, deadline=None)
+def test_random_argv_exits_zero_one_or_two(argv_inputs, argv):
+    # every subcommand with any known key ends in exit 0, 1 or 2, never in
+    # another exception
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {**argv_inputs, "out": os.path.join(tmp, "o")}
+        assert _exit_code([a.format(**names) for a in argv]) in (0, 1, 2)

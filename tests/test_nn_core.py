@@ -221,7 +221,7 @@ class TestBackward:
 class TestRmsprop:
     def test_zero_gradient_is_fixed_point(self):
         p = xavier_init(2)
-        st0 = RmspropState.init(p)
+        st0 = RmspropState.init(p, lr=0.01)
         for arr in st0.v.arrays():
             arr += 0.5  # non-trivial accumulators
         zero = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
@@ -235,7 +235,7 @@ class TestRmsprop:
         p = xavier_init(2)
         g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
         g.b3 = np.array([0.37])
-        p2, _ = rmsprop_step(p, g, RmspropState.init(p))
+        p2, _ = rmsprop_step(p, g, RmspropState.init(p, lr=0.01))
         expected = -0.01 * 0.37 / (math.sqrt(0.01 * 0.37 ** 2) + 1e-8)
         assert (p2.b3[0] - p.b3[0]) == pytest.approx(expected, rel=1e-6)
         assert expected == pytest.approx(-0.01 / math.sqrt(1 - 0.99), rel=1e-4)
@@ -244,7 +244,7 @@ class TestRmsprop:
         p = xavier_init(2)
         g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
         g.b3 = np.array([1.3])
-        st0 = RmspropState.init(p)
+        st0 = RmspropState.init(p, lr=0.01)
         p1, st1 = rmsprop_step(p, g, st0)
         _, st2 = rmsprop_step(p1, g, st1)
         rho = 0.99
@@ -255,7 +255,7 @@ class TestRmsprop:
         g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
         g.w2[0, 0] = np.nan
         with pytest.raises(NonFiniteGradient):
-            rmsprop_step(p, g, RmspropState.init(p))
+            rmsprop_step(p, g, RmspropState.init(p, lr=0.01))
 
 
 class TestGradientCheck:
@@ -411,6 +411,12 @@ def test_loss_de_in_bpm_per_minute_squared():
 def test_missing_checkpoint_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         load_checkpoint(tmp_path / "absent.json")
+
+
+def test_unwritable_checkpoint_is_io_failure(tmp_path):
+    # the directory is absent: open raised FileNotFoundError
+    with pytest.raises(IoFailure):
+        save_checkpoint(tmp_path / "absent" / "c.json", xavier_init(0), LambdaBounds(), 0, "h")
 
 
 class TestWorkspace:

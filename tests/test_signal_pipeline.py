@@ -158,6 +158,11 @@ class TestSavitzkyGolay:
         with pytest.raises(WindowTooLarge):
             savitzky_golay_smooth(series(np.ones(9)), window=11, polyorder=1)
 
+    def test_negative_order_rejected(self):
+        # an empty Vandermonde matrix raised IndexError
+        with pytest.raises(BadWindow):
+            savitzky_golay_smooth(series(np.ones(30)), window=5, polyorder=-1)
+
 
 class TestFirLowpass:
     def test_dc_gain_exactly_one(self):

@@ -169,7 +169,7 @@ class TestTrainPmbnn:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self, noisy_split):
-        cfg = TrainConfig(seed=4, learning_rate=1e160, max_epochs=50)
+        cfg = TrainConfig(seed=4, lr=1e160, max_epochs=50)
         model = train_pmbnn(noisy_split.train, cfg)
         assert model.stopped_reason == "divergence"
         for arr in model.mlp.arrays():
@@ -346,7 +346,7 @@ class TestFitPm:
 
 
 @pytest.mark.parametrize("make, key", [
-    (lambda: TrainConfig(learning_rate=-0.01), "train.lr"),        # trains uphill
+    (lambda: TrainConfig(lr=-0.01), "train.lr"),        # trains uphill
     (lambda: TrainConfig(de_weight=float("nan")), "train.de_weight"),
     (lambda: TrainConfig(stop_threshold=float("inf")), "train.stop_threshold"),
     (lambda: TrainConfig(max_epochs=0), "train.max_epochs"),
