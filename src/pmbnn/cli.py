@@ -152,11 +152,19 @@ def _config_hash(cfg: dict) -> str:
     ).hexdigest()
 
 
+def _make_dir(path: str) -> None:
+    """Create the directory ``path``; one that cannot be made is IoFailure."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def _write(path: str, data: bytes) -> None:
     """Write one artifact, creating its directory; a path that cannot be
     written (``--out`` names a file, no permission, ...) is IoFailure."""
+    _make_dir(os.path.dirname(path))
     try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as exc:
@@ -300,8 +308,11 @@ def cmd_train(args, cfg: dict) -> int:
     ecfg = ExperimentConfig(float(cfg["split.ratio"]), _section("train", cfg),
                             _section("pm", cfg))
     split = split_by_activity(rec, ecfg.split_ratio)
+    _make_dir(args.out)  # an unusable --out fails before the fit, not after it
     fitted = fit_model(args.model, split, ecfg)
-    # the predictions go first: their write creates --out
+    # echo and hash only the sections that the model's fit reads
+    read = ("split", "pm") if args.model == "pm" else ("split", "train")
+    cfg = {k: v for k, v in cfg.items() if k.split(".")[0] in read}
     _write_predictions(os.path.join(args.out, f"predictions_{args.model}.csv"),
                        MODEL_COLUMNS[args.model], _test_times(rec, split),
                        split.test.hr.values, fitted.predictions, split.test.activity_labels)

@@ -315,8 +315,8 @@ def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
     forward-only oracle that shares no code with the backward pass
     (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 1).
     Each weight or bias probe changes one hidden unit, so the probes are
-    grouped by unit and a group's perturbed predictions y + delta come
-    from one small stacked forward pass (:func:`_loss_differences`). At
+    grouped by unit and one stacked forward pass per block of units gives
+    their perturbed predictions y + delta (:func:`_loss_differences`). At
     fixed lambdas L_data is quadratic in y and the collocation residual
     affine, F(y + delta) = F(y) + A delta, so each numerator is taken
     exactly as sum (d+ - d-) (2 r + d+ + d-) over the data residuals r
@@ -326,17 +326,29 @@ def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
     product form over F with the exact logistic difference of lambda.
 
     Relative error per parameter: |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|).
+    The step ``h`` must be finite and positive, else InvalidStep.
     """
-    if h <= 0:
-        raise InvalidStep(f"step must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise InvalidStep(f"step must be finite and positive, got {h}")
     analytic = loss_and_gradients(p, batch)[3].flat
     fd = _loss_differences(p, batch, h).flat / (2.0 * h)
     denom = np.maximum(1e-12, np.abs(analytic) + np.abs(fd))
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
+#: hidden units per stacked probe pass. A block of [w1 | b1] probes is one
+#: (2, 8, 2, HIDDEN, n) array, 0.5 MB at the gradient check's n = 32; a pass
+#: works in place in it, as each fresh array that size costs page faults
+_PROBE_BLOCK = 8
+
+
 def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
-    """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k."""
+    """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k.
+
+    The [w1 | b1] and [w2 | b2] probes take one stacked tanh pass and one
+    ``diff`` per block of ``_PROBE_BLOCK`` hidden units; each row comes out
+    bit for bit as a pass over its unit alone would give it.
+    """
     x1, a1e, a2e = _layer_inputs(batch.vo2)
     y = _forward_full(p, x1, a1e, a2e)
     a1, a2 = a1e[:HIDDEN], a2e[:HIDDEN]
@@ -360,16 +372,25 @@ def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
         return np.sum(d * (two_r + s), axis=-1) / n + batch.de_weight * de / m
 
     out = _Tree._of(np.empty(_SIZE))
+    blocks = [slice(j, j + _PROBE_BLOCK) for j in range(0, HIDDEN, _PROBE_BLOCK)]
     # [w1 | b1] row j: unit j of layer 1 moves and layer 2 is recomputed,
-    # (2 signs, 2 probes, HIDDEN, n)
-    step = np.stack([h * x1, -h * x1])
-    for j in range(HIDDEN):
-        da1 = np.tanh(z1[j] + step) - a1[j]
-        out.layer1[j] = diff(*(w3 @ (np.tanh(z2 + da1[..., None, :] * p.w2[:, j, None]) - a2)))
-    # [w2 | b2] row i: unit i of layer 2 moves, (2 signs, HIDDEN + 1, n)
-    step = np.stack([h * a1e, -h * a1e])
-    for i in range(HIDDEN):
-        out.layer2[i] = diff(*(w3[i] * (np.tanh(z2[i] + step) - a2[i])))
+    # (2 signs, block, 2 probes, HIDDEN, n)
+    step = np.stack([h * x1, -h * x1])[:, None, :, None]
+    for u in blocks:
+        da1 = np.tanh(z1[u, None, None] + step) - a1[u, None, None]
+        t = da1 * p.w2.T[u, None, :, None]
+        t += z2
+        np.tanh(t, out=t)
+        t -= a2
+        out.layer1[u] = diff(*(w3 @ t))
+    # [w2 | b2] row i: unit i of layer 2 moves, (2 signs, block, HIDDEN + 1, n)
+    step = np.stack([h * a1e, -h * a1e])[:, None]
+    for u in blocks:
+        t = z2[u, None] + step
+        np.tanh(t, out=t)
+        t -= a2[u, None]
+        t *= w3[u, None, None]
+        out.layer2[u] = diff(*t)
     # [w3 | b3]: the output moves by the probe times the unit's activation
     out.layer3[:] = diff(h * a2e, -h * a2e)
     # theta[k] moves lambda k alone and leaves y, so only L_DE changes. F

@@ -676,8 +676,15 @@ def test_flag_for_a_section_the_subcommand_does_not_read_exits_two(
     ["evaluate", "--pred", "{pred}"],
     ["report", "--metrics", "{metrics}"],
 ], ids=lambda argv: argv[0])
-def test_out_naming_a_file_is_io_failure(pipeline_dirs, tmp_path, capsys, argv):
-    # os.makedirs raised FileExistsError, a traceback
+def test_out_naming_a_file_is_io_failure(pipeline_dirs, tmp_path, capsys, monkeypatch, argv):
+    # os.makedirs raised FileExistsError, a traceback; train found out only
+    # after the whole fit
+    from pmbnn import cli
+
+    def no_fit(*args):
+        raise AssertionError("fit before --out was checked")
+
+    monkeypatch.setattr(cli, "fit_model", no_fit)
     out = tmp_path / "taken"
     out.write_text("a regular file\n")
     assert run([a.format(**_artifacts(pipeline_dirs)) for a in argv]
@@ -686,19 +693,41 @@ def test_out_naming_a_file_is_io_failure(pipeline_dirs, tmp_path, capsys, argv):
     assert out.read_text() == "a regular file\n"
 
 
+def _train_manifests(pipeline_dirs, tmp_path, model, *flag_sets):
+    """The run manifest of one ``train`` run per set of flags; each checks
+    that the model's other artifact carries the manifest's config hash."""
+    manifests = []
+    for k, flags in enumerate(flag_sets):
+        out = tmp_path / f"{model}{k}"
+        assert run(["train", "--model", model, "--input", _artifacts(pipeline_dirs)["csv"],
+                    "--out", str(out), *flags]) == 0
+        manifests.append(json.loads((out / f"{model}_run_manifest.json").read_text()))
+        other = "pm_lambda.json" if model == "pm" else f"{model}_checkpoint.json"
+        assert json.loads((out / other).read_text())["config_hash"] == \
+            manifests[-1]["config_hash"]
+    return manifests
+
+
 def test_train_manifest_records_the_seed_flag(pipeline_dirs, tmp_path):
     # --seed trained with its seed but the manifest recorded train.seed 0
     # and the config hash of a run without it
-    manifests = []
-    for seed in (1, 2):
-        out = tmp_path / str(seed)
-        assert run(["train", "--model", "pm", "--input", _artifacts(pipeline_dirs)["csv"],
-                    "--out", str(out), "--pm.iters", "3", "--seed", str(seed)]) == 0
-        manifests.append(json.loads((out / "pm_run_manifest.json").read_text()))
-        assert json.loads((out / "pm_lambda.json").read_text())["config_hash"] == \
-            manifests[-1]["config_hash"]
+    manifests = _train_manifests(pipeline_dirs, tmp_path, "pmbnn",
+                                 *(["--train.max_epochs", "2", "--seed", s] for s in "12"))
     assert [m["config"]["train.seed"] for m in manifests] == [1, 2]
     assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+
+
+def test_train_hashes_only_the_sections_its_model_reads(pipeline_dirs, tmp_path):
+    # every model echoed and hashed every split, train and pm key, so a
+    # setting that its fit never reads moved its config hash
+    pm_runs = _train_manifests(pipeline_dirs, tmp_path, "pm",
+                               *(["--pm.iters", "3", "--seed", s] for s in "12"))
+    net_runs = _train_manifests(pipeline_dirs, tmp_path, "pmbnn",
+                                *(["--train.max_epochs", "2", "--pm.iters", i] for i in "35"))
+    for runs, sections in ((pm_runs, {"split", "pm"}), (net_runs, {"split", "train"})):
+        assert runs[0]["config_hash"] == runs[1]["config_hash"]
+        assert {k.split(".")[0] for k in runs[0]["config"]} == sections
+    assert pm_runs[0]["lambda"] == pm_runs[1]["lambda"]
 
 
 def test_negative_polyorder_exits_one(pipeline_dirs, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import decimal
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,64 @@ class TestRmsprop:
             rmsprop_step(p, g, RmspropState.init(p, lr=0.01))
 
 
+def per_unit_loss_differences(p, batch, h):
+    """The FD tree with one stacked pass per hidden unit: the reference that
+    the passes over blocks of units must match bit for bit."""
+    x1, a1e, a2e = nn_core._layer_inputs(batch.vo2)
+    y = nn_core._forward_full(p, x1, a1e, a2e)
+    a1, a2 = a1e[:nn_core.HIDDEN], a2e[:nn_core.HIDDEN]
+    z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
+    lam = batch._lo + (batch._hi - batch._lo) * nn_core.sigmoid(p.theta)
+    two_r = 2.0 * (y - batch.hr)
+    two_f = [2.0 * f for f in pm.collocation_residuals(
+        y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam)]
+    m = sum(len(f) for f in two_f)
+    lam_a = np.append(lam[:5], 0.0)  # l6 = 0 leaves the linear part A
+
+    def apply_a(v):
+        return pm.collocation_residuals(
+            v, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a)
+
+    def diff(plus, minus):
+        # L(y + plus) - L(y + minus) for stacked prediction changes (..., n)
+        d, s = plus - minus, plus + minus
+        de = sum(np.sum(u * (f + v), axis=-1)
+                 for u, v, f in zip(apply_a(d), apply_a(s), two_f))
+        return np.sum(d * (two_r + s), axis=-1) / n + batch.de_weight * de / m
+
+    out = nn_core._Tree._of(np.empty(nn_core._SIZE))
+    # [w1 | b1] row j: unit j of layer 1 moves and layer 2 is recomputed,
+    # (2 signs, 2 probes, HIDDEN, n)
+    step = np.stack([h * x1, -h * x1])
+    for j in range(nn_core.HIDDEN):
+        da1 = np.tanh(z1[j] + step) - a1[j]
+        out.layer1[j] = diff(*(w3 @ (np.tanh(z2 + da1[..., None, :] * p.w2[:, j, None]) - a2)))
+    # [w2 | b2] row i: unit i of layer 2 moves, (2 signs, HIDDEN + 1, n)
+    step = np.stack([h * a1e, -h * a1e])
+    for i in range(nn_core.HIDDEN):
+        out.layer2[i] = diff(*(w3[i] * (np.tanh(z2[i] + step) - a2[i])))
+    # [w3 | b3]: the output moves by the probe times the unit's activation
+    out.layer3[:] = diff(h * a2e, -h * a2e)
+    # theta[k] moves lambda k alone and leaves y, so only L_DE changes
+    width = batch._hi - batch._lo
+    up = -width * nn_core.sigmoid(p.theta + h) * nn_core.sigmoid(-p.theta) * np.expm1(-h)
+    down = -width * nn_core.sigmoid(p.theta) * nn_core.sigmoid(h - p.theta) * np.expm1(-h)
+    own = np.eye(6, dtype=bool)
+    rows = np.vstack([np.where(own, 1.0, lam), np.where(own, 0.0, lam)])
+    ones_zeros = pm.collocation_residuals(
+        y, batch._log_vo2, batch.segment_bounds, batch._dt_min, rows.T[..., None])
+    de = np.zeros(6)
+    for f, tf in zip(ones_zeros, two_f):
+        c = f[:6] - f[6:]
+        de += np.sum(c * (tf + (up - down)[:, None] * c), axis=-1)
+    out.theta[:] = batch.de_weight * (up + down) * de / m
+    return out
+
+
+def without_de(p, batch):
+    return p, replace(batch, de_weight=0.0)
+
+
 class TestGradientCheck:
     def test_effectively_linear_network_is_exact(self):
         # zero weights leave only the constant output path: the loss is an
@@ -362,6 +421,33 @@ class TestGradientCheck:
         p, batch = make_gradcheck_case(0)
         with pytest.raises(InvalidStep):
             gradient_check(p, batch, 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-5])
+    def test_non_finite_or_negative_step_rejected(self, h):
+        # nan and inf returned nan with RuntimeWarnings
+        p, batch = make_gradcheck_case(0)
+        with pytest.raises(InvalidStep):
+            gradient_check(p, batch, h)
+
+    @pytest.mark.parametrize("block", [1, 5, nn_core._PROBE_BLOCK, 64])
+    @pytest.mark.parametrize("case", [
+        lambda: make_gradcheck_case(0),
+        lambda: random_case(((0, 15), (15, 30))),
+        lambda: random_case(((0, 3), (3, 10), (10, 30))),
+        lambda: without_de(*make_gradcheck_case(0)),
+    ], ids=["gradcheck_case_0", "two_segments", "uneven_segments", "de_weight_0"])
+    def test_blocked_probes_match_per_unit_passes(self, monkeypatch, case, block):
+        # a block's rows run the per-unit arithmetic on stacked arrays, so the
+        # FD tree is the same bit for bit; block 5 leaves a ragged last block
+        p, batch = case()
+        monkeypatch.setattr(nn_core, "_PROBE_BLOCK", block)
+        np.testing.assert_array_equal(nn_core._loss_differences(p, batch, 1e-5).flat,
+                                      per_unit_loss_differences(p, batch, 1e-5).flat)
+
+    def test_fifty_seeds_print_as_with_per_unit_passes(self, monkeypatch):
+        blocked = [f"{run_gradcheck(seed):.3e}" for seed in range(50)]
+        monkeypatch.setattr(nn_core, "_loss_differences", per_unit_loss_differences)
+        assert blocked == [f"{run_gradcheck(seed):.3e}" for seed in range(50)]
 
 
 def test_checkpoint_round_trip(tmp_path):
