@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -56,6 +57,9 @@ DEFAULTS = {**{f"{section}.{f.name}": f.default
                for section, cls in SECTIONS.items() for f in fields(cls)},
             "split.ratio": ExperimentConfig.split_ratio}
 
+#: the config sections that each model's fit reads
+MODEL_SECTIONS = {"pmbnn": ("split", "train"), "fcnn": ("split", "train"), "pm": ("split", "pm")}
+
 MODEL_COLUMNS = {
     "pmbnn": "hr_pmbnn",
     "fcnn": "hr_fcnn",
@@ -69,13 +73,15 @@ JOINED_HEADER = ["t_s", "hr_true", "hr_pmbnn", "hr_fcnn", "hr_pm",
 SYNTH_DEFAULT_LAMBDA = LambdaParams(0.025, 0.08, -2.8, 19.0, 0.44, 0.1)
 
 
-def _resolve_config(path: str | None, extras: list[str], sections: tuple[str, ...]) -> dict:
+def _resolve_config(path: str | None, extras: list[str], sections: tuple[str, ...],
+                    reader: str) -> dict:
     """DEFAULTS, then the ``--config`` file, then ``--section.key`` flags.
 
     Raises ValueError for a usage error: an unreadable or malformed config
     file, a malformed flag, a key outside DEFAULTS, a value whose type
-    does not fit its default, or a flag outside ``sections`` (the file may
-    hold any key, so one file serves the whole pipeline).
+    does not fit its default, or a flag outside ``sections``, the sections
+    that ``reader`` reads (the file may hold any key, so one file serves
+    the whole pipeline).
     """
     cfg = dict(DEFAULTS)
     flagged = []
@@ -116,7 +122,7 @@ def _resolve_config(path: str | None, extras: list[str], sections: tuple[str, ..
                              f"got {value!r}")
     unread = [k for k in flagged if k.split(".")[0] not in sections]
     if unread:
-        raise ValueError(f"{' '.join('--' + k for k in unread)}: this subcommand reads "
+        raise ValueError(f"{' '.join('--' + k for k in unread)}: {reader} reads "
                          f"only {', '.join(s + '.*' for s in sections)} settings")
     return cfg
 
@@ -311,8 +317,7 @@ def cmd_train(args, cfg: dict) -> int:
     _make_dir(args.out)  # an unusable --out fails before the fit, not after it
     fitted = fit_model(args.model, split, ecfg)
     # echo and hash only the sections that the model's fit reads
-    read = ("split", "pm") if args.model == "pm" else ("split", "train")
-    cfg = {k: v for k, v in cfg.items() if k.split(".")[0] in read}
+    cfg = {k: v for k, v in cfg.items() if k.split(".")[0] in args.sections}
     _write_predictions(os.path.join(args.out, f"predictions_{args.model}.csv"),
                        MODEL_COLUMNS[args.model], _test_times(rec, split),
                        split.test.hr.values, fitted.predictions, split.test.activity_labels)
@@ -465,7 +470,10 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     return 0 if err <= 1e-4 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pmbnn`` parser, built on first use and shared by every later
+    :func:`main` call in the process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="pmbnn",
         description="Physiological-model-based neural network pipeline",
@@ -498,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=("pmbnn", "fcnn", "pm"))
     p.add_argument("--input", required=True, help="preprocessed subject CSV")
     common(p, seed=True)
-    p.set_defaults(func=cmd_train, sections=("split", "train", "pm"))
+    p.set_defaults(func=cmd_train)  # sections: MODEL_SECTIONS[model]
 
     p = sub.add_parser("reconstruct", help="PM with lambdas from a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -525,13 +533,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("PMBNN_LOG", "WARNING"))
     parser = build_parser()
+    level = os.environ.get("PMBNN_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        parser.error(f"PMBNN_LOG: unknown log level {level!r}; "
+                     "use DEBUG, INFO, WARNING, ERROR or CRITICAL")
+    logging.basicConfig(level=level.upper())
     args, extras = parser.parse_known_args(argv)
+    reader = args.command
+    if args.command == "train":
+        args.sections = MODEL_SECTIONS[args.model]
+        reader += f" --model {args.model}"
     if extras and not args.sections:
         parser.error(f"{args.command} takes no configuration: {' '.join(extras)}")
     try:
-        cfg = _resolve_config(getattr(args, "config", None), extras, args.sections)
+        cfg = _resolve_config(getattr(args, "config", None), extras, args.sections, reader)
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "train" and args.seed is not None:

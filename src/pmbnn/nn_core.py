@@ -345,8 +345,9 @@ _PROBE_BLOCK = 8
 def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
     """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k.
 
-    The [w1 | b1] and [w2 | b2] probes take one stacked tanh pass and one
-    ``diff`` per block of ``_PROBE_BLOCK`` hidden units; each row comes out
+    The [w1 | b1] and [w2 | b2] probes take one stacked tanh pass per block
+    of ``_PROBE_BLOCK`` hidden units, and ``diff`` scores all [w1 | b1]
+    blocks at once and each [w2 | b2] block on its own; each row comes out
     bit for bit as a pass over its unit alone would give it.
     """
     x1, a1e, a2e = _layer_inputs(batch.vo2)
@@ -360,29 +361,31 @@ def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
     m = sum(len(f) for f in two_f)
     lam_a = np.append(lam[:5], 0.0)  # l6 = 0 leaves the linear part A
 
-    def apply_a(v):
-        return pm.collocation_residuals(
-            v, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a)
-
     def diff(plus, minus):
-        # L(y + plus) - L(y + minus) for stacked prediction changes (..., n)
-        d, s = plus - minus, plus + minus
-        de = sum(np.sum(u * (f + v), axis=-1)
-                 for u, v, f in zip(apply_a(d), apply_a(s), two_f))
+        # L(y + plus) - L(y + minus) for stacked prediction changes (..., n);
+        # one residual call scores d = plus - minus and s = plus + minus
+        ds = np.empty((2,) + plus.shape)
+        d, s = np.subtract(plus, minus, out=ds[0]), np.add(plus, minus, out=ds[1])
+        res = pm.collocation_residuals(
+            ds, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a)
+        de = sum(np.sum(ad * (f + as_), axis=-1) for (ad, as_), f in zip(res, two_f))
         return np.sum(d * (two_r + s), axis=-1) / n + batch.de_weight * de / m
 
     out = _Tree._of(np.empty(_SIZE))
     blocks = [slice(j, j + _PROBE_BLOCK) for j in range(0, HIDDEN, _PROBE_BLOCK)]
     # [w1 | b1] row j: unit j of layer 1 moves and layer 2 is recomputed,
-    # (2 signs, block, 2 probes, HIDDEN, n)
+    # (2 signs, block, 2 probes, HIDDEN, n); the output changes of all
+    # blocks, (2 signs, HIDDEN, 2 probes, n), take one diff
     step = np.stack([h * x1, -h * x1])[:, None, :, None]
+    dy1 = np.empty((2, HIDDEN, 2, n))
     for u in blocks:
         da1 = np.tanh(z1[u, None, None] + step) - a1[u, None, None]
         t = da1 * p.w2.T[u, None, :, None]
         t += z2
         np.tanh(t, out=t)
         t -= a2
-        out.layer1[u] = diff(*(w3 @ t))
+        np.matmul(w3, t, out=dy1[:, u])
+    out.layer1[:] = diff(*dy1)
     # [w2 | b2] row i: unit i of layer 2 moves, (2 signs, block, HIDDEN + 1, n)
     step = np.stack([h * a1e, -h * a1e])[:, None]
     for u in blocks:

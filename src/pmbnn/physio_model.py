@@ -170,10 +170,10 @@ def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> li
     lambdas as a plain sequence. This is the one discretization of the
     dynamics that the training loss and the PM fit both use.
 
-    ``hr`` may carry leading batch axes, (K, n) for K series on one vo2
-    grid; each lambda is then a scalar or a (K, 1) column, and every
-    residual is (K, len-2), row k bit for bit the 1-D call on ``hr[k]``
-    with the lambdas of row k.
+    ``hr`` may carry leading batch axes, (..., n) for series on one vo2
+    grid; each lambda is then a scalar or, for (K, n), a (K, 1) column,
+    and every residual is (..., len-2), each row bit for bit the 1-D call
+    on that row of ``hr`` with its lambdas.
     """
     l1, l2, l3, l4, l5, l6 = lam
     residuals = []

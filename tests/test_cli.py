@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmbnn.cli import DEFAULTS, MODEL_COLUMNS, main
+from pmbnn.cli import DEFAULTS, MODEL_COLUMNS, MODEL_SECTIONS, main
 
 
 def run(argv):
@@ -277,9 +277,15 @@ class TestErrorPaths:
 ])
 def test_out_of_range_config_value_exits_one(pipeline_dirs, tmp_path, capsys,
                                              model, key, value):
+    # a key of a section the model does not read comes from a config file,
+    # as a flag for it is a usage error
+    setting = [f"--{key}", value]
+    if key.split(".")[0] not in MODEL_SECTIONS[model]:
+        (tmp_path / "run.json").write_text(f'{{"{key}": {value}}}')
+        setting = ["--config", str(tmp_path / "run.json")]
     argv = ["train", "--model", model,
             "--input", str(pipeline_dirs["prep"] / "preprocessed.csv"),
-            "--out", str(tmp_path / "t"), f"--{key}", value]
+            "--out", str(tmp_path / "t"), *setting]
     assert run(argv) == 1
     assert key in capsys.readouterr().err
 
@@ -560,6 +566,19 @@ def test_log_env_variable(tmp_path, monkeypatch, caplog):
     assert any("synthesized" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("value, code", [
+    ("info", 0), ("Debug", 0), ("warning", 0),
+    ("LOUD", 2), ("", 2), ("10", 2),
+])
+def test_log_env_variable_any_case_or_usage_error(monkeypatch, capsys, value, code):
+    # a lowercase or unknown level ended in a ValueError traceback from
+    # logging.basicConfig
+    monkeypatch.setenv("PMBNN_LOG", value)
+    assert _exit_code(["gradcheck", "--seed", "2"]) == code
+    if code:
+        assert f"PMBNN_LOG: unknown log level {value!r}" in capsys.readouterr().err
+
+
 def test_public_api_experiment_smoke():
     from pmbnn import experiment, training
     from pmbnn.physio_model import LambdaParams
@@ -594,9 +613,11 @@ def test_train_and_library_share_one_fit_path(tmp_path):
                 "--noise-hr", "2.0"]) == 0
     csv_path = tmp_path / "s" / "synthetic.csv"
     train = tmp_path / "t"
+    budget = {"pmbnn": ["--train.max_epochs", "40"], "fcnn": ["--train.max_epochs", "40"],
+              "pm": ["--pm.iters", "20"]}
     for model in ("pmbnn", "fcnn", "pm"):
         assert run(["train", "--model", model, "--input", str(csv_path), "--out", str(train),
-                    "--seed", "3", "--train.max_epochs", "40", "--pm.iters", "20"]) == 0
+                    "--seed", "3", *budget[model]]) == 0
 
     rec = resample_linear_1hz(parse_recording_csv(csv_path.read_bytes(), "synthetic"))
     cfg = experiment.ExperimentConfig(train=training.TrainConfig(max_epochs=40, seed=3),
@@ -654,6 +675,11 @@ def _artifacts(pipeline_dirs) -> dict[str, str]:
     (["synth"], "train.max_epochs"),
     (["preprocess", "--input", "{csv}"], "pm.iters"),
     (["reconstruct", "--checkpoint", "{ckpt}", "--input", "{csv}"], "train.lr"),
+    # train took the split, train and pm sections for every model
+    (["train", "--model", "pm", "--input", "{csv}"], "train.max_epochs"),
+    (["train", "--model", "pm", "--input", "{csv}"], "train.seed"),
+    (["train", "--model", "pmbnn", "--input", "{csv}"], "pm.iters"),
+    (["train", "--model", "fcnn", "--input", "{csv}"], "pm.proximal"),
 ])
 def test_flag_for_a_section_the_subcommand_does_not_read_exits_two(
         pipeline_dirs, tmp_path, capsys, argv, key):
@@ -663,7 +689,10 @@ def test_flag_for_a_section_the_subcommand_does_not_read_exits_two(
         run([a.format(**_artifacts(pipeline_dirs)) for a in argv]
             + ["--out", str(out), f"--{key}", "3"])
     assert exc.value.code == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    if argv[0] == "train":
+        assert f"train --model {argv[2]} reads only" in err
     assert not out.exists()
 
 
@@ -719,15 +748,47 @@ def test_train_manifest_records_the_seed_flag(pipeline_dirs, tmp_path):
 
 def test_train_hashes_only_the_sections_its_model_reads(pipeline_dirs, tmp_path):
     # every model echoed and hashed every split, train and pm key, so a
-    # setting that its fit never reads moved its config hash
+    # setting that its fit never reads moved its config hash; a config
+    # file may hold such a key, a flag may not
     pm_runs = _train_manifests(pipeline_dirs, tmp_path, "pm",
                                *(["--pm.iters", "3", "--seed", s] for s in "12"))
+    configs = []
+    for iters in (3, 5):
+        configs.append(tmp_path / f"pm_iters_{iters}.json")
+        configs[-1].write_text(json.dumps({"pm.iters": iters}))
     net_runs = _train_manifests(pipeline_dirs, tmp_path, "pmbnn",
-                                *(["--train.max_epochs", "2", "--pm.iters", i] for i in "35"))
+                                *(["--train.max_epochs", "2", "--config", str(c)]
+                                  for c in configs))
     for runs, sections in ((pm_runs, {"split", "pm"}), (net_runs, {"split", "train"})):
         assert runs[0]["config_hash"] == runs[1]["config_hash"]
         assert {k.split(".")[0] for k in runs[0]["config"]} == sections
     assert pm_runs[0]["lambda"] == pm_runs[1]["lambda"]
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(
+        pipeline_dirs, tmp_path, capsys):
+    from pmbnn import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["gradcheck", "--seed", "3"]) == 0
+    assert run(["gradcheck"]) == 0
+    seeds = [line.split("(seed ")[1].split(")")[0]
+             for line in capsys.readouterr().out.splitlines()]
+    assert seeds == ["3", "0"]
+    # a call that exits 2 after --seed parsed leaves the next call as it was
+    with pytest.raises(SystemExit) as exc:
+        run(["gradcheck", "--seed", "5", "--train.lr", "1"])
+    assert exc.value.code == 2
+    assert run(["gradcheck"]) == 0
+    assert "(seed 0)" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "--model", "pmbnn", "--input", _artifacts(pipeline_dirs)["csv"],
+             "--out", str(tmp_path / "x"), "--seed", "7", "--pm.iters", "3"])
+    assert exc.value.code == 2
+    manifests = _train_manifests(pipeline_dirs, tmp_path, "pmbnn",
+                                 ["--train.max_epochs", "2", "--seed", "5"],
+                                 ["--train.max_epochs", "2"])
+    assert [m["config"]["train.seed"] for m in manifests] == [5, DEFAULTS["train.seed"]]
 
 
 def test_negative_polyorder_exits_one(pipeline_dirs, tmp_path, capsys):
@@ -748,9 +809,7 @@ _COMMANDS = {
     "preprocess": (["--input", "{path}"], ("filter",)),
     "synth": ([], ()),
     "split": (["--input", "{path}"], ("split",)),
-    "train": (["--model", "{model}", "--input", "{path}",
-               "--train.max_epochs", "{small}", "--pm.iters", "{small}"],
-              ("split", "train", "pm")),
+    "train": (["--model", "{model}", "--input", "{path}"], None),  # MODEL_SECTIONS
     "reconstruct": (["--checkpoint", "{path}", "--input", "{path}"], ("split",)),
     "evaluate": (["--pred", "{path}"], ()),
     "report": (["--metrics", "{path}"], ()),
@@ -769,6 +828,10 @@ def _argv(draw):
              "{model}": st.sampled_from(["pmbnn", "fcnn", "pm"]),
              "{small}": st.sampled_from(["1", "2", "3"])}
     argv = [command] + [draw(drawn[a]) if a in drawn else a for a in inputs]
+    if command == "train":  # the model's own sections, with a small budget
+        sections = MODEL_SECTIONS[argv[2]]
+        argv += ["--train.max_epochs" if "train" in sections else "--pm.iters",
+                 draw(drawn["{small}"])]
     if command != "gradcheck":
         argv += ["--out", draw(st.sampled_from(["{out}", "{out}", "{taken}"]))]
     read = [k for k in sorted(DEFAULTS) if k.split(".")[0] in sections]

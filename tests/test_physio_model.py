@@ -187,6 +187,15 @@ def test_collocation_residuals_batch_axis_matches_rows():
         flat = collocation_residuals(hr[row], log_vo2, segs, 1 / 60, lam[row])
         for got, want in zip(stacked, flat):
             assert np.array_equal(got[row], want)
+    # a (2, K, n) stack with scalar lambdas, the gradient check's call shape
+    pairs = 70.0 + 30.0 * rng.uniform(size=(2, k, 40))
+    stacked = collocation_residuals(pairs, log_vo2, segs, 1 / 60, lam[0])
+    for j in range(2):
+        for row in range(k):
+            flat = collocation_residuals(pairs[j, row], log_vo2, segs, 1 / 60, lam[0])
+            for got, want in zip(stacked, flat):
+                assert got.shape == (2, k, len(want))
+                assert np.array_equal(got[j, row], want)
 
 
 class TestModelInvariants:
