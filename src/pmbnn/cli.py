@@ -239,12 +239,18 @@ def cmd_preprocess(args, cfg: dict) -> int:
     return 0
 
 
+def _whole_seconds(value) -> int:
+    if not float(value).is_integer():
+        raise OutOfBounds(f"duration_s must be a whole number of seconds, got {value!r}")
+    return int(float(value))
+
+
 def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
     payload = _read_json(path)
     with malformed_fields(path):
         plan = tuple(
-            ActivityPhase(p["label"], int(p["duration_s"]), float(p["target_vo2"]),
-                          float(p.get("tau_s", 30.0)))
+            ActivityPhase(p["label"], _whole_seconds(p["duration_s"]),
+                          float(p["target_vo2"]), float(p.get("tau_s", 30.0)))
             for p in payload["plan"]
         )
         return SyntheticSpec(
@@ -538,7 +544,8 @@ def main(argv=None) -> int:
     if not isinstance(logging.getLevelName(level.upper()), int):
         parser.error(f"PMBNN_LOG: unknown log level {level!r}; "
                      "use DEBUG, INFO, WARNING, ERROR or CRITICAL")
-    logging.basicConfig(level=level.upper())
+    logging.basicConfig()   # a stderr handler, unless one is installed already
+    log.setLevel(level.upper())
     args, extras = parser.parse_known_args(argv)
     reader = args.command
     if args.command == "train":

@@ -103,10 +103,6 @@ class ZeroVariance(PmbnnError):
     """Effect size undefined: paired differences have zero variance."""
 
 
-class DegenerateDesign(PmbnnError):
-    """Regression design matrix is rank-deficient or invalid."""
-
-
 class IoFailure(PmbnnError):
     """An input file could not be read, or an output could not be written."""
 

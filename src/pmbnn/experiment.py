@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn_core, physio_model, stats_eval, training
-from .errors import NonPositiveVo2, OutOfBounds, SegmentTooShort
+from .errors import OutOfBounds, SegmentTooShort
 from .physio_model import LambdaBounds, LambdaParams
 from .signal_pipeline import SubjectRecord, UniformSeries, segments_from_labels
-from .training import PmFitConfig, TrainConfig
+from .training import PmFitConfig, TrainConfig, _require
 
 
 @dataclass(frozen=True)
@@ -128,14 +128,18 @@ class SyntheticSpec:
     bounds: LambdaBounds = field(default_factory=LambdaBounds)
 
     def __post_init__(self):
-        for phase in self.plan:
-            if phase.target_vo2 <= 0:
-                raise NonPositiveVo2(f"target vo2 must be > 0: {phase}")
+        positive = {"hr0": self.hr0}
+        for i, phase in enumerate(self.plan):
+            positive |= {f"plan[{i}].target_vo2": phase.target_vo2, f"plan[{i}].tau_s": phase.tau_s}
             if phase.duration_s < 60:
                 raise SegmentTooShort(f"phase shorter than 60 s: {phase}")
+        for name, value in positive.items():
+            _require(math.isfinite(value) and value > 0, name, value, "finite and > 0")
+        for name in ("noise_sigma_hr", "noise_sigma_vo2"):
+            value = getattr(self, name)
+            _require(math.isfinite(value) and value >= 0, name, value, "finite and >= 0")
         self.bounds.require_inside(self.lambda_true)
-        if self.seed < 0:
-            raise OutOfBounds(f"seed must be >= 0, got {self.seed!r}")
+        _require(self.seed >= 0, "seed", self.seed, ">= 0")
 
 
 #: default plan: resting, then cycling and running at two intensities each

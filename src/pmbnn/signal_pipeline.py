@@ -142,9 +142,6 @@ class SubjectRecord:
     def __len__(self) -> int:
         return len(self.vo2)
 
-    def segment_labels(self) -> tuple[str, ...]:
-        return tuple(self.activity_labels[a] for a, _ in self.vo2.segment_bounds)
-
 
 @dataclass(frozen=True)
 class FilterConfig:

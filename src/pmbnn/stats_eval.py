@@ -2,8 +2,8 @@
 
 R^2 / RMSE per subject and model, one-tailed Wilcoxon signed-rank tests
 (exact enumeration for small tie-free samples, normal approximation with
-tie and continuity corrections otherwise), paired Cohen's d, logarithmic
-and linear least-squares utilities, and CSV/JSON report writers.
+tie and continuity corrections otherwise), paired Cohen's d, and CSV/JSON
+report writers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     AllZeroDifferences,
     ConstantReference,
-    DegenerateDesign,
     EmptyInput,
     EmptySeries,
     IoFailure,
@@ -215,73 +214,6 @@ def summary_stats(values) -> tuple[float, float, float]:
     if arr.size == 0:
         raise EmptyInput("summary_stats needs at least one value")
     return float(np.median(arr)), float(arr.max()), float(arr.min())
-
-
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    xbar, ybar = x.mean(), y.mean()
-    sxx = float(np.sum((x - xbar) ** 2))
-    if sxx == 0:
-        raise DegenerateDesign("regressor values are all equal")
-    slope = float(np.sum((x - xbar) * (y - ybar))) / sxx
-    return slope, ybar - slope * xbar
-
-
-def log_curve_fit(xs, ys) -> tuple[float, float, float]:
-    """OLS of ys on ln(xs): returns (slope, intercept, fit R^2)."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or len(x) < 2:
-        raise DegenerateDesign("need >= 2 aligned samples")
-    if np.any(x <= 0):
-        raise DegenerateDesign("log fit requires positive x values")
-    lx = np.log(x)
-    slope, intercept = _ols(lx, y)
-    fitted = slope * lx + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r2
-
-
-@dataclass(frozen=True)
-class LinearFitCi:
-    slope: float
-    intercept: float
-    lower: np.ndarray
-    upper: np.ndarray
-    coverage: float
-
-
-def linear_fit_ci(xs, ys, level: float = 0.95, band: str = "mean") -> LinearFitCi:
-    """OLS fit with a pointwise confidence band and its empirical coverage.
-
-    ``band="mean"`` gives the mean-response CI; ``band="prediction"``
-    widens it by the residual variance term. Coverage is the fraction of
-    observed ys inside the band.
-    """
-    # imported here: scipy.stats costs over a second to import, and nothing
-    # else in the package needs it
-    from scipy.stats import t as student_t
-
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    n = len(x)
-    if x.shape != y.shape or n < 3:
-        raise DegenerateDesign("need >= 3 aligned samples")
-    if band not in ("mean", "prediction"):
-        raise DegenerateDesign(f"band must be mean|prediction, got {band}")
-    slope, intercept = _ols(x, y)
-    fitted = slope * x + intercept
-    resid = y - fitted
-    s2 = float(resid @ resid) / (n - 2)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    lever = 1.0 / n + (x - x.mean()) ** 2 / sxx
-    if band == "prediction":
-        lever = lever + 1.0
-    half = student_t.ppf(0.5 + level / 2.0, n - 2) * np.sqrt(s2 * lever)
-    lower, upper = fitted - half, fitted + half
-    coverage = float(np.mean((y >= lower) & (y <= upper)))
-    return LinearFitCi(slope, intercept, lower, upper, coverage)
 
 
 # --- report assembly -------------------------------------------------------

@@ -32,7 +32,8 @@ class LossBreakdown:
     """One epoch's loss components: l_tot = l_data + w * l_de.
 
     l_data is in bpm^2; l_de is the mean squared collocation residual in
-    (bpm/min)^2, the unit of :func:`loss_de` and of the PM fit.
+    (bpm/min)^2, the unit of :func:`physio_model.de_residual_series` and of
+    the PM fit.
     """
 
     l_data: float
@@ -90,12 +91,6 @@ def loss_data(hr_pred, hr_data) -> float:
         raise EmptySeries("loss_data needs at least one sample")
     d = pred - data
     return float(d @ d) / len(d)
-
-
-def loss_de(hr_pred: UniformSeries, vo2: UniformSeries, lam: LambdaParams) -> float:
-    """Mean squared collocation residual over interior samples ((bpm/min)^2)."""
-    res = physio_model.de_residual_series(hr_pred, vo2, lam)
-    return float(res @ res) / len(res)
 
 
 def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> TrainedModel:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import tempfile
@@ -555,6 +556,47 @@ class TestSynthSpecFile:
         spec_path.write_text(json.dumps(spec))
         assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 1
         assert "OutOfBounds: seed" in capsys.readouterr().err
+
+
+SPEC = {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
+        "lambda_true": [0.02, 0.1, -5.3, 10.5, 0.44, 0.1]}
+
+
+@pytest.mark.parametrize("flags, spec, field", [
+    (["--noise-hr", "-2"], None, "noise_sigma_hr"),
+    (["--noise-hr", "nan"], None, "noise_sigma_hr"),
+    ([], {"noise_sigma_vo2": -1}, "noise_sigma_vo2"),
+    ([], {"hr0": -70}, "hr0"),
+    ([], {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4, "tau_s": 0}]},
+     "plan[0].tau_s"),
+    ([], {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": math.nan}]},
+     "plan[0].target_vo2"),
+    ([], {"plan": [{"label": "rest", "duration_s": 90.7, "target_vo2": 0.4}]}, "duration_s"),
+], ids=["noise-hr-negative", "noise-hr-nan", "noise-vo2-negative", "hr0-negative",
+        "tau-zero", "target-vo2-nan", "duration-fractional"])
+def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, field):
+    # each of these was ignored, truncated or written into the CSV with exit 0,
+    # or ended in an error that named no setting
+    if spec is not None:
+        (tmp_path / "spec.json").write_text(json.dumps({**SPEC, **spec}))
+        flags = ["--spec", str(tmp_path / "spec.json")]
+    assert run(["synth", "--out", str(tmp_path / "o"), *flags]) == 1
+    assert f"OutOfBounds: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_log_level_follows_env_on_every_call(tmp_path, monkeypatch, caplog):
+    # no caplog.at_level: main alone must set the pmbnn logger's level
+    synthesized = []
+    for value in (None, "INFO", None):
+        if value is None:
+            monkeypatch.delenv("PMBNN_LOG", raising=False)
+        else:
+            monkeypatch.setenv("PMBNN_LOG", value)
+        caplog.clear()
+        assert run(["synth", "--out", str(tmp_path / "s"), "--seed", "1"]) == 0
+        synthesized.append(any("synthesized" in r.message for r in caplog.records))
+    assert synthesized == [False, True, False]
 
 
 def test_log_env_variable(tmp_path, monkeypatch, caplog):

@@ -107,7 +107,8 @@ class TestResample:
         )
         out = resample_linear_1hz(parse_recording_csv(csv_bytes(rows)))
         assert len(out.vo2.segment_bounds) == 3
-        assert out.segment_labels() == ("rest", "cycle", "run")
+        assert tuple(out.activity_labels[a] for a, _ in out.vo2.segment_bounds) == (
+            "rest", "cycle", "run")
 
     def test_label_from_nearest_preceding_sample(self):
         rows = ["0.0,1.0,60,rest", "2.5,1.0,60,run", "4.0,1.0,60,run"]

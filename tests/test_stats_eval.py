@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pmbnn.errors import (
     AllZeroDifferences,
     ConstantReference,
-    DegenerateDesign,
     EmptyInput,
     EmptySeries,
     LengthMismatch,
@@ -24,8 +23,6 @@ from pmbnn.stats_eval import (
     build_eval_report,
     cohens_d_paired,
     emit_report,
-    linear_fit_ci,
-    log_curve_fit,
     r_squared,
     rmse,
     score_predictions,
@@ -87,21 +84,6 @@ class TestScorePredictions:
     def test_label_count_mismatch(self):
         with pytest.raises(LengthMismatch):
             score_predictions([1.0, 2.0], [1.0, 2.0], ["a"])
-
-
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes over a second to import; only linear_fit_ci needs it
-    import os
-    import subprocess
-    import sys
-
-    import pmbnn
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pmbnn.__file__)))
-    code = ("import sys, pmbnn, pmbnn.cli; "
-            "sys.exit(1 if 'scipy.stats' in sys.modules else 0)")
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert done.returncode == 0
 
 
 class TestRmse:
@@ -289,108 +271,6 @@ class TestSummaryStats:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             summary_stats([])
-
-
-class TestLogCurveFit:
-    def test_exact_recovery(self):
-        xs = np.linspace(0.3, 3.5, 40)
-        ys = 0.02 * np.log(xs) + 0.1
-        slope, intercept, r2 = log_curve_fit(xs, ys)
-        assert slope == pytest.approx(0.02, rel=1e-10)
-        assert intercept == pytest.approx(0.1, rel=1e-10)
-        assert r2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_two_points_interpolated(self):
-        slope, intercept, r2 = log_curve_fit([1.0, math.e], [5.0, 9.0])
-        assert slope == pytest.approx(4.0, rel=1e-12)
-        assert intercept == pytest.approx(5.0, rel=1e-12)
-        assert r2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_normal_equations_oracle(self):
-        rng = np.random.default_rng(36)
-        xs = rng.uniform(0.3, 3.5, 60)
-        ys = -5.3 * np.log(xs) + 10.5 + rng.normal(0, 0.5, 60)
-        slope, intercept, _ = log_curve_fit(xs, ys)
-        # independent 2x2 normal-equations solve
-        u = np.log(xs)
-        A = np.array([[np.sum(u * u), np.sum(u)], [np.sum(u), len(u)]])
-        b = np.array([np.sum(u * ys), np.sum(ys)])
-        sl, ic = np.linalg.solve(A, b)
-        assert slope == pytest.approx(sl, rel=1e-10)
-        assert intercept == pytest.approx(ic, rel=1e-10)
-
-    def test_nonpositive_x_rejected(self):
-        with pytest.raises(DegenerateDesign):
-            log_curve_fit([0.0, 1.0], [1.0, 2.0])
-
-    def test_degenerate_design(self):
-        with pytest.raises(DegenerateDesign):
-            log_curve_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def oracle_coverage(x, y, level=0.95, band="mean"):
-    """Independent CI-coverage oracle via the hat-matrix formulation."""
-    X = np.column_stack([np.ones_like(x), x])
-    beta, *_ = np.linalg.lstsq(X, y, rcond=None)
-    fitted = X @ beta
-    resid = y - fitted
-    n = len(x)
-    s2 = resid @ resid / (n - 2)
-    xtx_inv = np.linalg.inv(X.T @ X)
-    lever = np.einsum("ij,jk,ik->i", X, xtx_inv, X)
-    if band == "prediction":
-        lever = lever + 1.0
-    half = scipy.stats.t.ppf(0.5 + level / 2, n - 2) * np.sqrt(s2 * lever)
-    return float(np.mean(np.abs(y - fitted) <= half))
-
-
-class TestLinearFitCi:
-    def test_exact_linear_data(self):
-        x = np.linspace(0, 10, 20)
-        y = 2.0 * x + 1.0
-        fit = linear_fit_ci(x, y)
-        assert fit.coverage == 1.0
-        np.testing.assert_allclose(fit.upper - fit.lower, 0.0, atol=1e-10)
-
-    def test_degenerate_design(self):
-        with pytest.raises(DegenerateDesign):
-            linear_fit_ci(np.ones(10), np.arange(10.0))
-
-    def test_monte_carlo_coverage_matches_oracle(self):
-        # 1000 simulated datasets; the implementation must agree with an
-        # independently coded band on every one of them
-        rng = np.random.default_rng(37)
-        ours, oracle = [], []
-        for _ in range(1000):
-            x = rng.uniform(0, 10, 30)
-            y = 1.5 * x - 2.0 + rng.normal(0, 2.0, 30)
-            ours.append(linear_fit_ci(x, y).coverage)
-            oracle.append(oracle_coverage(x, y))
-        assert np.mean(ours) == pytest.approx(np.mean(oracle), abs=0.01)
-        # mean-response bands cover far fewer observations than the level
-        assert np.mean(ours) < 0.9
-
-    def test_prediction_band_wider_and_covering(self):
-        rng = np.random.default_rng(38)
-        x = rng.uniform(0, 10, 200)
-        y = 0.5 * x + rng.normal(0, 1.0, 200)
-        mean_fit = linear_fit_ci(x, y, band="mean")
-        pred_fit = linear_fit_ci(x, y, band="prediction")
-        assert np.all(pred_fit.upper >= mean_fit.upper)
-        assert pred_fit.coverage > mean_fit.coverage
-        assert pred_fit.coverage == pytest.approx(0.95, abs=0.05)
-        assert pred_fit.coverage == pytest.approx(
-            oracle_coverage(x, y, band="prediction"), abs=1e-12
-        )
-
-    def test_residual_orthogonality(self):
-        rng = np.random.default_rng(39)
-        x = rng.uniform(0, 5, 50)
-        y = 3.0 * x + rng.normal(size=50)
-        fit = linear_fit_ci(x, y)
-        resid = y - (fit.slope * x + fit.intercept)
-        assert abs(resid.sum()) <= 1e-10
-        assert abs((resid * x).sum()) <= 1e-10
 
 
 def mock_subjects(n=12, with_pmbnn_r=False):
@@ -583,13 +463,3 @@ class TestPairedTestProperties:
         counts = signed_rank_distribution(9)
         mass_at_w = counts[w] / 2.0 ** 9
         assert g.p_one_tailed + l.p_one_tailed == pytest.approx(1.0 + mass_at_w, abs=1e-12)
-
-
-def test_linear_fit_ci_wider_at_higher_level():
-    rng = np.random.default_rng(43)
-    x = rng.uniform(0, 10, 40)
-    y = 2.0 * x + rng.normal(0, 1.5, 40)
-    narrow = linear_fit_ci(x, y, level=0.80)
-    wide = linear_fit_ci(x, y, level=0.99)
-    assert np.all(wide.upper - wide.lower > narrow.upper - narrow.lower)
-    assert wide.coverage >= narrow.coverage

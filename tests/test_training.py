@@ -3,7 +3,7 @@ import pytest
 
 from oracle_utils import ORACLE_INIT, coupling_products, oracle_subject
 
-from pmbnn.errors import EmptySeries, LengthMismatch, OutOfBounds, SegmentTooShort
+from pmbnn.errors import EmptySeries, LengthMismatch, OutOfBounds
 from pmbnn.experiment import split_by_activity
 from pmbnn.nn_core import (
     MlpParams,
@@ -18,7 +18,6 @@ from pmbnn.physio_model import (
     DEFAULT_INITIAL,
     LambdaBounds,
     LambdaParams,
-    de_residual_series,
     simulate_hr,
 )
 from pmbnn.signal_pipeline import SubjectRecord, UniformSeries, preprocess_subject
@@ -31,7 +30,6 @@ from pmbnn.training import (
     fit_pm,
     lbfgs_minimize,
     loss_data,
-    loss_de,
     simulate_record_hr,
     train_fcnn,
     train_pmbnn,
@@ -63,34 +61,6 @@ class TestLossData:
     def test_empty(self):
         with pytest.raises(EmptySeries):
             loss_data([], [])
-
-
-class TestLossDe:
-    def test_simulated_trajectory_near_zero(self):
-        v = series(2.0 + 1.5 * np.sin(np.arange(200) / 40.0) ** 2, unit="L/min")
-        lam = DEFAULT_INITIAL
-        hr = simulate_hr(v, lam, [70.0])
-        assert loss_de(hr, v, lam) <= 1e-16
-
-    def test_constant_series_bias_only(self):
-        hr = series(np.full(50, 70.0))
-        v = series(np.full(50, 1.0))
-        assert loss_de(hr, v, DEFAULT_INITIAL) == pytest.approx(0.09, abs=1e-14)
-
-    def test_composes_residual_series(self):
-        rng = np.random.default_rng(23)
-        bounds = ((0, 40), (40, 100))
-        hr = series(80 + 10 * rng.random(100), bounds)
-        v = series(0.5 + 2 * rng.random(100), bounds)
-        res = de_residual_series(hr, v, DEFAULT_INITIAL)
-        expected = float(res @ res) / len(res)
-        assert loss_de(hr, v, DEFAULT_INITIAL) == pytest.approx(expected, rel=1e-15)
-
-    def test_short_segment(self):
-        hr = series(np.full(2, 70.0))
-        v = series(np.full(2, 1.0))
-        with pytest.raises(SegmentTooShort):
-            loss_de(hr, v, DEFAULT_INITIAL)
 
 
 def flat_net_batch(hr_target, l6, w):
