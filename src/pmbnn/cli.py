@@ -12,10 +12,8 @@ section the subcommand reads overrides the file. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import logging
 import os
@@ -25,7 +23,8 @@ from dataclasses import fields
 import numpy as np
 
 from . import nn_core, stats_eval
-from .errors import IoFailure, MalformedRow, OutOfBounds, PmbnnError, malformed_fields
+from .errors import (IoFailure, MalformedHeader, MalformedRow, OutOfBounds, PmbnnError,
+                     malformed_fields)
 from .experiment import (
     ActivityPhase,
     DEFAULT_PLAN,
@@ -41,6 +40,8 @@ from .signal_pipeline import (
     FilterConfig,
     SubjectRecord,
     _cell,
+    csv_bytes,
+    csv_table,
     parse_recording_csv,
     preprocess_subject,
     record_to_csv_bytes,
@@ -182,14 +183,6 @@ def _write_manifest(out_dir: str, name: str, payload: dict) -> None:
            json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n")
 
 
-def _csv_bytes(header: list[str], rows) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().encode("utf-8")
-
-
 def _read_bytes(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
@@ -211,9 +204,9 @@ def _read_record(path: str) -> SubjectRecord:
 
 
 def _write_predictions(path: str, column: str, times, hr_true, pred, labels):
-    _write(path, _csv_bytes(["t_s", "hr_true", column, "activity"],
-                            ([f"{t:.10g}", f"{h:.10g}", f"{p:.10g}", a]
-                             for t, h, p, a in zip(times, hr_true, pred, labels))))
+    _write(path, csv_bytes(["t_s", "hr_true", column, "activity"],
+                           ([f"{t:.10g}", f"{h:.10g}", f"{p:.10g}", a]
+                            for t, h, p, a in zip(times, hr_true, pred, labels))))
 
 
 def _test_times(rec: SubjectRecord, split) -> np.ndarray:
@@ -239,10 +232,17 @@ def cmd_preprocess(args, cfg: dict) -> int:
     return 0
 
 
+def _number(value, name: str) -> float:
+    """A spec file's number; a bool, string or null is OutOfBounds."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise OutOfBounds(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole_seconds(value) -> int:
-    if not float(value).is_integer():
+    if not _number(value, "duration_s").is_integer():
         raise OutOfBounds(f"duration_s must be a whole number of seconds, got {value!r}")
-    return int(float(value))
+    return int(value)
 
 
 def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
@@ -250,17 +250,19 @@ def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
     with malformed_fields(path):
         plan = tuple(
             ActivityPhase(p["label"], _whole_seconds(p["duration_s"]),
-                          float(p["target_vo2"]), float(p.get("tau_s", 30.0)))
-            for p in payload["plan"]
+                          _number(p["target_vo2"], f"plan[{i}].target_vo2"),
+                          _number(p.get("tau_s", 30.0), f"plan[{i}].tau_s"))
+            for i, p in enumerate(payload["plan"])
         )
         return SyntheticSpec(
             subject_id=payload.get("subject_id", "synthetic"),
             plan=plan,
-            lambda_true=LambdaParams.from_array(payload["lambda_true"]),
-            hr0=float(payload.get("hr0", 70.0)),
-            noise_sigma_hr=float(payload.get("noise_sigma_hr", 0.0)),
-            noise_sigma_vo2=float(payload.get("noise_sigma_vo2", 0.0)),
-            seed=int(payload.get("seed", 0) if seed is None else seed),
+            lambda_true=LambdaParams.from_array(
+                [_number(v, f"lambda_true[{i}]") for i, v in enumerate(payload["lambda_true"])]),
+            hr0=_number(payload.get("hr0", 70.0), "hr0"),
+            noise_sigma_hr=_number(payload.get("noise_sigma_hr", 0.0), "noise_sigma_hr"),
+            noise_sigma_vo2=_number(payload.get("noise_sigma_vo2", 0.0), "noise_sigma_vo2"),
+            seed=payload.get("seed", 0) if seed is None else seed,
         )
 
 
@@ -292,7 +294,6 @@ def cmd_synth(args, cfg: dict) -> int:
              "target_vo2": p.target_vo2, "tau_s": p.tau_s}
             for p in spec.plan
         ],
-        "config_hash": _config_hash(cfg),
     })
     log.info("synthesized %s (%d samples)", dest, len(rec))
     return 0
@@ -370,32 +371,28 @@ def cmd_reconstruct(args, cfg: dict) -> int:
 
 def _read_predictions(path: str):
     """A predictions CSV's header and its ``(line, t_s, hr_true, row)``
-    entries, blank lines skipped.
+    entries, read with :func:`csv_table`.
 
-    Each row has one field per header column, and its ``t_s``, ``hr_true``
-    and model cells are finite numbers; else MalformedRow names the line.
+    The header is ``t_s,hr_true``, model columns, ``activity``, else
+    MalformedHeader; each row's ``t_s``, ``hr_true`` and model cells are
+    finite numbers, else MalformedRow names the line. Both name the path.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            header, *rows = list(csv.reader(fh)) or [[]]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    model_cols = [h for h in header if h in MODEL_COLUMNS.values()]
-    if header[:2] != ["t_s", "hr_true"] or header[-1:] != ["activity"] or not model_cols:
-        raise PmbnnError(f"{path}: not a predictions CSV (header {header})")
-    numeric = [i for i, h in enumerate(header) if i < 2 or h in model_cols]
-    checked = []
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(f"{path} line {lineno}: expected {len(header)} fields, "
-                               f"got {len(row)}")
-        try:
-            cells = [_cell(row[i], missing_ok=False) for i in numeric]
-        except ValueError as exc:
-            raise MalformedRow(f"{path} line {lineno}: {exc}") from None
-        checked.append((lineno, cells[0], cells[1], row))
+        header, rows = csv_table(_read_bytes(path))
+        model_cols = [h for h in header if h in MODEL_COLUMNS.values()]
+        if header[:2] != ["t_s", "hr_true"] or header[-1:] != ["activity"] or not model_cols:
+            raise MalformedHeader(f"line 1: expected t_s,hr_true, model columns and activity, "
+                                  f"got {','.join(header)!r}")
+        numeric = [i for i, h in enumerate(header) if i < 2 or h in model_cols]
+        checked = []
+        for line, row in rows:
+            try:
+                cells = [_cell(row[i], missing_ok=False) for i in numeric]
+            except ValueError as exc:
+                raise MalformedRow(f"line {line}: {exc}") from None
+            checked.append((line, cells[0], cells[1], row))
+    except (MalformedHeader, MalformedRow) as exc:
+        raise type(exc)(f"{path} {exc}") from None
     return header, checked
 
 
@@ -428,7 +425,7 @@ def cmd_evaluate(args, cfg: dict) -> int:
             except OutOfBounds as exc:
                 raise OutOfBounds(f"{model}: {exc}") from None
 
-    _write(os.path.join(args.out, "predictions.csv"), _csv_bytes(JOINED_HEADER, (
+    _write(os.path.join(args.out, "predictions.csv"), csv_bytes(JOINED_HEADER, (
         [f"{t:.10g}", e["hr_true"], *(e.get(c, "") for c in JOINED_HEADER[2:-1]), e["activity"]]
         for t, e in sorted(joined.items()))))
     _write_manifest(args.out, "metrics.json", {
@@ -436,7 +433,6 @@ def cmd_evaluate(args, cfg: dict) -> int:
         "participant": args.subject,
         "n_samples": len(times),
         "models": metrics,
-        "config": cfg,
     })
     log.info("evaluated %d models on %d joined samples", len(metrics), len(times))
     return 0
@@ -458,15 +454,14 @@ def cmd_report(args, cfg: dict) -> int:
                 per_activity=per_activity,
             ))
     report = stats_eval.build_eval_report(subjects)
-    paths = stats_eval.emit_report(report, args.out)
+    for name, data in stats_eval.emit_report(report).items():
+        _write(os.path.join(args.out, name), data)
     _write_manifest(args.out, "report_manifest.json", {
         "command": "report",
         "inputs": [os.path.basename(p) for p in args.metrics],
         "participants": [s.participant for s in subjects],
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
     })
-    log.info("report written: %s", paths["csv"])
+    log.info("report written to %s", args.out)
     return 0
 
 
@@ -486,8 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
-        p.add_argument("--config", help="JSON config file with flat dotted keys")
+    def common(p, seed=False, config=True):
+        if config:
+            p.add_argument("--config", help="JSON config file with flat dotted keys")
         if seed:
             p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--out", required=True, help="output directory")
@@ -500,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic oracle subject")
     p.add_argument("--spec", help="synthetic spec JSON")
     p.add_argument("--noise-hr", type=float, default=0.0)
-    common(p, seed=True)
+    common(p, seed=True, config=False)
     p.set_defaults(func=cmd_synth, sections=())
 
     p = sub.add_parser("split", help="per-activity 80/20 split")
@@ -523,12 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="join prediction CSVs and score them")
     p.add_argument("--pred", nargs="+", required=True)
     p.add_argument("--subject", default="subject")
-    common(p)
+    common(p, config=False)
     p.set_defaults(func=cmd_evaluate, sections=())
 
     p = sub.add_parser("report", help="aggregate per-subject metrics files")
     p.add_argument("--metrics", nargs="+", required=True)
-    common(p)
+    common(p, config=False)
     p.set_defaults(func=cmd_report, sections=())
 
     p = sub.add_parser("gradcheck", help="verify reverse-mode gradients")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -31,7 +32,6 @@ class SplitRecord:
     test: SubjectRecord
     train_indices: np.ndarray   # original sample index per train sample
     test_indices: np.ndarray
-    segment_ids: np.ndarray     # original segment id per original sample
 
     def provenance_hash(self) -> str:
         digest = hashlib.sha256()
@@ -81,8 +81,7 @@ def split_by_activity(rec: SubjectRecord,
     if not 0.0 < ratio < 1.0:
         raise OutOfBounds(f"split.ratio must be inside (0, 1), got {ratio}")
     train_chunks, test_chunks = [], []
-    seg_ids = np.empty(len(rec), dtype=np.int64)
-    for sid, (a, b) in enumerate(rec.vo2.segment_bounds):
+    for a, b in rec.vo2.segment_bounds:
         n = b - a
         if n < 5:
             raise SegmentTooShort(f"segment [{a},{b}) has {n} < 5 samples")
@@ -92,7 +91,6 @@ def split_by_activity(rec: SubjectRecord,
             raise SegmentTooShort(
                 f"split.ratio {ratio} leaves segment [{a},{b}) of {n} samples "
                 "without a train sample")
-        seg_ids[a:b] = sid
         train_chunks.append(np.arange(a, a + k))
         test_chunks.append(np.arange(a + k, b))
     return SplitRecord(
@@ -100,7 +98,6 @@ def split_by_activity(rec: SubjectRecord,
         test=_subrecord(rec, test_chunks),
         train_indices=np.concatenate(train_chunks),
         test_indices=np.concatenate(test_chunks),
-        segment_ids=seg_ids,
     )
 
 
@@ -116,7 +113,9 @@ class ActivityPhase:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for a ground-truth synthetic subject."""
+    """Recipe for a ground-truth synthetic subject. ``subject_id`` names
+    its CSV, so it is a plain file name: no path separator, not ``.`` or
+    ``..``."""
 
     subject_id: str
     plan: tuple[ActivityPhase, ...]
@@ -128,8 +127,13 @@ class SyntheticSpec:
     bounds: LambdaBounds = field(default_factory=LambdaBounds)
 
     def __post_init__(self):
+        sid = self.subject_id
+        _require(isinstance(sid, str) and sid not in ("", ".", "..")
+                 and os.path.basename(sid) == sid, "subject_id", sid, "a plain file name")
         positive = {"hr0": self.hr0}
         for i, phase in enumerate(self.plan):
+            _require(isinstance(phase.label, str) and phase.label != "", f"plan[{i}].label",
+                     phase.label, "a non-empty string")
             positive |= {f"plan[{i}].target_vo2": phase.target_vo2, f"plan[{i}].tau_s": phase.tau_s}
             if phase.duration_s < 60:
                 raise SegmentTooShort(f"phase shorter than 60 s: {phase}")
@@ -139,7 +143,8 @@ class SyntheticSpec:
             value = getattr(self, name)
             _require(math.isfinite(value) and value >= 0, name, value, "finite and >= 0")
         self.bounds.require_inside(self.lambda_true)
-        _require(self.seed >= 0, "seed", self.seed, ">= 0")
+        _require(isinstance(self.seed, int) and not isinstance(self.seed, bool)
+                 and self.seed >= 0, "seed", self.seed, "an integer >= 0")
 
 
 #: default plan: resting, then cycling and running at two intensities each

@@ -164,39 +164,72 @@ def _cell(text: str, missing_ok: bool) -> float:
     return value
 
 
+def csv_table(data: bytes):
+    """The header of a UTF-8 CSV and a lazy iterator of its ``(line, row)``
+    pairs, so that a caller checks the header first. Blank lines are
+    skipped, also before the header.
+
+    An empty file is MalformedHeader. A byte that is not UTF-8, a row
+    whose width differs from the header's, or text the csv module cannot
+    split is MalformedRow naming its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b"_").splitlines())   # \r, \n and \r\n end lines
+        raise MalformedRow(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+
+    def records():
+        width = None   # the header's, once it is read
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise MalformedRow(f"line {reader.line_num}: expected {width} fields, "
+                                       f"got {len(row)}")
+                yield reader.line_num, row
+        except csv.Error as exc:   # a cell longer than csv.field_size_limit()
+            raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+
+    rows = records()
+    _, header = next(rows, (None, None))
+    if header is None:
+        raise MalformedHeader("empty file")
+    return header, rows
+
+
+def csv_bytes(header, rows) -> bytes:
+    """A header and rows of cells as UTF-8 CSV with ``\\n`` line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
 def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
     """Parse a ``time_s,vo2_lpm,hr_bpm,activity`` UTF-8 CSV into a RawRecording.
 
     A vo2/hr cell is empty (missing) or a finite number, a time cell a
     finite number. Raises MalformedRow naming the line for any other cell
-    or a byte that is not UTF-8, and MalformedHeader, NonMonotonicTime or
-    NonPositiveSignal on invalid content."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[:exc.start].count(b"\n") + 1
-        raise MalformedRow(f"line {line}: byte {data[exc.start]:#04x} is not UTF-8") from None
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedHeader("empty file") from None
+    or a row :func:`csv_table` rejects, and MalformedHeader,
+    NonMonotonicTime or NonPositiveSignal on invalid content."""
+    header, rows = csv_table(data)
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedHeader(
             f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
         )
     times, vo2s, hrs, acts = [], [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise MalformedRow(f"line {lineno}: expected 4 fields, got {len(row)}")
+    for line, row in rows:
         try:
             times.append(_cell(row[0], missing_ok=False))
             vo2s.append(_cell(row[1], missing_ok=True))
             hrs.append(_cell(row[2], missing_ok=True))
         except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: {exc}") from None
+            raise MalformedRow(f"line {line}: {exc}") from None
         acts.append(row[3].strip())
     return RawRecording(subject_id, np.array(times), np.array(vo2s), np.array(hrs), tuple(acts))
 
@@ -341,15 +374,6 @@ def preprocess_subject(rec: SubjectRecord, cfg: FilterConfig = FilterConfig()) -
 
 def record_to_csv_bytes(rec: SubjectRecord) -> bytes:
     """Serialize a SubjectRecord back to the input CSV schema."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    times = rec.vo2.times
-    for i in range(len(rec)):
-        writer.writerow([
-            f"{times[i]:.10g}",
-            f"{rec.vo2.values[i]:.10g}",
-            f"{rec.hr.values[i]:.10g}",
-            rec.activity_labels[i],
-        ])
-    return buf.getvalue().encode("utf-8")
+    return csv_bytes(CSV_HEADER, ([f"{t:.10g}", f"{v:.10g}", f"{h:.10g}", a] for t, v, h, a in
+                                  zip(rec.vo2.times, rec.vo2.values, rec.hr.values,
+                                      rec.activity_labels)))

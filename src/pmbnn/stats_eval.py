@@ -1,17 +1,16 @@
-"""Evaluation metrics, paired nonparametric tests and report emission.
+"""Evaluation metrics, paired nonparametric tests and report serialization.
 
 R^2 / RMSE per subject and model, one-tailed Wilcoxon signed-rank tests
 (exact enumeration for small tie-free samples, normal approximation with
-tie and continuity corrections otherwise), paired Cohen's d, and CSV/JSON
-report writers.
+tie and continuity corrections otherwise), paired Cohen's d, and the
+report's CSV/JSON bytes. This module touches no file: the caller writes
+what :func:`emit_report` returns.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -21,11 +20,11 @@ from .errors import (
     ConstantReference,
     EmptyInput,
     EmptySeries,
-    IoFailure,
     LengthMismatch,
     OutOfBounds,
     ZeroVariance,
 )
+from .signal_pipeline import csv_bytes
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -308,16 +307,6 @@ def _fmt(v) -> str:
     return f"{v:.6g}"
 
 
-def _write_rows(path, header, rows):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def _participant_rows(participant: str, cells: dict, models, tail=()) -> list:
     return [[participant, m, _fmt(cells[m].r2), _fmt(cells[m].rmse), *tail]
             for m in models if m in cells]
@@ -335,45 +324,29 @@ def _footer_rows(comparisons: dict, models, tail=()) -> list:
     return rows
 
 
-def emit_report(report: EvalReport, out_dir) -> dict[str, str]:
-    """Write CSV/JSON reports; returns the emitted paths by kind.
+def emit_report(report: EvalReport) -> dict[str, bytes]:
+    """The report's files, ``{file name: bytes}``.
 
     ``report.csv``: participant,model,r2,rmse rows plus p/d footer rows.
     ``report_by_activity.csv``: the same layout with an activity column.
     ``boxplot_long.csv``: long-format (model, metric, value) rows.
     ``report.json``: machine-readable aggregate, the EvalReport's fields.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {out_dir}: {exc}") from exc
-    paths = {
-        "csv": os.path.join(out_dir, "report.csv"),
-        "by_activity": os.path.join(out_dir, "report_by_activity.csv"),
-        "long": os.path.join(out_dir, "boxplot_long.csv"),
-        "json": os.path.join(out_dir, "report.json"),
-    }
     header = ["participant", "model", "r2", "rmse"]
     models = report.models
 
     rows = [r for s in report.subjects for r in _participant_rows(s.participant, s.overall, models)]
-    _write_rows(paths["csv"], header, rows + _footer_rows(report.comparisons, models))
-
     act_rows = [r for s in report.subjects for act, cells in s.per_activity.items()
                 for r in _participant_rows(s.participant, cells, models, [act])]
     for act, comps in report.per_activity_comparisons.items():
         act_rows += _footer_rows(comps, models, [act])
-    _write_rows(paths["by_activity"], header + ["activity"], act_rows)
 
     # an undefined R^2 is an empty cell and gets no box-plot row
     long_rows = [[m, metric, v] for _, m, *values in rows
                  for metric, v in zip(("r2", "rmse"), values) if v]
-    _write_rows(paths["long"], ["model", "metric", "value"], long_rows)
-
-    try:
-        with open(paths["json"], "w", encoding="utf-8") as fh:
-            json.dump(asdict(report), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {paths['json']}: {exc}") from exc
-    return paths
+    return {
+        "report.csv": csv_bytes(header, rows + _footer_rows(report.comparisons, models)),
+        "report_by_activity.csv": csv_bytes(header + ["activity"], act_rows),
+        "boxplot_long.csv": csv_bytes(["model", "metric", "value"], long_rows),
+        "report.json": json.dumps(asdict(report), sort_keys=True, indent=1).encode() + b"\n",
+    }

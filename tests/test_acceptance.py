@@ -318,25 +318,23 @@ def golden_mock_subjects():
     return subjects
 
 
-def test_criterion_12_report_shape(tmp_path):
-    report = build_eval_report(golden_mock_subjects())
-    emit_report(report, tmp_path)
+def test_criterion_12_report_shape():
+    files = emit_report(build_eval_report(golden_mock_subjects()))
     import pathlib
 
     golden_dir = pathlib.Path(__file__).parent / "golden"
     for name in ("report.csv", "report_by_activity.csv"):
-        produced = (tmp_path / name).read_bytes()
         golden = (golden_dir / name).read_bytes()
-        assert produced == golden, f"{name} deviates from golden file"
-    payload = json.loads((tmp_path / "report.json").read_text())
+        assert files[name] == golden, f"{name} deviates from golden file"
+    payload = json.loads(files["report.json"])
     assert payload["schema_version"] == 1
     report_line(12, "report shape", "(golden files match)")
 
 
-def test_report_json_and_boxplot_match_golden(tmp_path):
-    emit_report(build_eval_report(golden_mock_subjects()), tmp_path)
+def test_report_json_and_boxplot_match_golden():
+    files = emit_report(build_eval_report(golden_mock_subjects()))
     import pathlib
 
     golden_dir = pathlib.Path(__file__).parent / "golden"
     for name in ("report.json", "boxplot_long.csv"):
-        assert (tmp_path / name).read_bytes() == (golden_dir / name).read_bytes(), name
+        assert files[name] == (golden_dir / name).read_bytes(), name

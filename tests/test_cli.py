@@ -216,11 +216,16 @@ class TestErrorPaths:
         ["--config", "run.json"],
     ])
     def test_gradcheck_rejects_configuration(self, capsys, extra):
-        # the check runs on its own fixed instance and reads no config
-        with pytest.raises(SystemExit) as exc:
-            run(["gradcheck", "--seed", "3"] + extra)
-        assert exc.value.code == 2
-        assert "gradcheck takes no configuration" in capsys.readouterr().err
+        # none of these reads a config section: the check runs on its own
+        # fixed instance; synth, evaluate and report parsed --config and
+        # echoed it into their manifests unread
+        for argv in (["gradcheck", "--seed", "3"], ["synth", "--out", "o"],
+                     ["evaluate", "--pred", "p.csv", "--out", "o"],
+                     ["report", "--metrics", "m.json", "--out", "o"]):
+            with pytest.raises(SystemExit) as exc:
+                run(argv + extra)
+            assert exc.value.code == 2
+            assert f"{argv[0]} takes no configuration" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["preprocess", "--input", "x.csv"],
@@ -240,7 +245,8 @@ class TestErrorPaths:
         (b"1,nan,71,rest", "line 3: 'nan' is not a finite number"),
         (b"1,1.0,inf,rest", "line 3: 'inf' is not a finite number"),
         (b"1,1.0,71,r\xe9st", "line 3: byte 0xe9 is not UTF-8"),
-    ], ids=["nan", "inf", "latin1"])
+        (b"1,1.0,71," + b"r" * 200_000, "line 3: field larger than field limit"),  # a traceback
+    ], ids=["nan", "inf", "latin1", "long-cell"])
     def test_bad_csv_cell_exits_one(self, tmp_path, capsys, row, shown):
         path = tmp_path / "in.csv"
         path.write_bytes(b"time_s,vo2_lpm,hr_bpm,activity\n0,1.0,70,rest\n" + row + b"\n")
@@ -319,20 +325,32 @@ def test_evaluate_one_sample_activity(tmp_path):
     assert per_activity["rest"]["r2"] is not None
 
 
-@pytest.mark.parametrize("row, shown", [
-    ("1,abc,71,rest", "line 3: could not convert string to float: 'abc'"),  # was a traceback
-    ("1,70", "line 3: expected 4 fields, got 2"),   # wrote 70 as the activity label
-    ("1,nan,71,rest", "line 3: 'nan' is not a finite number"),  # wrote NaN into metrics.json
-    ("1,70,inf,rest", "line 3: 'inf' is not a finite number"),
-], ids=["junk", "short", "nan", "inf"])
-def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, row, shown):
+_PREDICTIONS = b"t_s,hr_true,hr_pmbnn,activity\n0,70,71,rest\n"
+
+
+@pytest.mark.parametrize("data, shown", [
+    # was a traceback
+    (b"1,abc,71,rest", "MalformedRow: {bad} line 3: could not convert string to float: 'abc'"),
+    # wrote 70 as the activity label
+    (b"1,70", "MalformedRow: {bad} line 3: expected 4 fields, got 2"),
+    # wrote NaN into metrics.json
+    (b"1,nan,71,rest", "MalformedRow: {bad} line 3: 'nan' is not a finite number"),
+    (b"1,70,inf,rest", "MalformedRow: {bad} line 3: 'inf' is not a finite number"),
+    # an IoFailure carrying the codec's message
+    (b"1,70,71,r\xe9st", "MalformedRow: {bad} line 3: byte 0xe9 is not UTF-8"),
+    # a bare PmbnnError
+    (b"t_s,hr_true,hr_lstm,activity\n0,70,71,rest",
+     "MalformedHeader: {bad} line 1: expected t_s,hr_true, model columns and activity, "
+     "got 't_s,hr_true,hr_lstm,activity'"),
+], ids=["junk", "short", "nan", "inf", "latin1", "header"])
+def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, data, shown):
     good = tmp_path / "predictions_pm.csv"
     good.write_text("t_s,hr_true,hr_pm,activity\n0,70,71,rest\n1,72,71,rest\n")
     bad = tmp_path / "predictions_pmbnn.csv"
-    bad.write_text(f"t_s,hr_true,hr_pmbnn,activity\n0,70,71,rest\n{row}\n")
+    bad.write_bytes((data if data.startswith(b"t_s") else _PREDICTIONS + data) + b"\n")
     out = tmp_path / "e"
     assert run(["evaluate", "--pred", str(good), str(bad), "--out", str(out)]) == 1
-    assert f"MalformedRow: {bad} {shown}" in capsys.readouterr().err
+    assert shown.format(bad=bad) in capsys.readouterr().err
     assert not out.exists()   # every file is checked before anything is written
 
 
@@ -572,8 +590,19 @@ SPEC = {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
     ([], {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": math.nan}]},
      "plan[0].target_vo2"),
     ([], {"plan": [{"label": "rest", "duration_s": 90.7, "target_vo2": 0.4}]}, "duration_s"),
+    ([], {"seed": 2.7}, "seed"),              # ran as seed 2
+    ([], {"seed": True}, "seed"),             # ran as seed 1
+    ([], {"hr0": True}, "hr0"),               # ran with hr0 1.0 bpm
+    ([], {"lambda_true": [0.02, 0.1, -5.3, 10.5, 0.44, False]}, "lambda_true[5]"),  # ran as 0.0
+    ([], {"subject_id": 7}, "subject_id"),
+    ([], {"plan": [{"label": 7, "duration_s": 120, "target_vo2": 0.4}]}, "plan[0].label"),
+    ([], {"subject_id": "../escaped"}, "subject_id"),  # wrote escaped.csv beside --out
+    ([], {"subject_id": ".."}, "subject_id"),
+    ([], {"subject_id": ""}, "subject_id"),
 ], ids=["noise-hr-negative", "noise-hr-nan", "noise-vo2-negative", "hr0-negative",
-        "tau-zero", "target-vo2-nan", "duration-fractional"])
+        "tau-zero", "target-vo2-nan", "duration-fractional", "seed-fractional",
+        "seed-bool", "hr0-bool", "lambda-bool", "subject-id-number", "label-number", "subject-id-path",
+        "subject-id-dotdot", "subject-id-empty"])
 def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, field):
     # each of these was ignored, truncated or written into the CSV with exit 0,
     # or ended in an error that named no setting
@@ -582,7 +611,7 @@ def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, field
         flags = ["--spec", str(tmp_path / "spec.json")]
     assert run(["synth", "--out", str(tmp_path / "o"), *flags]) == 1
     assert f"OutOfBounds: {field}" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["spec.json"])   # nothing written
 
 
 def test_log_level_follows_env_on_every_call(tmp_path, monkeypatch, caplog):

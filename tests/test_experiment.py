@@ -121,8 +121,8 @@ def test_split_property_partition_or_typed_error(lengths, ratio):
         return
     merged = np.sort(np.concatenate([split.train_indices, split.test_indices]))
     np.testing.assert_array_equal(merged, np.arange(len(rec)))
-    seg_ids = split.segment_ids
-    n_seg = len(lengths)
+    n_seg = len(rec.vo2.segment_bounds)
+    seg_ids = np.repeat(np.arange(n_seg), [b - a for a, b in rec.vo2.segment_bounds])
     assert np.all(np.bincount(seg_ids[split.train_indices], minlength=n_seg) >= 1)
     assert np.all(np.bincount(seg_ids[split.test_indices], minlength=n_seg) >= 1)
 

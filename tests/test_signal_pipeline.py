@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 import scipy.signal
 
+from pmbnn import signal_pipeline
 from pmbnn.errors import (
     BadWindow,
     InsufficientSamples,
@@ -16,6 +19,7 @@ from pmbnn.signal_pipeline import (
     FilterConfig,
     SubjectRecord,
     UniformSeries,
+    csv_table,
     fir_lowpass,
     parse_recording_csv,
     preprocess_subject,
@@ -83,6 +87,44 @@ class TestParseRecordingCsv:
         data = csv_bytes(["0.0,1.0,70,rest", "1.0,1.1,71,rest"]).replace(b"rest\n1", b"r\xe9st\n1")
         with pytest.raises(MalformedRow, match="line 2: byte 0xe9 is not UTF-8"):
             parse_recording_csv(data)
+
+
+class TestCsvTable:
+    def test_rows_with_their_lines_blank_lines_skipped(self):
+        # \r alone ends a line too: it was a csv.Error traceback
+        header, rows = csv_table(b"\na,b\n\n1,2\r\n3,4\r5,6\n")
+        assert header == ["a", "b"]
+        assert list(rows) == [(4, ["1", "2"]), (5, ["3", "4"]), (6, ["5", "6"])]
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_undecodable_byte_names_its_line(self, end):
+        # with \r alone the byte was placed on line 1
+        with pytest.raises(MalformedRow, match="line 3: byte 0xe9 is not UTF-8"):
+            csv_table(end.join([b"a,b", b"1,2", b"3,r\xe9st", b""]))
+
+    @pytest.mark.parametrize("data", [b"", b"\n\n"])
+    def test_empty_file_is_malformed_header(self, data):
+        with pytest.raises(MalformedHeader, match="empty file"):
+            csv_table(data)
+
+    def test_header_comes_before_any_row_check(self):
+        header, rows = csv_table(b"a,b\n1\n")
+        assert header == ["a", "b"]
+        with pytest.raises(MalformedRow, match="line 2: expected 2 fields, got 1"):
+            next(rows)
+
+    def test_cell_over_the_field_limit_names_its_line(self):
+        # was a csv.Error traceback
+        data = b"a,b\n1,2\n3," + b"9" * (csv.field_size_limit() + 1) + b"\n"
+        _, rows = csv_table(data)
+        with pytest.raises(MalformedRow, match="line 3: field larger than field limit"):
+            list(rows)
+
+    def test_parses_what_csv_bytes_writes(self):
+        rows = [["1", "a,b"], ["2", 'say "hi"'], ["3", "two\nlines"], ["4", "caf\u00e9"]]
+        header, back = csv_table(signal_pipeline.csv_bytes(["n", "text"], rows))
+        assert header == ["n", "text"]
+        assert [row for _, row in back] == rows
 
 
 class TestResample:

@@ -295,37 +295,34 @@ def mock_subjects(n=12, with_pmbnn_r=False):
 
 
 class TestReport:
-    def test_twelve_subjects_csv_shape(self, tmp_path):
-        report = build_eval_report(mock_subjects())
-        paths = emit_report(report, tmp_path)
-        lines = (tmp_path / "report.csv").read_text().strip().split("\n")
+    def test_twelve_subjects_csv_shape(self):
+        files = emit_report(build_eval_report(mock_subjects()))
+        assert sorted(files) == ["boxplot_long.csv", "report.csv", "report.json",
+                                 "report_by_activity.csv"]
+        lines = files["report.csv"].decode().strip().split("\n")
         assert lines[0] == "participant,model,r2,rmse"
         data_rows = [l for l in lines[1:] if not l.startswith(("p_value", "d_value"))]
         footer_rows = [l for l in lines[1:] if l.startswith(("p_value", "d_value"))]
         assert len(data_rows) == 12 * 3
         # p and d rows for pmbnn-vs-fcnn and pmbnn-vs-pm
         assert len(footer_rows) == 4
-        assert paths["csv"].endswith("report.csv")
 
-    def test_per_activity_csv_has_activity_column(self, tmp_path):
-        report = build_eval_report(mock_subjects())
-        emit_report(report, tmp_path)
-        lines = (tmp_path / "report_by_activity.csv").read_text().strip().split("\n")
+    def test_per_activity_csv_has_activity_column(self):
+        files = emit_report(build_eval_report(mock_subjects()))
+        lines = files["report_by_activity.csv"].decode().strip().split("\n")
         assert lines[0] == "participant,model,r2,rmse,activity"
         assert len([l for l in lines if l.endswith(",rest")]) == 12 * 3 + 4
 
-    def test_single_subject_marks_insufficient_pairs(self, tmp_path):
+    def test_single_subject_marks_insufficient_pairs(self):
         report = build_eval_report(mock_subjects(1))
         assert all(v == "insufficient pairs" for v in report.comparisons.values())
-        emit_report(report, tmp_path)
-        text = (tmp_path / "report.csv").read_text()
+        text = emit_report(report)["report.csv"].decode()
         assert "insufficient pairs" in text
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         # every metric and test statistic reads back from report.json exactly
         report = build_eval_report(mock_subjects())
-        emit_report(report, tmp_path)
-        payload = json.loads((tmp_path / "report.json").read_text())
+        payload = json.loads(emit_report(report)["report.json"])
         assert payload["models"] == list(report.models)
         for s, entry in zip(report.subjects, payload["subjects"]):
             assert entry["participant"] == s.participant
@@ -360,17 +357,15 @@ class TestReport:
         assert rmse_cmp.cohens_d > 0
         assert r2_cmp.p_one_tailed <= 0.05
 
-    def test_long_format_boxplot_rows(self, tmp_path):
-        report = build_eval_report(mock_subjects())
-        emit_report(report, tmp_path)
-        lines = (tmp_path / "boxplot_long.csv").read_text().strip().split("\n")
+    def test_long_format_boxplot_rows(self):
+        files = emit_report(build_eval_report(mock_subjects()))
+        lines = files["boxplot_long.csv"].decode().strip().split("\n")
         assert lines[0] == "model,metric,value"
         assert len(lines) - 1 == 12 * 3 * 2
 
-    def test_boxplot_long_includes_pmbnn_r_when_present(self, tmp_path):
-        report = build_eval_report(mock_subjects(with_pmbnn_r=True))
-        emit_report(report, tmp_path)
-        lines = (tmp_path / "report.csv").read_text().strip().split("\n")
+    def test_boxplot_long_includes_pmbnn_r_when_present(self):
+        files = emit_report(build_eval_report(mock_subjects(with_pmbnn_r=True)))
+        lines = files["report.csv"].decode().strip().split("\n")
         data_rows = [l for l in lines[1:] if not l.startswith(("p_value", "d_value"))]
         assert len(data_rows) == 12 * 4
 
