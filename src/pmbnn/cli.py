@@ -178,9 +178,18 @@ def _write(path: str, data: bytes) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _write_manifest(out_dir: str, name: str, payload: dict) -> None:
-    _write(os.path.join(out_dir, name),
+def _write_manifest(args, cfg: dict, name: str, payload: dict) -> str | None:
+    """Write ``payload`` to ``--out``/``name``, stamped with the subcommand
+    and, when it reads settings, with ``config``, the keys of the sections
+    it reads (``args.sections``), and that dict's ``config_hash``, which is
+    returned (None for a subcommand that reads no settings)."""
+    payload = {"command": args.command, **payload}
+    if args.sections:
+        config = {k: v for k, v in cfg.items() if k.split(".")[0] in args.sections}
+        payload.update(config=config, config_hash=_config_hash(config))
+    _write(os.path.join(args.out, name),
            json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n")
+    return payload.get("config_hash")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -203,14 +212,20 @@ def _read_record(path: str) -> SubjectRecord:
     return resample_linear_1hz(parse_recording_csv(_read_bytes(path), subject_id=subject_id))
 
 
-def _write_predictions(path: str, column: str, times, hr_true, pred, labels):
-    _write(path, csv_bytes(["t_s", "hr_true", column, "activity"],
-                           ([f"{t:.10g}", f"{h:.10g}", f"{p:.10g}", a]
-                            for t, h, p, a in zip(times, hr_true, pred, labels))))
+def _read_split(args, cfg: dict):
+    """The ``--input`` record and its per-activity split at ``split.ratio``."""
+    rec = _read_record(args.input)
+    return rec, split_by_activity(rec, float(cfg["split.ratio"]))
 
 
-def _test_times(rec: SubjectRecord, split) -> np.ndarray:
-    return rec.vo2.t0 + rec.vo2.dt * split.test_indices
+def _write_predictions(args, model: str, rec: SubjectRecord, split, pred) -> None:
+    """``--out``/predictions_<model>.csv: each test sample's time, measured
+    HR, the model's HR and activity label."""
+    times = rec.vo2.t0 + rec.vo2.dt * split.test_indices
+    _write(os.path.join(args.out, f"predictions_{model}.csv"),
+           csv_bytes(["t_s", "hr_true", MODEL_COLUMNS[model], "activity"],
+                     ([f"{t:.10g}", f"{h:.10g}", f"{p:.10g}", a] for t, h, p, a in
+                      zip(times, split.test.hr.values, pred, split.test.activity_labels))))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -220,12 +235,9 @@ def cmd_preprocess(args, cfg: dict) -> int:
     out = preprocess_subject(rec, _section("filter", cfg))
     dest = os.path.join(args.out, "preprocessed.csv")
     _write(dest, record_to_csv_bytes(out))
-    _write_manifest(args.out, "preprocess_manifest.json", {
-        "command": "preprocess",
+    _write_manifest(args, cfg, "preprocess_manifest.json", {
         "input": os.path.basename(args.input),
         "subject_id": rec.subject_id,
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
         "n_samples": len(out),
     })
     log.info("preprocessed %s -> %s", args.input, dest)
@@ -281,8 +293,7 @@ def cmd_synth(args, cfg: dict) -> int:
     rec = generate_synthetic_subject(spec)
     dest = os.path.join(args.out, f"{spec.subject_id}.csv")
     _write(dest, record_to_csv_bytes(rec))
-    _write_manifest(args.out, "synth_manifest.json", {
-        "command": "synth",
+    _write_manifest(args, cfg, "synth_manifest.json", {
         "subject_id": spec.subject_id,
         "lambda_true": list(spec.lambda_true.as_array()),
         "hr0": spec.hr0,
@@ -300,71 +311,55 @@ def cmd_synth(args, cfg: dict) -> int:
 
 
 def cmd_split(args, cfg: dict) -> int:
-    rec = _read_record(args.input)
-    split = split_by_activity(rec, float(cfg["split.ratio"]))
+    rec, split = _read_split(args, cfg)
     for name, part in (("train", split.train), ("test", split.test)):
         _write(os.path.join(args.out, f"{name}.csv"), record_to_csv_bytes(part))
-    _write_manifest(args.out, "split_manifest.json", {
-        "command": "split",
+    _write_manifest(args, cfg, "split_manifest.json", {
         "subject_id": rec.subject_id,
         "ratio": cfg["split.ratio"],
         "split_hash": split.provenance_hash(),
         "train_indices": split.train_indices.tolist(),
         "test_indices": split.test_indices.tolist(),
-        "config": cfg,
     })
     return 0
 
 
 def cmd_train(args, cfg: dict) -> int:
-    rec = _read_record(args.input)
+    rec, split = _read_split(args, cfg)
+    # both fit sections are range-checked, though the model's fit reads one
     ecfg = ExperimentConfig(float(cfg["split.ratio"]), _section("train", cfg),
                             _section("pm", cfg))
-    split = split_by_activity(rec, ecfg.split_ratio)
     _make_dir(args.out)  # an unusable --out fails before the fit, not after it
     fitted = fit_model(args.model, split, ecfg)
-    # echo and hash only the sections that the model's fit reads
-    cfg = {k: v for k, v in cfg.items() if k.split(".")[0] in args.sections}
-    _write_predictions(os.path.join(args.out, f"predictions_{args.model}.csv"),
-                       MODEL_COLUMNS[args.model], _test_times(rec, split),
-                       split.test.hr.values, fitted.predictions, split.test.activity_labels)
-    if fitted.mlp is None:
-        _write(os.path.join(args.out, "pm_lambda.json"),
-               json.dumps({"lambda": list(fitted.lam.as_array()),
-                           "config_hash": _config_hash(cfg)}, sort_keys=True).encode() + b"\n")
-    else:
-        nn_core.save_checkpoint(os.path.join(args.out, f"{args.model}_checkpoint.json"),
-                                fitted.mlp, LambdaBounds(), ecfg.train.seed, _config_hash(cfg))
-    _write_manifest(args.out, f"{args.model}_run_manifest.json", {
-        "command": "train",
+    config_hash = _write_manifest(args, cfg, f"{args.model}_run_manifest.json", {
         "model": args.model,
         "subject_id": rec.subject_id,
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
         "split_hash": split.provenance_hash(),
         "lambda": list(fitted.lam.as_array()),
         **fitted.diagnostics,
     })
+    _write_predictions(args, args.model, rec, split, fitted.predictions)
+    if fitted.mlp is None:
+        _write(os.path.join(args.out, "pm_lambda.json"),
+               json.dumps({"lambda": list(fitted.lam.as_array()),
+                           "config_hash": config_hash}, sort_keys=True).encode() + b"\n")
+    else:
+        nn_core.save_checkpoint(os.path.join(args.out, f"{args.model}_checkpoint.json"),
+                                fitted.mlp, LambdaBounds(), ecfg.train.seed, config_hash)
     return 0
 
 
 def cmd_reconstruct(args, cfg: dict) -> int:
     params, bounds, _seed, _hash = nn_core.load_checkpoint(args.checkpoint)
     lam = nn_core.lambda_from_theta(params.theta, bounds)
-    rec = _read_record(args.input)
-    split = split_by_activity(rec, float(cfg["split.ratio"]))
-    pred = reconstruct_pmbnn_r(split.test, lam, bounds).values
-    pred_path = os.path.join(args.out, "predictions_pmbnn_r.csv")
-    _write_predictions(pred_path, MODEL_COLUMNS["pmbnn_r"],
-                       _test_times(rec, split), split.test.hr.values, pred,
-                       split.test.activity_labels)
-    _write_manifest(args.out, "pmbnn_r_run_manifest.json", {
-        "command": "reconstruct",
+    rec, split = _read_split(args, cfg)
+    _write_predictions(args, "pmbnn_r", rec, split,
+                       reconstruct_pmbnn_r(split.test, lam, bounds).values)
+    _write_manifest(args, cfg, "pmbnn_r_run_manifest.json", {
         "subject_id": rec.subject_id,
         "checkpoint": os.path.basename(args.checkpoint),
         "lambda": list(lam.as_array()),
         "split_hash": split.provenance_hash(),
-        "config": cfg,
     })
     return 0
 
@@ -373,21 +368,22 @@ def _read_predictions(path: str):
     """A predictions CSV's header and its ``(line, t_s, hr_true, row)``
     entries, read with :func:`csv_table`.
 
-    The header is ``t_s,hr_true``, model columns, ``activity``, else
-    MalformedHeader; each row's ``t_s``, ``hr_true`` and model cells are
+    The header is ``t_s,hr_true``, one or more distinct MODEL_COLUMNS,
+    ``activity``, else MalformedHeader; each row's cells but the last are
     finite numbers, else MalformedRow names the line. Both name the path.
     """
     try:
         header, rows = csv_table(_read_bytes(path))
-        model_cols = [h for h in header if h in MODEL_COLUMNS.values()]
-        if header[:2] != ["t_s", "hr_true"] or header[-1:] != ["activity"] or not model_cols:
+        model_cols = header[2:-1]
+        if (header[:2] != ["t_s", "hr_true"] or header[-1:] != ["activity"] or not model_cols
+                or not set(model_cols) <= set(MODEL_COLUMNS.values())
+                or len(set(model_cols)) < len(model_cols)):
             raise MalformedHeader(f"line 1: expected t_s,hr_true, model columns and activity, "
                                   f"got {','.join(header)!r}")
-        numeric = [i for i, h in enumerate(header) if i < 2 or h in model_cols]
         checked = []
         for line, row in rows:
             try:
-                cells = [_cell(row[i], missing_ok=False) for i in numeric]
+                cells = [_cell(cell, missing_ok=False) for cell in row[:-1]]
             except ValueError as exc:
                 raise MalformedRow(f"line {line}: {exc}") from None
             checked.append((line, cells[0], cells[1], row))
@@ -428,8 +424,7 @@ def cmd_evaluate(args, cfg: dict) -> int:
     _write(os.path.join(args.out, "predictions.csv"), csv_bytes(JOINED_HEADER, (
         [f"{t:.10g}", e["hr_true"], *(e.get(c, "") for c in JOINED_HEADER[2:-1]), e["activity"]]
         for t, e in sorted(joined.items()))))
-    _write_manifest(args.out, "metrics.json", {
-        "command": "evaluate",
+    _write_manifest(args, cfg, "metrics.json", {
         "participant": args.subject,
         "n_samples": len(times),
         "models": metrics,
@@ -456,8 +451,7 @@ def cmd_report(args, cfg: dict) -> int:
     report = stats_eval.build_eval_report(subjects)
     for name, data in stats_eval.emit_report(report).items():
         _write(os.path.join(args.out, name), data)
-    _write_manifest(args.out, "report_manifest.json", {
-        "command": "report",
+    _write_manifest(args, cfg, "report_manifest.json", {
         "inputs": [os.path.basename(p) for p in args.metrics],
         "participants": [s.participant for s in subjects],
     })

@@ -479,5 +479,14 @@ def load_checkpoint(path) -> tuple[MlpParams, LambdaBounds, int, str]:
     with malformed_fields(path):
         arrays = {name: np.array(payload["arrays"][name], dtype=float)
                   .reshape(payload["layer_shapes"][name]) for name in ARRAY_FIELDS}
-        bounds = LambdaBounds(**{k: tuple(v) for k, v in payload["bounds"].items()})
+        bounds = LambdaBounds(**{k: _box(k, v) for k, v in payload["bounds"].items()})
         return MlpParams(**arrays), bounds, payload["seed"], payload["config_hash"]
+
+
+def _box(name: str, value) -> tuple[float, float]:
+    """A checkpoint's ``bounds`` entry: two finite numbers (no bools), else
+    ValueError, which :func:`malformed_fields` makes an IoFailure."""
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) in (int, float) and np.isfinite(v) for v in value)):
+        raise ValueError(f"bounds {name} must be two finite numbers, got {value!r}")
+    return float(value[0]), float(value[1])

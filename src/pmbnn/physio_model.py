@@ -168,7 +168,9 @@ def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> li
     segment contributes len-2 values. ``log_vo2`` is ln(vo2) of the whole
     series, ``dt_min`` the sample spacing in minutes and ``lam`` the six
     lambdas as a plain sequence. This is the one discretization of the
-    dynamics that the training loss and the PM fit both use.
+    dynamics: the training loss's L_DE and the gradient check score it.
+    The PM fit does not; it minimizes the simulated trajectory's MSE in
+    bpm^2 (:func:`training.fit_pm`).
 
     ``hr`` may carry leading batch axes, (..., n) for series on one vo2
     grid; each lambda is then a scalar or, for (K, n), a (K, 1) column,

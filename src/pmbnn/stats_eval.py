@@ -69,6 +69,8 @@ class MetricPair:
     rmse: float
 
     def __post_init__(self):
+        if isinstance(self.rmse, bool) or isinstance(self.r2, bool):
+            raise OutOfBounds(f"r2 and rmse must be numbers, got {self.r2!r} and {self.rmse!r}")
         if not (math.isfinite(self.rmse) and self.rmse >= 0):
             raise OutOfBounds(f"rmse must be finite and >= 0, got {self.rmse}")
         if self.r2 is not None and not (math.isfinite(self.r2) and self.r2 <= 1.0 + 1e-12):

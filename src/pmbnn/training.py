@@ -32,8 +32,8 @@ class LossBreakdown:
     """One epoch's loss components: l_tot = l_data + w * l_de.
 
     l_data is in bpm^2; l_de is the mean squared collocation residual in
-    (bpm/min)^2, the unit of :func:`physio_model.de_residual_series` and of
-    the PM fit.
+    (bpm/min)^2, the unit of :func:`physio_model.de_residual_series`. (The
+    PM fit minimizes a simulated trajectory's MSE, in bpm^2.)
     """
 
     l_data: float

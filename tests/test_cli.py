@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -342,7 +344,16 @@ _PREDICTIONS = b"t_s,hr_true,hr_pmbnn,activity\n0,70,71,rest\n"
     (b"t_s,hr_true,hr_lstm,activity\n0,70,71,rest",
      "MalformedHeader: {bad} line 1: expected t_s,hr_true, model columns and activity, "
      "got 't_s,hr_true,hr_lstm,activity'"),
-], ids=["junk", "short", "nan", "inf", "latin1", "header"])
+    # the unknown column was dropped and the file scored, exit 0
+    (b"t_s,hr_true,hr_pmbnn,hr_typo,activity\n0,70,71,72,rest",
+     "MalformedHeader: {bad} line 1: expected t_s,hr_true, model columns and activity, "
+     "got 't_s,hr_true,hr_pmbnn,hr_typo,activity'"),
+    # the later hr_pmbnn cell silently won
+    (b"t_s,hr_true,hr_pmbnn,hr_pmbnn,activity\n0,70,71,950,rest",
+     "MalformedHeader: {bad} line 1: expected t_s,hr_true, model columns and activity, "
+     "got 't_s,hr_true,hr_pmbnn,hr_pmbnn,activity'"),
+], ids=["junk", "short", "nan", "inf", "latin1", "header", "unknown-column",
+        "repeated-column"])
 def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, data, shown):
     good = tmp_path / "predictions_pm.csv"
     good.write_text("t_s,hr_true,hr_pm,activity\n0,70,71,rest\n1,72,71,rest\n")
@@ -394,7 +405,8 @@ def test_evaluate_overflowing_score_exits_one(tmp_path, capsys):
     '{"r2": 0.9, "rmse": -1}',      # was LengthMismatch
     '{"r2": NaN, "rmse": NaN}',     # exited 0 and wrote nan rows
     '{"r2": 1.5, "rmse": 2.0}',
-], ids=["negative-rmse", "nan", "r2-above-one"])
+    '{"r2": true, "rmse": true}',   # read as 1 and reported, exit 0
+], ids=["negative-rmse", "nan", "r2-above-one", "bool"])
 def test_report_bad_metric_exits_one(tmp_path, capsys, overall):
     path = tmp_path / "metrics.json"
     path.write_text('{"participant": "s", "models": {"pmbnn": {"overall": %s, '
@@ -695,11 +707,11 @@ def test_train_and_library_share_one_fit_path(tmp_path):
                                       pm_fit=training.PmFitConfig(iters=20))
     split, results, manifest = experiment.run_subject_experiment(rec, cfg)
     run_keys = {"command", "model", "subject_id", "config", "config_hash", "split_hash"}
+    lib = tmp_path / "lib"
     for model in ("pmbnn", "fcnn", "pm"):
-        lib_csv = tmp_path / f"lib_{model}.csv"
-        cli._write_predictions(str(lib_csv), cli.MODEL_COLUMNS[model],
-                               cli._test_times(rec, split), split.test.hr.values,
-                               results[model].predictions, split.test.activity_labels)
+        cli._write_predictions(argparse.Namespace(out=str(lib)), model, rec, split,
+                               results[model].predictions)
+        lib_csv = lib / f"predictions_{model}.csv"
         assert lib_csv.read_bytes() == (train / f"predictions_{model}.csv").read_bytes()
         run_manifest = json.loads((train / f"{model}_run_manifest.json").read_text())
         cli_fit = {k: v for k, v in run_manifest.items() if k not in run_keys}
@@ -836,6 +848,39 @@ def test_train_hashes_only_the_sections_its_model_reads(pipeline_dirs, tmp_path)
     assert pm_runs[0]["lambda"] == pm_runs[1]["lambda"]
 
 
+@pytest.mark.parametrize("argv, manifest, sections, unread", [
+    (["preprocess", "--input", "{csv}"], "preprocess_manifest.json", ("filter",), "train.lr"),
+    (["split", "--input", "{csv}"], "split_manifest.json", ("split",), "filter.fir_taps"),
+    (["train", "--model", "pmbnn", "--input", "{csv}", "--train.max_epochs", "2"],
+     "pmbnn_run_manifest.json", MODEL_SECTIONS["pmbnn"], "pm.iters"),
+    (["train", "--model", "fcnn", "--input", "{csv}", "--train.max_epochs", "2"],
+     "fcnn_run_manifest.json", MODEL_SECTIONS["fcnn"], "filter.sg_window"),
+    (["train", "--model", "pm", "--input", "{csv}", "--pm.iters", "3"],
+     "pm_run_manifest.json", MODEL_SECTIONS["pm"], "train.max_epochs"),
+    (["reconstruct", "--checkpoint", "{ckpt}", "--input", "{csv}"],
+     "pmbnn_r_run_manifest.json", ("split",), "train.lr"),
+], ids=["preprocess", "split", "train-pmbnn", "train-fcnn", "train-pm", "reconstruct"])
+def test_manifest_echoes_and_hashes_only_the_settings_read(
+        pipeline_dirs, tmp_path, argv, manifest, sections, unread):
+    # preprocess, split and reconstruct echoed all 13 keys, and split and
+    # reconstruct wrote no hash, so a key they never read changed a manifest
+    runs = []
+    for k, value in enumerate((3, 5)):
+        config = tmp_path / f"run{k}.json"
+        config.write_text(json.dumps({unread: value}))
+        out = tmp_path / f"o{k}"
+        assert run([a.format(**_artifacts(pipeline_dirs)) for a in argv]
+                   + ["--config", str(config), "--out", str(out)]) == 0
+        runs.append(json.loads((out / manifest).read_text()))
+    read = {k: v for k, v in DEFAULTS.items() if k.split(".")[0] in sections}
+    for m in runs:
+        assert m["command"] == argv[0]
+        assert set(m["config"]) == set(read)
+        assert m["config_hash"] == hashlib.sha256(
+            json.dumps(m["config"], sort_keys=True).encode()).hexdigest()
+    assert runs[0]["config_hash"] == runs[1]["config_hash"]
+
+
 def test_parser_is_built_once_and_keeps_no_state_between_calls(
         pipeline_dirs, tmp_path, capsys):
     from pmbnn import cli
@@ -860,6 +905,23 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(
                                  ["--train.max_epochs", "2", "--seed", "5"],
                                  ["--train.max_epochs", "2"])
     assert [m["config"]["train.seed"] for m in manifests] == [5, DEFAULTS["train.seed"]]
+
+
+@pytest.mark.parametrize("box", [["a", "b"], [True, 2.0]],
+                         ids=["strings", "bool"])
+def test_checkpoint_bounds_not_two_finite_numbers_is_io_failure(
+        pipeline_dirs, tmp_path, capsys, box):
+    # strings ended in a numpy traceback; true was read as the box (1, 2)
+    ckpt = json.loads(pathlib.Path(_artifacts(pipeline_dirs)["ckpt"]).read_text())
+    ckpt["bounds"]["l1"] = box
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(ckpt))
+    out = tmp_path / "r"
+    assert run(["reconstruct", "--checkpoint", str(path), "--input",
+                _artifacts(pipeline_dirs)["csv"], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"IoFailure: {path}: " in err and "bounds l1 must be two finite numbers" in err
+    assert not out.exists()
 
 
 def test_negative_polyorder_exits_one(pipeline_dirs, tmp_path, capsys):
