@@ -5,7 +5,8 @@ Subcommands wire the pipeline end to end: ``preprocess`` -> ``split`` ->
 -> ``report``, plus ``synth`` for generating oracle subjects and
 ``gradcheck`` for verifying the reverse-mode gradients. Configuration is
 a JSON file with flat dotted keys; a ``--section.key value`` flag for a
-section the subcommand reads overrides the file. Exit codes: 0 success,
+section the subcommand reads overrides the file, and ``pmbnn <subcommand>
+--help`` lists each such flag with its default. Exit codes: 0 success,
 1 domain error, 2 usage error.
 """
 
@@ -61,31 +62,24 @@ DEFAULTS = {**{f"{section}.{f.name}": f.default
 #: the config sections that each model's fit reads
 MODEL_SECTIONS = {"pmbnn": ("split", "train"), "fcnn": ("split", "train"), "pm": ("split", "pm")}
 
-MODEL_COLUMNS = {
-    "pmbnn": "hr_pmbnn",
-    "fcnn": "hr_fcnn",
-    "pm": "hr_pm",
-    "pmbnn_r": "hr_pmbnn_r",
-}
-JOINED_HEADER = ["t_s", "hr_true", "hr_pmbnn", "hr_fcnn", "hr_pm",
-                 "hr_pmbnn_r", "activity"]
+MODEL_COLUMNS = {m: f"hr_{m}" for m in ("pmbnn", "fcnn", "pm", "pmbnn_r")}
+JOINED_HEADER = ["t_s", "hr_true", *MODEL_COLUMNS.values(), "activity"]
 
 #: default ground truth for ``synth``: rising-HR configuration inside the box
 SYNTH_DEFAULT_LAMBDA = LambdaParams(0.025, 0.08, -2.8, 19.0, 0.44, 0.1)
 
 
-def _resolve_config(path: str | None, extras: list[str], sections: tuple[str, ...],
+def _resolve_config(path: str | None, flags: dict, sections: tuple[str, ...],
                     reader: str) -> dict:
-    """DEFAULTS, then the ``--config`` file, then ``--section.key`` flags.
+    """DEFAULTS, then the ``--config`` file, then the ``--section.key`` flags.
 
     Raises ValueError for a usage error: an unreadable or malformed config
-    file, a malformed flag, a key outside DEFAULTS, a value whose type
-    does not fit its default, or a flag outside ``sections``, the sections
-    that ``reader`` reads (the file may hold any key, so one file serves
-    the whole pipeline).
+    file, a file key outside DEFAULTS, a value whose type does not fit its
+    default, or a flag outside ``sections``, the sections that ``reader``
+    reads (the file may hold any key, so one file serves the whole
+    pipeline).
     """
     cfg = dict(DEFAULTS)
-    flagged = []
     if path:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -95,25 +89,7 @@ def _resolve_config(path: str | None, extras: list[str], sections: tuple[str, ..
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config {path} must be a JSON object")
         cfg.update(file_cfg)
-    i = 0
-    while i < len(extras):
-        token = extras[i]
-        if not token.startswith("--") or "." not in token:
-            raise ValueError(f"unrecognized argument: {token}")
-        key = token[2:]
-        if "=" in key:
-            key, raw = key.split("=", 1)
-        else:
-            i += 1
-            if i >= len(extras):
-                raise ValueError(f"flag {token} expects a value")
-            raw = extras[i]
-        flagged.append(key)
-        try:
-            cfg[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            cfg[key] = raw
-        i += 1
+    cfg.update(flags)
     unknown = sorted(set(cfg) - set(DEFAULTS))
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
@@ -121,11 +97,20 @@ def _resolve_config(path: str | None, extras: list[str], sections: tuple[str, ..
         if not _fits_default_type(value, DEFAULTS[key]):
             raise ValueError(f"{key} must be {type(DEFAULTS[key]).__name__}, "
                              f"got {value!r}")
-    unread = [k for k in flagged if k.split(".")[0] not in sections]
+    unread = [k for k in flags if k.split(".")[0] not in sections]
     if unread:
         raise ValueError(f"{' '.join('--' + k for k in unread)}: {reader} reads "
                          f"only {', '.join(s + '.*' for s in sections)} settings")
     return cfg
+
+
+def _json_value(text: str):
+    """A ``--section.key`` value: JSON, else the raw string, which the
+    type check then rejects."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def _fits_default_type(value, default) -> bool:
@@ -260,6 +245,12 @@ def _whole_seconds(value) -> int:
 def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
     payload = _read_json(path)
     with malformed_fields(path):
+        allowed = {f.name for f in fields(SyntheticSpec)} - {"bounds"}   # a spec sets no box
+        unknown = [k for k in payload if k not in allowed] + [
+            f"plan[{i}].{k}" for i, p in enumerate(payload["plan"])
+            for k in p if k not in {f.name for f in fields(ActivityPhase)}]
+        if unknown:
+            raise IoFailure(f"{path}: unknown key(s) {', '.join(unknown)}")
         plan = tuple(
             ActivityPhase(p["label"], _whole_seconds(p["duration_s"]),
                           _number(p["target_vo2"], f"plan[{i}].target_vo2"),
@@ -394,8 +385,13 @@ def _read_predictions(path: str):
 
 def cmd_evaluate(args, cfg: dict) -> int:
     joined: dict[float, dict] = {}
+    source: dict[str, str] = {}   # each model column and the --pred file that holds it
     for path in args.pred:
         header, rows = _read_predictions(path)
+        for col in header[2:-1]:
+            if col in source:
+                raise MalformedHeader(f"{path} line 1: column {col} is also in {source[col]}")
+            source[col] = path
         for lineno, t, hr, row in rows:
             entry = joined.setdefault(t, {"hr": hr, "hr_true": row[1], "activity": row[-1]})
             if (entry["hr"], entry["activity"]) != (hr, row[-1]):
@@ -472,58 +468,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmbnn",
         description="Physiological-model-based neural network pipeline",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False, config=True):
-        if config:
+    def add(name, func, summary, sections=(), seed=False, out=True):
+        """Subcommand ``name``; with ``sections``, the settings it reads, it takes
+        ``--config`` and one ``--section.key`` option per key of them."""
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func, sections=sections)
+        if sections:
             p.add_argument("--config", help="JSON config file with flat dotted keys")
+        for key, default in DEFAULTS.items():
+            if key.split(".")[0] in sections:
+                p.add_argument(f"--{key}", type=_json_value, default=argparse.SUPPRESS,
+                               metavar=type(default).__name__.upper(),
+                               help=f"default: {json.dumps(default)}")
         if seed:
             p.add_argument("--seed", type=_seed, default=None)
-        p.add_argument("--out", required=True, help="output directory")
+        if out:
+            p.add_argument("--out", required=True, help="output directory")
+        return p
 
-    p = sub.add_parser("preprocess", help="resample + filter a recording")
+    p = add("preprocess", cmd_preprocess, "resample + filter a recording", ("filter",))
     p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_preprocess, sections=("filter",))
 
-    p = sub.add_parser("synth", help="generate a synthetic oracle subject")
+    p = add("synth", cmd_synth, "generate a synthetic oracle subject", seed=True)
     p.add_argument("--spec", help="synthetic spec JSON")
     p.add_argument("--noise-hr", type=float, default=0.0)
-    common(p, seed=True, config=False)
-    p.set_defaults(func=cmd_synth, sections=())
 
-    p = sub.add_parser("split", help="per-activity 80/20 split")
+    p = add("split", cmd_split, "per-activity 80/20 split", ("split",))
     p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_split, sections=("split",))
 
-    p = sub.add_parser("train", help="train one model on one subject")
+    # every section a model reads; main narrows args.sections to the model's
+    p = add("train", cmd_train, "train one model on one subject", ("split", "train", "pm"),
+            seed=True)
     p.add_argument("--model", required=True, choices=("pmbnn", "fcnn", "pm"))
     p.add_argument("--input", required=True, help="preprocessed subject CSV")
-    common(p, seed=True)
-    p.set_defaults(func=cmd_train)  # sections: MODEL_SECTIONS[model]
 
-    p = sub.add_parser("reconstruct", help="PM with lambdas from a checkpoint")
+    p = add("reconstruct", cmd_reconstruct, "PM with lambdas from a checkpoint", ("split",))
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_reconstruct, sections=("split",))
 
-    p = sub.add_parser("evaluate", help="join prediction CSVs and score them")
+    p = add("evaluate", cmd_evaluate, "join prediction CSVs and score them")
     p.add_argument("--pred", nargs="+", required=True)
     p.add_argument("--subject", default="subject")
-    common(p, config=False)
-    p.set_defaults(func=cmd_evaluate, sections=())
 
-    p = sub.add_parser("report", help="aggregate per-subject metrics files")
+    p = add("report", cmd_report, "aggregate per-subject metrics files")
     p.add_argument("--metrics", nargs="+", required=True)
-    common(p, config=False)
-    p.set_defaults(func=cmd_report, sections=())
 
-    p = sub.add_parser("gradcheck", help="verify reverse-mode gradients")
+    p = add("gradcheck", cmd_gradcheck, "verify reverse-mode gradients", out=False)
     p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=cmd_gradcheck, sections=())
 
     return parser
 
@@ -536,15 +531,14 @@ def main(argv=None) -> int:
                      "use DEBUG, INFO, WARNING, ERROR or CRITICAL")
     logging.basicConfig()   # a stderr handler, unless one is installed already
     log.setLevel(level.upper())
-    args, extras = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
     reader = args.command
     if args.command == "train":
         args.sections = MODEL_SECTIONS[args.model]
         reader += f" --model {args.model}"
-    if extras and not args.sections:
-        parser.error(f"{args.command} takes no configuration: {' '.join(extras)}")
+    flags = {k: v for k, v in vars(args).items() if k in DEFAULTS}
     try:
-        cfg = _resolve_config(getattr(args, "config", None), extras, args.sections, reader)
+        cfg = _resolve_config(getattr(args, "config", None), flags, args.sections, reader)
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "train" and args.seed is not None:

@@ -479,7 +479,11 @@ def load_checkpoint(path) -> tuple[MlpParams, LambdaBounds, int, str]:
     with malformed_fields(path):
         arrays = {name: np.array(payload["arrays"][name], dtype=float)
                   .reshape(payload["layer_shapes"][name]) for name in ARRAY_FIELDS}
-        bounds = LambdaBounds(**{k: _box(k, v) for k, v in payload["bounds"].items()})
+        box = payload["bounds"]
+        missing = [k for k, _ in LambdaBounds().items() if k not in box]
+        if missing:   # LambdaBounds would give each its default box; an unknown key fails it
+            raise ValueError(f"bounds lacks {', '.join(missing)}")
+        bounds = LambdaBounds(**{k: _box(k, v) for k, v in box.items()})
         return MlpParams(**arrays), bounds, payload["seed"], payload["config_hash"]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -71,9 +72,10 @@ class MetricPair:
     def __post_init__(self):
         if isinstance(self.rmse, bool) or isinstance(self.r2, bool):
             raise OutOfBounds(f"r2 and rmse must be numbers, got {self.r2!r} and {self.rmse!r}")
-        if not (math.isfinite(self.rmse) and self.rmse >= 0):
+        # comparing with the largest float also rejects inf, NaN and an int too large for one
+        if not 0 <= self.rmse <= sys.float_info.max:
             raise OutOfBounds(f"rmse must be finite and >= 0, got {self.rmse}")
-        if self.r2 is not None and not (math.isfinite(self.r2) and self.r2 <= 1.0 + 1e-12):
+        if self.r2 is not None and not -sys.float_info.max <= self.r2 <= 1.0 + 1e-12:
             raise OutOfBounds(f"r2 must be null or finite and <= 1, got {self.r2}")
 
 

@@ -166,13 +166,16 @@ class TestErrorPaths:
         ["--foo", "1"],                     # not a --section.key flag
         ["--train.max_epochs"],             # flag without a value
         ["--pm.objective", "bogus"],        # key removed from DEFAULTS
+        ["--split.rati", "0.5"],            # an abbreviated key
+        ["--inp", "x.csv"],                 # was taken as --input
     ])
     def test_bad_config_flag_exits_two(self, argv, capsys):
         # the config is resolved before the subcommand reads its input
         with pytest.raises(SystemExit) as exc:
             run(["split", "--input", "absent.csv", "--out", "absent"] + argv)
         assert exc.value.code == 2
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage:" in err and argv[0] in err
 
     @pytest.mark.parametrize("argv", [
         ["gradcheck"],
@@ -220,14 +223,14 @@ class TestErrorPaths:
     def test_gradcheck_rejects_configuration(self, capsys, extra):
         # none of these reads a config section: the check runs on its own
         # fixed instance; synth, evaluate and report parsed --config and
-        # echoed it into their manifests unread
+        # echoed it into their manifests unread. None declares these flags.
         for argv in (["gradcheck", "--seed", "3"], ["synth", "--out", "o"],
                      ["evaluate", "--pred", "p.csv", "--out", "o"],
                      ["report", "--metrics", "m.json", "--out", "o"]):
             with pytest.raises(SystemExit) as exc:
                 run(argv + extra)
             assert exc.value.code == 2
-            assert f"{argv[0]} takes no configuration" in capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["preprocess", "--input", "x.csv"],
@@ -352,8 +355,11 @@ _PREDICTIONS = b"t_s,hr_true,hr_pmbnn,activity\n0,70,71,rest\n"
     (b"t_s,hr_true,hr_pmbnn,hr_pmbnn,activity\n0,70,71,950,rest",
      "MalformedHeader: {bad} line 1: expected t_s,hr_true, model columns and activity, "
      "got 't_s,hr_true,hr_pmbnn,hr_pmbnn,activity'"),
+    # the later file's hr_pm cells overwrote the earlier file's
+    (b"t_s,hr_true,hr_pm,activity\n0,70,999,rest",
+     "MalformedHeader: {bad} line 1: column hr_pm is also in {good}"),
 ], ids=["junk", "short", "nan", "inf", "latin1", "header", "unknown-column",
-        "repeated-column"])
+        "repeated-column", "column-in-two-files"])
 def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, data, shown):
     good = tmp_path / "predictions_pm.csv"
     good.write_text("t_s,hr_true,hr_pm,activity\n0,70,71,rest\n1,72,71,rest\n")
@@ -361,7 +367,7 @@ def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, data, shown):
     bad.write_bytes((data if data.startswith(b"t_s") else _PREDICTIONS + data) + b"\n")
     out = tmp_path / "e"
     assert run(["evaluate", "--pred", str(good), str(bad), "--out", str(out)]) == 1
-    assert shown.format(bad=bad) in capsys.readouterr().err
+    assert shown.format(bad=bad, good=good) in capsys.readouterr().err
     assert not out.exists()   # every file is checked before anything is written
 
 
@@ -406,7 +412,9 @@ def test_evaluate_overflowing_score_exits_one(tmp_path, capsys):
     '{"r2": NaN, "rmse": NaN}',     # exited 0 and wrote nan rows
     '{"r2": 1.5, "rmse": 2.0}',
     '{"r2": true, "rmse": true}',   # read as 1 and reported, exit 0
-], ids=["negative-rmse", "nan", "r2-above-one", "bool"])
+    '{"r2": 0.9, "rmse": 1%s}' % ("0" * 400),    # an OverflowError traceback
+    '{"r2": -1%s, "rmse": 2.0}' % ("0" * 400),
+], ids=["negative-rmse", "nan", "r2-above-one", "bool", "huge-rmse", "huge-r2"])
 def test_report_bad_metric_exits_one(tmp_path, capsys, overall):
     path = tmp_path / "metrics.json"
     path.write_text('{"participant": "s", "models": {"pmbnn": {"overall": %s, '
@@ -624,6 +632,20 @@ def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, field
     assert run(["synth", "--out", str(tmp_path / "o"), *flags]) == 1
     assert f"OutOfBounds: {field}" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] in ([], ["spec.json"])   # nothing written
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"noise_sgima_hr": 5}, "noise_sgima_hr"),   # ran with noise 0
+    ({"bounds": {}}, "bounds"),
+    ({"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4, "tau": 5}]},
+     "plan[0].tau"),                             # ran with tau_s 30
+])
+def test_synth_spec_unknown_key_is_io_failure(tmp_path, capsys, spec, key):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC, **spec}))
+    assert run(["synth", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"IoFailure: {path}: unknown key(s) {key}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 def test_log_level_follows_env_on_every_call(tmp_path, monkeypatch, caplog):
@@ -907,21 +929,45 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(
     assert [m["config"]["train.seed"] for m in manifests] == [5, DEFAULTS["train.seed"]]
 
 
-@pytest.mark.parametrize("box", [["a", "b"], [True, 2.0]],
-                         ids=["strings", "bool"])
+_NOT_TWO_NUMBERS = "bounds l1 must be two finite numbers"
+
+
+@pytest.mark.parametrize("edit, shown", [
+    (lambda box: box.update(l1=["a", "b"]), _NOT_TWO_NUMBERS),   # a numpy traceback
+    (lambda box: box.update(l1=[True, 2.0]), _NOT_TWO_NUMBERS),  # read as the box (1, 2)
+    (lambda box: box.pop("l1"), "bounds lacks l1"),              # took the default box
+    (lambda box: box.update(l7=[0.0, 1.0]), "l7"),
+], ids=["strings", "bool", "missing", "unknown"])
 def test_checkpoint_bounds_not_two_finite_numbers_is_io_failure(
-        pipeline_dirs, tmp_path, capsys, box):
-    # strings ended in a numpy traceback; true was read as the box (1, 2)
+        pipeline_dirs, tmp_path, capsys, edit, shown):
+    # bounds must hold exactly l1..l6, each two finite numbers
     ckpt = json.loads(pathlib.Path(_artifacts(pipeline_dirs)["ckpt"]).read_text())
-    ckpt["bounds"]["l1"] = box
+    edit(ckpt["bounds"])
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(ckpt))
     out = tmp_path / "r"
     assert run(["reconstruct", "--checkpoint", str(path), "--input",
                 _artifacts(pipeline_dirs)["csv"], "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"IoFailure: {path}: " in err and "bounds l1 must be two finite numbers" in err
+    assert f"IoFailure: {path}: " in err and shown in err
     assert not out.exists()
+
+
+#: the config sections each subcommand with settings reads (train: any model's)
+_READS = {"preprocess": ("filter",), "split": ("split",),
+          "train": ("split", "train", "pm"), "reconstruct": ("split",)}
+
+
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_help_lists_every_setting_with_its_default(capsys, command):
+    # --help listed no setting: the 13 keys were parsed by hand after argparse
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key, default in REFERENCE_DEFAULTS.items():
+        listed = f"--{key} {type(default).__name__.upper()} default: {json.dumps(default)}"
+        assert (listed in text) == (key.split(".")[0] in _READS[command]), key
 
 
 def test_negative_polyorder_exits_one(pipeline_dirs, tmp_path, capsys):
