@@ -109,8 +109,12 @@ class IoFailure(PmbnnError):
 
 @contextmanager
 def malformed_fields(path):
-    """Turn a missing or mis-shaped field of a parsed input into IoFailure."""
+    """Turn a missing or mis-shaped field of a parsed input into IoFailure.
+
+    JSON integers are unbounded, so a number too large for a float
+    (OverflowError) is a malformed field too."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise IoFailure(f"{path}: missing or malformed field: {exc!r}") from exc

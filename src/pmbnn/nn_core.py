@@ -140,22 +140,25 @@ def xavier_init(seed: int, bounds: LambdaBounds = LambdaBounds(),
                      theta_from_lambda(init_lambda, bounds))
 
 
-def _layer_inputs(vo2: np.ndarray):
+def _layer_inputs(vo2: np.ndarray, dtype=np.float64):
     """The network's input rows [vo2; 1] and two (HIDDEN + 1, n) activation
-    buffers whose last row holds ones, so that every bias rides in a gemm."""
-    ones = np.ones((2, HIDDEN + 1, len(vo2)))
-    return np.vstack([vo2, ones[0, 0]]), ones[0], ones[1]
+    buffers whose last row holds ones, so that every bias rides in a gemm;
+    all three in ``dtype``."""
+    ones = np.ones((2, HIDDEN + 1, len(vo2)), dtype)
+    return np.vstack([vo2, ones[0, 0]]).astype(dtype, copy=False), ones[0], ones[1]
 
 
 def _forward_full(p: MlpParams, x1: np.ndarray, a1: np.ndarray, a2: np.ndarray):
-    """Fresh output y for input rows ``x1``; writes the hidden activations
-    feature-major, (HIDDEN, n), into the top rows of ``a1`` and ``a2``."""
+    """Fresh float64 output y for input rows ``x1``; writes the hidden
+    activations feature-major, (HIDDEN, n), into the top rows of ``a1`` and
+    ``a2``. The layers run in the buffers' dtype, the weights cast to it."""
+    l1, l2, l3 = (w.astype(a1.dtype, copy=False) for w in (p.layer1, p.layer2, p.layer3))
     h1, h2 = a1[:HIDDEN], a2[:HIDDEN]
-    np.matmul(p.layer1, x1, out=h1)
+    np.matmul(l1, x1, out=h1)
     np.tanh(h1, out=h1)
-    np.matmul(p.layer2, a1, out=h2)
+    np.matmul(l2, a1, out=h2)
     np.tanh(h2, out=h2)
-    return p.layer3 @ a2
+    return (l3 @ a2).astype(np.float64, copy=False)
 
 
 def mlp_forward(p: MlpParams, vo2):
@@ -174,6 +177,14 @@ class TrainBatch:
     scratch buffers. Every :func:`loss_only` and :func:`loss_and_gradients`
     call overwrites those buffers, so one batch must not be evaluated by
     two calls at the same time; :func:`gradient_check` uses its own.
+
+    ``dtype`` is the working precision of the input rows and the activation
+    buffers, so of the network's gemms, tanh passes and backward elementwise
+    passes. Training uses float32, which halves the epoch; the network
+    output, the losses, the collocation residual and its adjoint, and the
+    gradients written into the parameter tree stay float64. The gradient
+    check keeps the float64 default: its 1e-4 gate on the relative error
+    needs the analytic gradient far more exact than float32 rounding.
     """
 
     vo2: np.ndarray
@@ -182,6 +193,7 @@ class TrainBatch:
     dt_seconds: float
     bounds: LambdaBounds
     de_weight: float
+    dtype: type = np.float64
 
     def __post_init__(self):
         if len(self.vo2) != len(self.hr):
@@ -189,11 +201,11 @@ class TrainBatch:
         pm._check_positive_vo2(self.vo2)
         lo, hi = self.bounds.lo_hi_arrays()
         lv = np.log(self.vo2)
-        x1, a1, a2 = _layer_inputs(self.vo2)
+        x1, a1, a2 = _layer_inputs(self.vo2, self.dtype)
         self.__dict__.update(  # the dataclass is frozen; caches bypass that
             _log_vo2=lv, _lv_powers=np.vstack([x1[1], lv, lv * lv]), _x1=x1,
             _dt_min=self.dt_seconds / pm.SECONDS_PER_MINUTE, _lo=lo, _hi=hi,
-            _work=(a1, a2, np.empty((HIDDEN, len(lv)))))
+            _work=(a1, a2, np.empty((HIDDEN, len(lv)), self.dtype)))
 
 
 def _forward_loss(p: MlpParams, batch: TrainBatch):
@@ -220,7 +232,11 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     dL_DE/dy = 2 (1 - l5 g) q / m and each lambda partial from sum F and
     the moments sum y q lv^k, k = 0, 1, 2; theta's follow through the
     logistic map. With ``de_weight == 0`` the theta gradient is 0. The
-    backward pass runs in the batch's buffers and returns a fresh tree.
+    backward pass runs in the batch's buffers and returns a fresh float64
+    tree. The network passes, forward and backward, run in the batch's
+    ``dtype``: dy is cast to it after the float64 loss adjoint, and each
+    gemm writes its weight gradient straight into the float64 tree. With
+    float64 buffers every cast is a no-op.
     """
     y, resid, lam, res, m, l_data, l_de = _forward_loss(p, batch)
     w = batch.de_weight
@@ -250,6 +266,7 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     # scaled by w3 per row and dz1 = (w3 w2)^T G (1 - a1^2)
     a1, a2, dz1 = batch._work
     h1, h2 = a1[:HIDDEN], a2[:HIDDEN]
+    dy = dy.astype(a2.dtype, copy=False)
     np.matmul(a2, dy, out=grads.layer3)
     np.multiply(h2, h2, out=h2)
     np.subtract(1.0, h2, out=h2)
@@ -257,7 +274,7 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     w3 = p.layer3[:HIDDEN, None]
     np.matmul(h2, a1.T, out=grads.layer2)
     grads.layer2 *= w3
-    np.matmul((w3 * p.w2).T, h2, out=dz1)
+    np.matmul((w3 * p.w2).T.astype(dz1.dtype, copy=False), h2, out=dz1)
     np.multiply(h1, h1, out=h1)
     np.subtract(1.0, h1, out=h1)
     dz1 *= h1
@@ -451,6 +468,11 @@ def run_gradcheck(seed: int, h: float = 1e-5) -> float:
     return gradient_check(p, batch, h)
 
 
+#: the top-level keys of a checkpoint, as :func:`save_checkpoint` writes them
+_CHECKPOINT_KEYS = ("schema_version", "layer_shapes", "arrays", "bounds", "seed",
+                    "config_hash")
+
+
 def save_checkpoint(path, p: MlpParams, bounds: LambdaBounds, seed: int,
                     config_hash: str) -> None:
     """Write the model to JSON: shapes, row-major arrays, theta, bounds."""
@@ -477,8 +499,17 @@ def load_checkpoint(path) -> tuple[MlpParams, LambdaBounds, int, str]:
     except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
     with malformed_fields(path):
+        unknown = [k for k in payload if k not in _CHECKPOINT_KEYS] + [
+            f"{part}.{k}" for part in ("arrays", "layer_shapes")
+            for k in payload[part] if k not in ARRAY_FIELDS]
+        if unknown:
+            raise IoFailure(f"{path}: unknown key(s) {', '.join(unknown)}")
         arrays = {name: np.array(payload["arrays"][name], dtype=float)
                   .reshape(payload["layer_shapes"][name]) for name in ARRAY_FIELDS}
+        # json reads 1e400, Infinity and NaN as non-finite floats
+        non_finite = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+        if non_finite:
+            raise ValueError(f"arrays {', '.join(non_finite)} must be finite")
         box = payload["bounds"]
         missing = [k for k, _ in LambdaBounds().items() if k not in box]
         if missing:   # LambdaBounds would give each its default box; an unknown key fails it

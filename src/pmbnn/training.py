@@ -99,12 +99,14 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     Per epoch: forward pass, L_tot, backprop, parameter update. Stops when
     L_tot < cfg.stop_threshold, at the epoch cap, or on divergence (the
     last finite parameters are then returned). The lambdas start at
-    ``DEFAULT_INITIAL`` inside the default ``LambdaBounds``.
+    ``DEFAULT_INITIAL`` inside the default ``LambdaBounds``. The network
+    passes run in float32 (:class:`TrainBatch`); the weights, theta, the
+    RMSprop state and the losses stay float64.
     """
     bounds = LambdaBounds()
     batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
                        segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
-                       bounds=bounds, de_weight=cfg.de_weight)
+                       bounds=bounds, de_weight=cfg.de_weight, dtype=np.float32)
     params = nn_core.xavier_init(cfg.seed, bounds, DEFAULT_INITIAL)
     state = RmspropState.init(params, cfg.lr)
     history: list[LossBreakdown] = []

@@ -648,6 +648,16 @@ def test_synth_spec_unknown_key_is_io_failure(tmp_path, capsys, spec, key):
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
+def test_synth_spec_number_too_large_for_a_float_is_io_failure(tmp_path, capsys):
+    # JSON integers are unbounded: hr0 = 10**400 raised OverflowError
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**SPEC, "hr0": 10**400}))
+    assert run(["synth", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"IoFailure: {path}: missing or malformed field: OverflowError" in (
+        capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
 def test_log_level_follows_env_on_every_call(tmp_path, monkeypatch, caplog):
     # no caplog.at_level: main alone must set the pmbnn logger's level
     synthesized = []

@@ -1,4 +1,5 @@
 import decimal
+import json
 import math
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_utils import oracle_subject
 
 from pmbnn import nn_core
 from pmbnn import physio_model as pm
@@ -17,6 +19,7 @@ from pmbnn.errors import (
     OutOfBounds,
     SegmentTooShort,
 )
+from pmbnn.experiment import split_by_activity
 from pmbnn.nn_core import (
     ARRAY_FIELDS,
     MlpParams,
@@ -37,6 +40,8 @@ from pmbnn.nn_core import (
     RmspropState,
 )
 from pmbnn.physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
+from pmbnn.signal_pipeline import preprocess_subject
+from pmbnn.training import TrainConfig, train_pmbnn
 
 
 def box(lo, hi):
@@ -494,6 +499,37 @@ def test_loss_de_in_bpm_per_minute_squared():
     assert l_de == pytest.approx(float(res @ res) / len(res), rel=1e-12)
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda c: c.update(extra=1), "extra"),
+    (lambda c: c["arrays"].update(w4=[1.0]), "arrays.w4"),
+    (lambda c: c["layer_shapes"].update(w4=[1]), "layer_shapes.w4"),
+], ids=["top-level", "arrays", "layer_shapes"])
+def test_checkpoint_unknown_key_is_io_failure(tmp_path, edit, key):
+    # each was ignored and the checkpoint loaded
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, xavier_init(0), LambdaBounds(), 0, "h")
+    ckpt = json.loads(path.read_text())
+    edit(ckpt)
+    path.write_text(json.dumps(ckpt))
+    with pytest.raises(IoFailure, match=f"unknown key\\(s\\) {key}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("literal, shown", [
+    ("1" + "0" * 400, "OverflowError"),      # an OverflowError traceback
+    ("1e400", "arrays w1 must be finite"),   # loaded as inf; reconstruct exited 0
+    ("NaN", "arrays w1 must be finite"),
+], ids=["int-10**400", "float-1e400", "nan"])
+def test_checkpoint_number_not_a_finite_float_is_io_failure(tmp_path, literal, shown):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, xavier_init(0), LambdaBounds(), 0, "h")
+    ckpt = json.loads(path.read_text())
+    ckpt["arrays"]["w1"][0] = "@"
+    path.write_text(json.dumps(ckpt).replace('"@"', literal))
+    with pytest.raises(IoFailure, match=shown):
+        load_checkpoint(path)
+
+
 def test_missing_checkpoint_is_io_failure(tmp_path):
     with pytest.raises(IoFailure):
         load_checkpoint(tmp_path / "absent.json")
@@ -610,3 +646,37 @@ class TestWorkspace:
         l_data, l_de, l_tot, grads = loss_and_gradients(p, replace(batch, de_weight=0.0))
         assert np.all(grads.theta == 0.0)
         assert l_de > 0 and l_tot == l_data  # the residual is still reported
+
+
+class TestWorkingPrecision:
+    """A float32 batch runs the network passes in float32; training uses one."""
+
+    @pytest.fixture(scope="class")
+    def train_split(self):
+        # criterion 4's first participant: noisy oracle subject 0, filtered, split
+        _, _, noisy = oracle_subject(0, noise_sigma_hr=3.0)
+        return split_by_activity(preprocess_subject(noisy)).train
+
+    @pytest.mark.parametrize("epochs", [0, 150], ids=["initial", "partly-trained"])
+    @pytest.mark.parametrize("de_weight", [1e5 / 3600, 0.0], ids=["pmbnn", "fcnn"])
+    def test_float32_batch_matches_float64(self, train_split, de_weight, epochs):
+        # measured worst over 36 such points: 2.3e-6 relative in L_tot and
+        # 5.3e-6 of the largest gradient entry
+        cfg = TrainConfig(seed=100, de_weight=de_weight)
+        p = (xavier_init(cfg.seed) if epochs == 0
+             else train_pmbnn(train_split, replace(cfg, max_epochs=epochs)).mlp)
+        b64 = TrainBatch(vo2=train_split.vo2.values, hr=train_split.hr.values,
+                         segment_bounds=train_split.vo2.segment_bounds,
+                         dt_seconds=train_split.vo2.dt, bounds=LambdaBounds(),
+                         de_weight=de_weight)
+        _, _, l64, g64 = loss_and_gradients(p, b64)
+        _, _, l32, g32 = loss_and_gradients(p, replace(b64, dtype=np.float32))
+        assert g32.flat.dtype == np.float64
+        assert not np.array_equal(g32.flat, g64.flat)   # the passes did run in float32
+        assert l32 == pytest.approx(l64, rel=1e-4)
+        assert np.max(np.abs(g32.flat - g64.flat)) <= 1e-4 * np.max(np.abs(g64.flat))
+
+    def test_training_keeps_float64_master_weights(self, train_split):
+        model = train_pmbnn(train_split, TrainConfig(max_epochs=5))
+        assert model.mlp.flat.dtype == np.float64   # the seven arrays are its views
+        assert all(isinstance(l.l_tot, float) for l in model.loss_history)
