@@ -13,13 +13,14 @@ section the subcommand reads overrides the file, and ``pmbnn <subcommand>
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
 import logging
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -138,10 +139,19 @@ def _section(section: str, cfg: dict):
     return cls(**{f.name: type(f.default)(cfg[f"{section}.{f.name}"]) for f in fields(cls)})
 
 
-def _config_hash(cfg: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+def _config(args, cfg: dict) -> dict:
+    """``config``, the keys of the sections the subcommand reads
+    (``args.sections``), and that dict's ``config_hash``; empty for a
+    subcommand that reads no settings."""
+    config = {k: v for k, v in cfg.items() if k.split(".")[0] in args.sections}
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    return {"config": config, "config_hash": digest} if args.sections else {}
+
+
+def _manifest(args, cfg: dict, payload: dict) -> bytes:
+    """``payload`` stamped with the subcommand and its :func:`_config`."""
+    payload = {"command": args.command, **payload, **_config(args, cfg)}
+    return json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n"
 
 
 def _make_dir(path: str) -> None:
@@ -152,29 +162,32 @@ def _make_dir(path: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _write(path: str, data: bytes) -> None:
-    """Write one artifact, creating its directory; a path that cannot be
-    written (``--out`` names a file, no permission, ...) is IoFailure."""
-    _make_dir(os.path.dirname(path))
+def _write_run(out: str, files: dict[str, bytes]) -> None:
+    """Write a run's artifacts into ``out``, all or none.
+
+    Each goes to ``.<name>.tmp`` first and is moved into place with
+    ``os.replace`` only once every one is written. A path that cannot be
+    written (``out`` names a file, a destination is a directory, no
+    permission, ...) is IoFailure, and the temporary files are removed.
+    """
+    paths = {os.path.join(out, name): os.path.join(out, f".{name}.tmp") for name in files}
+    for path in paths:   # os.replace onto a directory fails after earlier moves
+        if os.path.isdir(path):
+            raise IoFailure(f"cannot write {path}: it is a directory")
+    _make_dir(out)
+    written = []
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        for (path, tmp), data in zip(paths.items(), files.values()):
+            with open(tmp, "wb") as fh:
+                written.append(tmp)
+                fh.write(data)
+        for path, tmp in paths.items():
+            os.replace(tmp, path)
     except OSError as exc:
+        for tmp in written:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _write_manifest(args, cfg: dict, name: str, payload: dict) -> str | None:
-    """Write ``payload`` to ``--out``/``name``, stamped with the subcommand
-    and, when it reads settings, with ``config``, the keys of the sections
-    it reads (``args.sections``), and that dict's ``config_hash``, which is
-    returned (None for a subcommand that reads no settings)."""
-    payload = {"command": args.command, **payload}
-    if args.sections:
-        config = {k: v for k, v in cfg.items() if k.split(".")[0] in args.sections}
-        payload.update(config=config, config_hash=_config_hash(config))
-    _write(os.path.join(args.out, name),
-           json.dumps(payload, sort_keys=True, indent=1).encode() + b"\n")
-    return payload.get("config_hash")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -203,37 +216,35 @@ def _read_split(args, cfg: dict):
     return rec, split_by_activity(rec, float(cfg["split.ratio"]))
 
 
-def _write_predictions(args, model: str, rec: SubjectRecord, split, pred) -> None:
-    """``--out``/predictions_<model>.csv: each test sample's time, measured
-    HR, the model's HR and activity label."""
+def _predictions(model: str, rec: SubjectRecord, split, pred) -> bytes:
+    """predictions_<model>.csv: each test sample's time, measured HR, the
+    model's HR and activity label."""
     times = rec.vo2.t0 + rec.vo2.dt * split.test_indices
-    _write(os.path.join(args.out, f"predictions_{model}.csv"),
-           csv_bytes(["t_s", "hr_true", MODEL_COLUMNS[model], "activity"],
+    return csv_bytes(["t_s", "hr_true", MODEL_COLUMNS[model], "activity"],
                      ([f"{t:.10g}", f"{h:.10g}", f"{p:.10g}", a] for t, h, p, a in
-                      zip(times, split.test.hr.values, pred, split.test.activity_labels))))
+                      zip(times, split.test.hr.values, pred, split.test.activity_labels)))
 
 
 # --- subcommands ------------------------------------------------------------
 
-def cmd_preprocess(args, cfg: dict) -> int:
+def cmd_preprocess(args, cfg: dict) -> dict[str, bytes]:
     rec = _read_record(args.input)
     out = preprocess_subject(rec, _section("filter", cfg))
-    dest = os.path.join(args.out, "preprocessed.csv")
-    _write(dest, record_to_csv_bytes(out))
-    _write_manifest(args, cfg, "preprocess_manifest.json", {
-        "input": os.path.basename(args.input),
-        "subject_id": rec.subject_id,
-        "n_samples": len(out),
-    })
-    log.info("preprocessed %s -> %s", args.input, dest)
-    return 0
+    log.info("preprocessed %s", args.input)
+    return {"preprocessed.csv": record_to_csv_bytes(out),
+            "preprocess_manifest.json": _manifest(args, cfg, {
+                "input": os.path.basename(args.input), "subject_id": rec.subject_id,
+                "n_samples": len(out)})}
 
 
 def _number(value, name: str) -> float:
     """A spec file's number; a bool, string or null is OutOfBounds."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise OutOfBounds(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:   # JSON integers are unbounded
+        raise OverflowError(f"{name} is too large for a float") from None
 
 
 def _whole_seconds(value) -> int:
@@ -269,7 +280,7 @@ def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
         )
 
 
-def cmd_synth(args, cfg: dict) -> int:
+def cmd_synth(args, cfg: dict) -> dict[str, bytes]:
     if args.spec:
         spec = _spec_from_file(args.spec, args.seed)
     else:
@@ -282,77 +293,59 @@ def cmd_synth(args, cfg: dict) -> int:
             seed=args.seed if args.seed is not None else 0,
         )
     rec = generate_synthetic_subject(spec)
-    dest = os.path.join(args.out, f"{spec.subject_id}.csv")
-    _write(dest, record_to_csv_bytes(rec))
-    _write_manifest(args, cfg, "synth_manifest.json", {
-        "subject_id": spec.subject_id,
-        "lambda_true": list(spec.lambda_true.as_array()),
-        "hr0": spec.hr0,
-        "noise_sigma_hr": spec.noise_sigma_hr,
-        "noise_sigma_vo2": spec.noise_sigma_vo2,
-        "seed": spec.seed,
-        "plan": [
-            {"label": p.label, "duration_s": p.duration_s,
-             "target_vo2": p.target_vo2, "tau_s": p.tau_s}
-            for p in spec.plan
-        ],
-    })
-    log.info("synthesized %s (%d samples)", dest, len(rec))
-    return 0
+    log.info("synthesized %s (%d samples)", spec.subject_id, len(rec))
+    return {f"{spec.subject_id}.csv": record_to_csv_bytes(rec),
+            "synth_manifest.json": _manifest(args, cfg, {
+                "subject_id": spec.subject_id, "lambda_true": list(spec.lambda_true.as_array()),
+                "hr0": spec.hr0, "noise_sigma_hr": spec.noise_sigma_hr,
+                "noise_sigma_vo2": spec.noise_sigma_vo2, "seed": spec.seed,
+                "plan": [asdict(p) for p in spec.plan]})}
 
 
-def cmd_split(args, cfg: dict) -> int:
+def cmd_split(args, cfg: dict) -> dict[str, bytes]:
     rec, split = _read_split(args, cfg)
-    for name, part in (("train", split.train), ("test", split.test)):
-        _write(os.path.join(args.out, f"{name}.csv"), record_to_csv_bytes(part))
-    _write_manifest(args, cfg, "split_manifest.json", {
-        "subject_id": rec.subject_id,
-        "ratio": cfg["split.ratio"],
-        "split_hash": split.provenance_hash(),
-        "train_indices": split.train_indices.tolist(),
-        "test_indices": split.test_indices.tolist(),
-    })
-    return 0
+    return {"train.csv": record_to_csv_bytes(split.train),
+            "test.csv": record_to_csv_bytes(split.test),
+            "split_manifest.json": _manifest(args, cfg, {
+                "subject_id": rec.subject_id, "ratio": cfg["split.ratio"],
+                "split_hash": split.provenance_hash(),
+                "train_indices": split.train_indices.tolist(),
+                "test_indices": split.test_indices.tolist()})}
 
 
-def cmd_train(args, cfg: dict) -> int:
+def cmd_train(args, cfg: dict) -> dict[str, bytes]:
     rec, split = _read_split(args, cfg)
     # both fit sections are range-checked, though the model's fit reads one
     ecfg = ExperimentConfig(float(cfg["split.ratio"]), _section("train", cfg),
                             _section("pm", cfg))
     _make_dir(args.out)  # an unusable --out fails before the fit, not after it
     fitted = fit_model(args.model, split, ecfg)
-    config_hash = _write_manifest(args, cfg, f"{args.model}_run_manifest.json", {
-        "model": args.model,
-        "subject_id": rec.subject_id,
-        "split_hash": split.provenance_hash(),
-        "lambda": list(fitted.lam.as_array()),
-        **fitted.diagnostics,
-    })
-    _write_predictions(args, args.model, rec, split, fitted.predictions)
+    config_hash = _config(args, cfg)["config_hash"]
+    lam = list(fitted.lam.as_array())
+    files = {f"{args.model}_run_manifest.json": _manifest(args, cfg, {
+                 "model": args.model, "subject_id": rec.subject_id,
+                 "split_hash": split.provenance_hash(), "lambda": lam, **fitted.diagnostics}),
+             f"predictions_{args.model}.csv": _predictions(args.model, rec, split,
+                                                           fitted.predictions)}
     if fitted.mlp is None:
-        _write(os.path.join(args.out, "pm_lambda.json"),
-               json.dumps({"lambda": list(fitted.lam.as_array()),
-                           "config_hash": config_hash}, sort_keys=True).encode() + b"\n")
+        files["pm_lambda.json"] = json.dumps({"lambda": lam, "config_hash": config_hash},
+                                             sort_keys=True).encode() + b"\n"
     else:
-        nn_core.save_checkpoint(os.path.join(args.out, f"{args.model}_checkpoint.json"),
-                                fitted.mlp, LambdaBounds(), ecfg.train.seed, config_hash)
-    return 0
+        files[f"{args.model}_checkpoint.json"] = nn_core.checkpoint_bytes(
+            fitted.mlp, LambdaBounds(), ecfg.train.seed, config_hash)
+    return files
 
 
-def cmd_reconstruct(args, cfg: dict) -> int:
-    params, bounds, _seed, _hash = nn_core.load_checkpoint(args.checkpoint)
+def cmd_reconstruct(args, cfg: dict) -> dict[str, bytes]:
+    params, bounds, _seed, _hash = nn_core.load_checkpoint(_read_json(args.checkpoint),
+                                                           args.checkpoint)
     lam = nn_core.lambda_from_theta(params.theta, bounds)
     rec, split = _read_split(args, cfg)
-    _write_predictions(args, "pmbnn_r", rec, split,
-                       reconstruct_pmbnn_r(split.test, lam, bounds).values)
-    _write_manifest(args, cfg, "pmbnn_r_run_manifest.json", {
-        "subject_id": rec.subject_id,
-        "checkpoint": os.path.basename(args.checkpoint),
-        "lambda": list(lam.as_array()),
-        "split_hash": split.provenance_hash(),
-    })
-    return 0
+    return {"predictions_pmbnn_r.csv": _predictions(
+                "pmbnn_r", rec, split, reconstruct_pmbnn_r(split.test, lam, bounds).values),
+            "pmbnn_r_run_manifest.json": _manifest(args, cfg, {
+                "subject_id": rec.subject_id, "checkpoint": os.path.basename(args.checkpoint),
+                "lambda": list(lam.as_array()), "split_hash": split.provenance_hash()})}
 
 
 def _read_predictions(path: str):
@@ -383,7 +376,7 @@ def _read_predictions(path: str):
     return header, checked
 
 
-def cmd_evaluate(args, cfg: dict) -> int:
+def cmd_evaluate(args, cfg: dict) -> dict[str, bytes]:
     joined: dict[float, dict] = {}
     source: dict[str, str] = {}   # each model column and the --pred file that holds it
     for path in args.pred:
@@ -417,19 +410,15 @@ def cmd_evaluate(args, cfg: dict) -> int:
             except OutOfBounds as exc:
                 raise OutOfBounds(f"{model}: {exc}") from None
 
-    _write(os.path.join(args.out, "predictions.csv"), csv_bytes(JOINED_HEADER, (
-        [f"{t:.10g}", e["hr_true"], *(e.get(c, "") for c in JOINED_HEADER[2:-1]), e["activity"]]
-        for t, e in sorted(joined.items()))))
-    _write_manifest(args, cfg, "metrics.json", {
-        "participant": args.subject,
-        "n_samples": len(times),
-        "models": metrics,
-    })
     log.info("evaluated %d models on %d joined samples", len(metrics), len(times))
-    return 0
+    return {"predictions.csv": csv_bytes(JOINED_HEADER, (
+                [f"{t:.10g}", e["hr_true"], *(e.get(c, "") for c in JOINED_HEADER[2:-1]),
+                 e["activity"]] for t, e in sorted(joined.items()))),
+            "metrics.json": _manifest(args, cfg, {
+                "participant": args.subject, "n_samples": len(times), "models": metrics})}
 
 
-def cmd_report(args, cfg: dict) -> int:
+def cmd_report(args, cfg: dict) -> dict[str, bytes]:
     subjects = []
     for path in args.metrics:
         payload = _read_json(path)
@@ -445,14 +434,10 @@ def cmd_report(args, cfg: dict) -> int:
                 per_activity=per_activity,
             ))
     report = stats_eval.build_eval_report(subjects)
-    for name, data in stats_eval.emit_report(report).items():
-        _write(os.path.join(args.out, name), data)
-    _write_manifest(args, cfg, "report_manifest.json", {
-        "inputs": [os.path.basename(p) for p in args.metrics],
-        "participants": [s.participant for s in subjects],
-    })
-    log.info("report written to %s", args.out)
-    return 0
+    return {**stats_eval.emit_report(report),
+            "report_manifest.json": _manifest(args, cfg, {
+                "inputs": [os.path.basename(p) for p in args.metrics],
+                "participants": [s.participant for s in subjects]})}
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
@@ -544,10 +529,15 @@ def main(argv=None) -> int:
     if args.command == "train" and args.seed is not None:
         cfg["train.seed"] = args.seed   # --seed is short for --train.seed
     try:
-        return args.func(args, cfg)
+        files = args.func(args, cfg)
+        if isinstance(files, int):   # gradcheck prints its result and writes nothing
+            return files
+        _write_run(args.out, files)
     except PmbnnError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    log.info("%s wrote %s to %s", args.command, ", ".join(files), args.out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -468,14 +468,13 @@ def run_gradcheck(seed: int, h: float = 1e-5) -> float:
     return gradient_check(p, batch, h)
 
 
-#: the top-level keys of a checkpoint, as :func:`save_checkpoint` writes them
+#: the top-level keys of a checkpoint, as :func:`checkpoint_bytes` renders them
 _CHECKPOINT_KEYS = ("schema_version", "layer_shapes", "arrays", "bounds", "seed",
                     "config_hash")
 
 
-def save_checkpoint(path, p: MlpParams, bounds: LambdaBounds, seed: int,
-                    config_hash: str) -> None:
-    """Write the model to JSON: shapes, row-major arrays, theta, bounds."""
+def checkpoint_bytes(p: MlpParams, bounds: LambdaBounds, seed: int, config_hash: str) -> bytes:
+    """The model as JSON: shapes, row-major arrays, theta, bounds."""
     payload = {
         "schema_version": 1,
         "layer_shapes": {f: list(getattr(p, f).shape) for f in ARRAY_FIELDS},
@@ -484,26 +483,37 @@ def save_checkpoint(path, p: MlpParams, bounds: LambdaBounds, seed: int,
         "seed": seed,
         "config_hash": config_hash,
     }
+    return json.dumps(payload, sort_keys=True).encode() + b"\n"
+
+
+def save_checkpoint(path, p: MlpParams, bounds: LambdaBounds, seed: int,
+                    config_hash: str) -> None:
+    """Write :func:`checkpoint_bytes` to ``path``; kept for the benchmark's checks."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        with open(path, "wb") as fh:
+            fh.write(checkpoint_bytes(p, bounds, seed, config_hash))
     except OSError as exc:
         raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def load_checkpoint(path) -> tuple[MlpParams, LambdaBounds, int, str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise IoFailure(f"cannot read checkpoint {path}: {exc}") from exc
+def load_checkpoint(payload, path) -> tuple[MlpParams, LambdaBounds, int, str]:
+    """The model, bounds, seed and config hash of a parsed checkpoint;
+    ``path`` names the file in messages. A missing, unknown or malformed
+    field is IoFailure."""
     with malformed_fields(path):
         unknown = [k for k in payload if k not in _CHECKPOINT_KEYS] + [
             f"{part}.{k}" for part in ("arrays", "layer_shapes")
             for k in payload[part] if k not in ARRAY_FIELDS]
         if unknown:
             raise IoFailure(f"{path}: unknown key(s) {', '.join(unknown)}")
+        version = payload["schema_version"]
+        seed, config_hash = payload["seed"], payload["config_hash"]
+        if type(version) is not int or version != 1:
+            raise ValueError(f"schema_version must be 1, got {version!r}")
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        if not isinstance(config_hash, str):
+            raise ValueError(f"config_hash must be a string, got {config_hash!r}")
         arrays = {name: np.array(payload["arrays"][name], dtype=float)
                   .reshape(payload["layer_shapes"][name]) for name in ARRAY_FIELDS}
         # json reads 1e400, Infinity and NaN as non-finite floats
@@ -515,7 +525,7 @@ def load_checkpoint(path) -> tuple[MlpParams, LambdaBounds, int, str]:
         if missing:   # LambdaBounds would give each its default box; an unknown key fails it
             raise ValueError(f"bounds lacks {', '.join(missing)}")
         bounds = LambdaBounds(**{k: _box(k, v) for k, v in box.items()})
-        return MlpParams(**arrays), bounds, payload["seed"], payload["config_hash"]
+        return MlpParams(**arrays), bounds, seed, config_hash
 
 
 def _box(name: str, value) -> tuple[float, float]:

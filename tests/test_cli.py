@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import math
@@ -653,8 +652,8 @@ def test_synth_spec_number_too_large_for_a_float_is_io_failure(tmp_path, capsys)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**SPEC, "hr0": 10**400}))
     assert run(["synth", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert f"IoFailure: {path}: missing or malformed field: OverflowError" in (
-        capsys.readouterr().err)
+    assert (f"IoFailure: {path}: missing or malformed field: "
+            "OverflowError('hr0 is too large for a float')") in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
@@ -739,12 +738,9 @@ def test_train_and_library_share_one_fit_path(tmp_path):
                                       pm_fit=training.PmFitConfig(iters=20))
     split, results, manifest = experiment.run_subject_experiment(rec, cfg)
     run_keys = {"command", "model", "subject_id", "config", "config_hash", "split_hash"}
-    lib = tmp_path / "lib"
     for model in ("pmbnn", "fcnn", "pm"):
-        cli._write_predictions(argparse.Namespace(out=str(lib)), model, rec, split,
-                               results[model].predictions)
-        lib_csv = lib / f"predictions_{model}.csv"
-        assert lib_csv.read_bytes() == (train / f"predictions_{model}.csv").read_bytes()
+        assert cli._predictions(model, rec, split, results[model].predictions) == \
+            (train / f"predictions_{model}.csv").read_bytes()
         run_manifest = json.loads((train / f"{model}_run_manifest.json").read_text())
         cli_fit = {k: v for k, v in run_manifest.items() if k not in run_keys}
         lib_fit = {k: v for k, v in manifest["models"][model].items() if k not in ("r2", "rmse")}
@@ -951,8 +947,29 @@ _NOT_TWO_NUMBERS = "bounds l1 must be two finite numbers"
 def test_checkpoint_bounds_not_two_finite_numbers_is_io_failure(
         pipeline_dirs, tmp_path, capsys, edit, shown):
     # bounds must hold exactly l1..l6, each two finite numbers
+    _reconstruct_edited_checkpoint(pipeline_dirs, tmp_path, capsys,
+                                   lambda ckpt: edit(ckpt["bounds"]), shown)
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("schema_version", 99, "schema_version must be 1, got 99"),
+    ("seed", "abc", "seed must be an integer >= 0, got 'abc'"),
+    ("seed", True, "seed must be an integer >= 0, got True"),
+    ("config_hash", [1], "config_hash must be a string, got [1]"),
+], ids=["schema_version", "seed-string", "seed-bool", "config_hash"])
+def test_checkpoint_header_field_of_wrong_value_is_io_failure(
+        pipeline_dirs, tmp_path, capsys, key, value, shown):
+    # each was taken as it stood, and reconstruct exited 0
+    _reconstruct_edited_checkpoint(pipeline_dirs, tmp_path, capsys,
+                                   lambda ckpt: ckpt.update({key: value}), shown)
+
+
+def _reconstruct_edited_checkpoint(pipeline_dirs, tmp_path, capsys, edit, shown):
+    """``reconstruct`` from the pipeline's checkpoint after ``edit`` fails
+    with an IoFailure that names the file and shows ``shown``, and writes
+    nothing."""
     ckpt = json.loads(pathlib.Path(_artifacts(pipeline_dirs)["ckpt"]).read_text())
-    edit(ckpt["bounds"])
+    edit(ckpt)
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps(ckpt))
     out = tmp_path / "r"
@@ -1054,3 +1071,78 @@ def test_random_argv_exits_zero_one_or_two(argv_inputs, argv):
     with tempfile.TemporaryDirectory() as tmp:
         names = {**argv_inputs, "out": os.path.join(tmp, "o")}
         assert _exit_code([a.format(**names) for a in argv]) in (0, 1, 2)
+
+
+#: each subcommand run (train once per model) with its inputs, and every
+#: artifact it writes to --out
+_RUNS = {
+    "preprocess": (["--input", "{csv}"], ["preprocessed.csv", "preprocess_manifest.json"]),
+    "synth": ([], ["synthetic.csv", "synth_manifest.json"]),
+    "split": (["--input", "{csv}"], ["train.csv", "test.csv", "split_manifest.json"]),
+    **{f"train-{m}": (["--model", m, "--input", "{csv}", *budget],
+                      [f"{m}_run_manifest.json", f"predictions_{m}.csv", last])
+       for m, budget, last in (
+           ("pmbnn", ["--train.max_epochs", "2"], "pmbnn_checkpoint.json"),
+           ("fcnn", ["--train.max_epochs", "2"], "fcnn_checkpoint.json"),
+           ("pm", ["--pm.iters", "3"], "pm_lambda.json"))},
+    "reconstruct": (["--checkpoint", "{ckpt}", "--input", "{csv}"],
+                    ["predictions_pmbnn_r.csv", "pmbnn_r_run_manifest.json"]),
+    "evaluate": (["--pred", "{pred}"], ["predictions.csv", "metrics.json"]),
+    "report": (["--metrics", "{metrics}"], ["report.csv", "report_by_activity.csv",
+                                            "boxplot_long.csv", "report.json",
+                                            "report_manifest.json"]),
+}
+
+
+@pytest.mark.parametrize("name, blocked", [(name, b) for name, (_, artifacts) in _RUNS.items()
+                                           for b in artifacts],
+                         ids=lambda v: v)
+def test_a_blocked_artifact_writes_nothing(pipeline_dirs, tmp_path, capsys, name, blocked):
+    # train wrote its run manifest and predictions before a blocked
+    # checkpoint failed it, and evaluate its predictions.csv before a
+    # blocked metrics.json
+    inputs, artifacts = _RUNS[name]
+    argv = [name.split("-")[0], *(a.format(**_artifacts(pipeline_dirs)) for a in inputs),
+            "--out", str(tmp_path)]
+    (tmp_path / "earlier.txt").write_bytes(b"from an earlier run\n")
+    (tmp_path / blocked).mkdir()
+    assert run(argv) == 1
+    assert f"IoFailure: cannot write {tmp_path / blocked}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["earlier.txt", blocked])
+    assert (tmp_path / "earlier.txt").read_bytes() == b"from an earlier run\n"
+    assert not any((tmp_path / blocked).iterdir())
+    # unblocked, the same run writes exactly the artifacts listed
+    (tmp_path / blocked).rmdir()
+    assert run(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["earlier.txt", *artifacts])
+
+
+def test_failed_train_rerun_keeps_the_earlier_run(pipeline_dirs, tmp_path, capsys):
+    # the rerun replaced the run manifest before its blocked predictions
+    # failed it, so the manifest and the checkpoint beside it named
+    # different config hashes
+    argv = ["train", "--model", "pmbnn", "--input", _artifacts(pipeline_dirs)["csv"],
+            "--out", str(tmp_path), "--train.max_epochs", "2"]
+    assert run(argv + ["--seed", "1"]) == 0
+    (tmp_path / "predictions_pmbnn.csv").unlink()
+    (tmp_path / "predictions_pmbnn.csv").mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert run(argv + ["--seed", "2"]) == 1
+    assert "IoFailure: cannot write" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    manifest, ckpt = (json.loads(before[n]) for n in ("pmbnn_run_manifest.json",
+                                                      "pmbnn_checkpoint.json"))
+    assert manifest["config"]["train.seed"] == 1
+    assert manifest["config_hash"] == ckpt["config_hash"]
+
+
+def test_a_temporary_file_that_cannot_be_written_leaves_no_other(pipeline_dirs, tmp_path,
+                                                                 capsys):
+    # the temporary files of train.csv and test.csv are written before
+    # that of split_manifest.json fails; both are removed again
+    (tmp_path / ".split_manifest.json.tmp").mkdir()
+    assert run(["split", "--input", _artifacts(pipeline_dirs)["csv"],
+                "--out", str(tmp_path)]) == 1
+    assert f"IoFailure: cannot write {tmp_path / 'split_manifest.json'}: " in (
+        capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == [".split_manifest.json.tmp"]

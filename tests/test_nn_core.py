@@ -25,6 +25,7 @@ from pmbnn.nn_core import (
     MlpParams,
     TrainBatch,
     bounded_inverse,
+    checkpoint_bytes,
     gradient_check,
     lambda_from_theta,
     load_checkpoint,
@@ -457,9 +458,11 @@ class TestGradientCheck:
 
 def test_checkpoint_round_trip(tmp_path):
     p = xavier_init(31)
+    data = checkpoint_bytes(p, LambdaBounds(), 31, "abc123")
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, p, LambdaBounds(), 31, "abc123")
-    q, bounds, seed, chash = load_checkpoint(path)
+    assert path.read_bytes() == data
+    q, bounds, seed, chash = load_checkpoint(json.loads(data), path)
     for a, b in zip(p.arrays(), q.arrays()):
         np.testing.assert_array_equal(a, b)
     assert seed == 31 and chash == "abc123"
@@ -504,15 +507,12 @@ def test_loss_de_in_bpm_per_minute_squared():
     (lambda c: c["arrays"].update(w4=[1.0]), "arrays.w4"),
     (lambda c: c["layer_shapes"].update(w4=[1]), "layer_shapes.w4"),
 ], ids=["top-level", "arrays", "layer_shapes"])
-def test_checkpoint_unknown_key_is_io_failure(tmp_path, edit, key):
+def test_checkpoint_unknown_key_is_io_failure(edit, key):
     # each was ignored and the checkpoint loaded
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, xavier_init(0), LambdaBounds(), 0, "h")
-    ckpt = json.loads(path.read_text())
+    ckpt = json.loads(checkpoint_bytes(xavier_init(0), LambdaBounds(), 0, "h"))
     edit(ckpt)
-    path.write_text(json.dumps(ckpt))
-    with pytest.raises(IoFailure, match=f"unknown key\\(s\\) {key}$"):
-        load_checkpoint(path)
+    with pytest.raises(IoFailure, match=f"^ckpt.json: unknown key\\(s\\) {key}$"):
+        load_checkpoint(ckpt, "ckpt.json")
 
 
 @pytest.mark.parametrize("literal, shown", [
@@ -520,19 +520,11 @@ def test_checkpoint_unknown_key_is_io_failure(tmp_path, edit, key):
     ("1e400", "arrays w1 must be finite"),   # loaded as inf; reconstruct exited 0
     ("NaN", "arrays w1 must be finite"),
 ], ids=["int-10**400", "float-1e400", "nan"])
-def test_checkpoint_number_not_a_finite_float_is_io_failure(tmp_path, literal, shown):
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, xavier_init(0), LambdaBounds(), 0, "h")
-    ckpt = json.loads(path.read_text())
+def test_checkpoint_number_not_a_finite_float_is_io_failure(literal, shown):
+    ckpt = json.loads(checkpoint_bytes(xavier_init(0), LambdaBounds(), 0, "h"))
     ckpt["arrays"]["w1"][0] = "@"
-    path.write_text(json.dumps(ckpt).replace('"@"', literal))
     with pytest.raises(IoFailure, match=shown):
-        load_checkpoint(path)
-
-
-def test_missing_checkpoint_is_io_failure(tmp_path):
-    with pytest.raises(IoFailure):
-        load_checkpoint(tmp_path / "absent.json")
+        load_checkpoint(json.loads(json.dumps(ckpt).replace('"@"', literal)), "ckpt.json")
 
 
 def test_unwritable_checkpoint_is_io_failure(tmp_path):
