@@ -337,14 +337,15 @@ def cmd_train(args, cfg: dict) -> dict[str, bytes]:
 
 
 def cmd_reconstruct(args, cfg: dict) -> dict[str, bytes]:
-    params, bounds, _seed, _hash = nn_core.load_checkpoint(_read_json(args.checkpoint),
-                                                           args.checkpoint)
+    params, bounds, seed, config_hash = nn_core.load_checkpoint(_read_json(args.checkpoint),
+                                                                args.checkpoint)
     lam = nn_core.lambda_from_theta(params.theta, bounds)
     rec, split = _read_split(args, cfg)
     return {"predictions_pmbnn_r.csv": _predictions(
                 "pmbnn_r", rec, split, reconstruct_pmbnn_r(split.test, lam, bounds).values),
             "pmbnn_r_run_manifest.json": _manifest(args, cfg, {
                 "subject_id": rec.subject_id, "checkpoint": os.path.basename(args.checkpoint),
+                "checkpoint_seed": seed, "checkpoint_config_hash": config_hash,
                 "lambda": list(lam.as_array()), "split_hash": split.provenance_hash()})}
 
 

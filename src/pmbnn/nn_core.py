@@ -70,13 +70,6 @@ def theta_from_lambda(lam: LambdaParams, bounds: LambdaBounds) -> np.ndarray:
                      for v, l, h in zip(lam.as_array(), lo, hi)])
 
 
-def theta_jacobian(theta: np.ndarray, bounds: LambdaBounds) -> np.ndarray:
-    """d lambda / d theta for each of the six parameters."""
-    lo, hi = bounds.lo_hi_arrays()
-    s = sigmoid(theta)
-    return (hi - lo) * s * (1.0 - s)
-
-
 class _Tree:
     """The seven parameter-shaped arrays: weights, biases and theta.
 
@@ -209,17 +202,19 @@ class TrainBatch:
 
 
 def _forward_loss(p: MlpParams, batch: TrainBatch):
-    """Forward pass into the batch's buffers, L_data and L_DE."""
+    """Forward pass into the batch's buffers, L_data and L_DE; also
+    sigmoid(theta), whose logistic map gives the lambdas."""
     y = _forward_full(p, batch._x1, *batch._work[:2])
     resid = y - batch.hr
     l_data = float(resid @ resid) / len(y)
-    lam = batch._lo + (batch._hi - batch._lo) * sigmoid(p.theta)
+    s = sigmoid(p.theta)
+    lam = batch._lo + (batch._hi - batch._lo) * s
     res = pm.collocation_residuals(
         y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam
     )
     m = sum(len(f) for f in res)
     l_de = sum(float(f @ f) for f in res) / m
-    return y, resid, lam, res, m, l_data, l_de
+    return y, resid, s, lam, res, m, l_data, l_de
 
 
 def loss_and_gradients(p: MlpParams, batch: TrainBatch):
@@ -238,7 +233,7 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     gemm writes its weight gradient straight into the float64 tree. With
     float64 buffers every cast is a no-op.
     """
-    y, resid, lam, res, m, l_data, l_de = _forward_loss(p, batch)
+    y, resid, s, lam, res, m, l_data, l_de = _forward_loss(p, batch)
     w = batch.de_weight
     l_tot = l_data + w * l_de
     if not np.isfinite(l_tot):
@@ -259,7 +254,8 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
         dy += (2.0 * w / m) * (1.0 - l5 * (coef[4] @ batch._lv_powers)) * q
         sums = np.append(coef @ (batch._lv_powers @ (y * q)), sum(f.sum() for f in res))
         dlam = np.array([l5, l5, l5, l5, 1.0, 1.0]) * sums
-        grads.theta[:] = w * (-2.0 / m) * dlam * theta_jacobian(p.theta, batch.bounds)
+        # d lambda / d theta of the logistic map
+        grads.theta[:] = w * (-2.0 / m) * dlam * ((batch._hi - batch._lo) * s * (1.0 - s))
 
     # backprop through the MLP, feature-major. a2's hidden rows become
     # G = (1 - a2^2) dy, so dz2 = w3 G is never formed: dW2 is G [a1; 1]^T

@@ -119,16 +119,34 @@ def coupling_g(lam: LambdaParams, vo2):
     return stroke_volume(lam, vo2) * peripheral_resistance(lam, vo2)
 
 
-def _denominator(lam: LambdaParams, v: np.ndarray) -> np.ndarray:
-    den = 1.0 - lam.l5 * coupling_g(lam, v)
+def segment_offsets(segment_bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's segment start index, and its samples since that start."""
+    lengths = [b - a for a, b in segment_bounds]
+    start = np.repeat(np.array([a for a, _ in segment_bounds], dtype=int), lengths)
+    return start, np.arange(len(start)) - start
+
+
+def trajectory(log_vo2, start, steps, h0, dt_min: float, lam):
+    """HR and den = 1 - l5 * g(vo2) over a series, one pass for all segments.
+
+    ``log_vo2`` is ln(vo2) of the series, ``start`` and ``steps`` come from
+    :func:`segment_offsets`, ``h0`` is each sample's segment initial HR,
+    ``dt_min`` the sample spacing in minutes and ``lam`` the six lambdas as
+    a plain sequence. Each segment steps Q_i = Q_0 + l6 * i * dt exactly,
+    HR_i = Q_i / den_i. A den within EPS_DEN of zero, or one that changes
+    sign inside a segment, is a Singularity.
+    """
+    l1, l2, l3, l4, l5, l6 = lam
+    den = 1.0 - l5 * ((l1 * log_vo2 + l2) * (l3 * log_vo2 + l4))
     if np.any(np.abs(den) <= EPS_DEN):
-        bad = float(v[np.argmin(np.abs(den))])
-        raise Singularity(f"1 - l5*g within {EPS_DEN} of zero at vo2={bad}")
+        bad = float(np.exp(log_vo2[np.argmin(np.abs(den))]))
+        raise Singularity(f"1 - l5*g within {EPS_DEN} of zero at vo2={bad:.6g}")
     # a sign change inside one segment means the continuous trajectory
     # passes through the pole even if no sample lands on it
-    if np.any(den > 0) and np.any(den < 0):
+    neg = den < 0
+    if np.any(neg != neg[start]):
         raise Singularity("1 - l5*g changes sign within a segment")
-    return den
+    return (h0 * den[start] + l6 * dt_min * steps) / den, den
 
 
 def simulate_hr(
@@ -138,24 +156,20 @@ def simulate_hr(
 
     The dynamics conserve Q = HR * (1 - l5 * g(vo2)) up to the linear
     drift l6 * t, so each segment is integrated exactly on the sample
-    grid: Q_i = Q_0 + l6 * i * dt, HR_i = Q_i / (1 - l5 * g_i). This
-    discretization satisfies the central-difference collocation residual
-    to round-off by construction.
+    grid (:func:`trajectory`). This discretization satisfies the
+    central-difference collocation residual to round-off by construction.
     """
     hr0 = list(hr0_per_segment)
     if len(hr0) != len(vo2.segment_bounds):
         raise LengthMismatch(
             f"{len(hr0)} initial HR values for {len(vo2.segment_bounds)} segments"
         )
-    dt_min = vo2.dt / SECONDS_PER_MINUTE
-    out = np.empty(len(vo2))
-    for (a, b), h0 in zip(vo2.segment_bounds, hr0):
-        v = _check_positive_vo2(vo2.values[a:b])
-        den = _denominator(lam, v)
-        q = h0 * den[0] + lam.l6 * dt_min * np.arange(b - a)
-        out[a:b] = q / den
+    start, steps = segment_offsets(vo2.segment_bounds)
+    h0 = np.repeat(np.asarray(hr0, dtype=float), [b - a for a, b in vo2.segment_bounds])
+    hr, _ = trajectory(np.log(_check_positive_vo2(vo2.values)), start, steps, h0,
+                       vo2.dt / SECONDS_PER_MINUTE, lam.as_array())
     return UniformSeries(
-        t0=vo2.t0, dt=vo2.dt, values=out,
+        t0=vo2.t0, dt=vo2.dt, values=hr,
         segment_bounds=vo2.segment_bounds, unit="bpm",
     )
 

@@ -97,8 +97,9 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     """Full-batch RMSprop training of the physiologically constrained net.
 
     Per epoch: forward pass, L_tot, backprop, parameter update. Stops when
-    L_tot < cfg.stop_threshold, at the epoch cap, or on divergence (the
-    last finite parameters are then returned). The lambdas start at
+    L_tot < cfg.stop_threshold, at the epoch cap, or on divergence; a
+    diverged run returns the parameters whose losses the history's last
+    entry records, the initial ones if it is empty. The lambdas start at
     ``DEFAULT_INITIAL`` inside the default ``LambdaBounds``. The network
     passes run in float32 (:class:`TrainBatch`); the weights, theta, the
     RMSprop state and the losses stay float64.
@@ -111,12 +112,15 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     state = RmspropState.init(params, cfg.lr)
     history: list[LossBreakdown] = []
     reason = "epoch-cap"
+    scored = params   # the parameters whose losses history[-1] records
     for epoch in range(1, cfg.max_epochs + 1):
         try:
             l_data, l_de, l_tot, grads = nn_core.loss_and_gradients(params, batch)
         except (NonFiniteLoss, NonFiniteGradient):
             reason = "divergence"
+            params = scored
             break
+        scored = params
         history.append(LossBreakdown(l_data, l_de, l_tot, epoch))
         if l_tot < cfg.stop_threshold:
             reason = "threshold"
@@ -265,43 +269,48 @@ def _pm_objective(rec: SubjectRecord, bounds: LambdaBounds, cfg: PmFitConfig,
                   theta0: np.ndarray):
     """Penalized trajectory MSE over theta and its exact gradient.
 
-    Per segment the simulator steps HR_i * den_i = h0 * den_0 + l6 * t_i
-    with den = 1 - l5 * g(vo2) and t_i in minutes from the segment start,
-    so dHR_i/dl = (h0 * dden_0/dl - HR_i * dden_i/dl + t_i * [l = l6])
-    / den_i. A singular candidate scores +inf.
+    Per segment the simulator steps HR_i * den_i = h0 * den_a + l6 * t_i
+    (:func:`physio_model.trajectory`) with den = 1 - l5 * g(vo2), a the
+    segment's first sample and t_i in minutes since it, so dHR_i/dl =
+    (h0 * dden_a/dl - HR_i * dden_i/dl + t_i * [l = l6]) / den_i. With
+    u = err / den the data term's gradient is then sum_i r_i dden_i/dl
+    (plus sum u t for l6), r = -u HR with h0 times the segment's sum of u
+    added at each a. What does not depend on theta is computed once per
+    fit. A singular candidate scores +inf.
     """
     hr_meas = rec.hr.values
-    vo2 = rec.vo2.values
     n = len(hr_meas)
-    # index of each sample's segment start, and its minutes since then
-    start = np.concatenate([np.full(b - a, a) for a, b in rec.vo2.segment_bounds])
-    t_min = (np.arange(n) - start) * (rec.vo2.dt / physio_model.SECONDS_PER_MINUTE)
+    log_vo2 = np.log(physio_model._check_positive_vo2(rec.vo2.values))
+    firsts = [a for a, _ in rec.vo2.segment_bounds]
+    start, steps = physio_model.segment_offsets(rec.vo2.segment_bounds)
     h0 = hr_meas[start]
+    dt_min = rec.vo2.dt / physio_model.SECONDS_PER_MINUTE
+    t_min = steps * dt_min
+    lo, hi = bounds.lo_hi_arrays()
+    width = hi - lo
     weight = np.full(6, cfg.proximal)
     weight[list(GAUGE_PIN_COORDS)] += GAUGE_PIN
 
     def objective(theta: np.ndarray):
-        lam = nn_core.lambda_from_theta(theta, bounds)
+        s = nn_core.sigmoid(theta)
+        lam = lo + width * s
         try:
-            hr = simulate_record_hr(rec, lam).values
+            hr, den = physio_model.trajectory(log_vo2, start, steps, h0, dt_min, lam)
         except physio_model.Singularity:
             return math.inf, np.zeros_like(theta)
-        log_vo2 = np.log(vo2)
-        sv = physio_model.stroke_volume(lam, vo2)
-        tpr = physio_model.peripheral_resistance(lam, vo2)
-        den = 1.0 - lam.l5 * sv * tpr
-        dden = np.column_stack((
-            -lam.l5 * tpr * log_vo2, -lam.l5 * tpr,
-            -lam.l5 * sv * log_vo2, -lam.l5 * sv,
-            -sv * tpr, np.zeros(n),
-        ))
-        dhr = (h0[:, None] * dden[start] - hr[:, None] * dden) / den[:, None]
-        dhr[:, 5] += t_min / den
+        l1, l2, l3, l4, l5, _ = lam
         err = hr - hr_meas
+        u = err / den
+        r = -u * hr
+        r[firsts] += hr_meas[firsts] * np.add.reduceat(u, firsts)
+        sv, tpr = l1 * log_vo2 + l2, l3 * log_vo2 + l4
+        rt, rs = r * tpr, r * sv
+        # dden/dl1..dl5 = -l5 TPR lv, -l5 TPR, -l5 SV lv, -l5 SV, -SV TPR
+        dlam = np.array([-l5 * (rt @ log_vo2), -l5 * rt.sum(), -l5 * (rs @ log_vo2),
+                         -l5 * rs.sum(), -(rs @ tpr), u @ t_min])
         drift = theta - theta0
         f = float(err @ err) / n + float(weight @ (drift * drift))
-        grad = ((2.0 / n) * (err @ dhr) * nn_core.theta_jacobian(theta, bounds)
-                + 2.0 * weight * drift)
+        grad = (2.0 / n) * dlam * (width * s * (1.0 - s)) + 2.0 * weight * drift
         return f, grad
 
     return objective

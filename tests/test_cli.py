@@ -876,6 +876,60 @@ def test_train_hashes_only_the_sections_its_model_reads(pipeline_dirs, tmp_path)
     assert pm_runs[0]["lambda"] == pm_runs[1]["lambda"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_train_writes_the_model_its_losses_score(pipeline_dirs, tmp_path):
+    # a diverged fit wrote the diverged weights (predictions near 1e301 bpm)
+    # beside the finite final_losses of the epoch before
+    from pmbnn import cli, nn_core
+    from pmbnn.experiment import split_by_activity
+    from pmbnn.physio_model import LambdaBounds
+    from pmbnn.training import TrainConfig
+
+    csv, out = _artifacts(pipeline_dirs)["csv"], tmp_path / "diverged"
+    assert run(["train", "--model", "pmbnn", "--input", csv, "--out", str(out),
+                "--train.lr", "1e300", "--train.max_epochs", "3"]) == 0
+    manifest = json.loads((out / "pmbnn_run_manifest.json").read_text())
+    assert manifest["stopped_reason"] == "divergence" and manifest["epochs_run"] == 1
+    ckpt = out / "pmbnn_checkpoint.json"
+    params, bounds, _, _ = nn_core.load_checkpoint(json.loads(ckpt.read_text()), ckpt)
+    rec = cli._read_record(csv)
+    split = split_by_activity(rec)
+    train = split.train
+    batch = nn_core.TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
+                               segment_bounds=train.vo2.segment_bounds,
+                               dt_seconds=train.vo2.dt, bounds=LambdaBounds(),
+                               de_weight=TrainConfig().de_weight, dtype=np.float32)
+    l_data, l_de, l_tot, _ = nn_core.loss_and_gradients(params, batch)
+    assert manifest["final_losses"] == {"l_data": l_data, "l_de": l_de, "l_tot": l_tot}
+    # one epoch ran, so the written model is the initial one
+    np.testing.assert_array_equal(params.flat, nn_core.xavier_init(0, bounds).flat)
+    assert (out / "predictions_pmbnn.csv").read_bytes() == cli._predictions(
+        "pmbnn", rec, split, nn_core.mlp_forward(params, split.test.vo2.values))
+
+
+def test_reconstruct_manifest_names_its_train_run(pipeline_dirs, tmp_path):
+    # the reconstruction manifest named the checkpoint file only, so two
+    # train runs whose settings differ but whose weights agree (both stop
+    # at the epoch cap, far above either threshold) gave equal manifests
+    csv = _artifacts(pipeline_dirs)["csv"]
+    recon = []
+    for k, threshold in enumerate(("10", "20")):
+        train, out = tmp_path / f"train{k}", tmp_path / f"recon{k}"
+        assert run(["train", "--model", "pmbnn", "--input", csv, "--out", str(train),
+                    "--seed", "7", "--train.max_epochs", "2",
+                    "--train.stop_threshold", threshold]) == 0
+        assert run(["reconstruct", "--checkpoint", str(train / "pmbnn_checkpoint.json"),
+                    "--input", csv, "--out", str(out)]) == 0
+        run_manifest = json.loads((train / "pmbnn_run_manifest.json").read_text())
+        recon.append(json.loads((out / "pmbnn_r_run_manifest.json").read_text()))
+        assert recon[-1]["checkpoint_seed"] == 7
+        assert recon[-1]["checkpoint_config_hash"] == run_manifest["config_hash"]
+    assert (tmp_path / "train0" / "predictions_pmbnn.csv").read_bytes() == \
+        (tmp_path / "train1" / "predictions_pmbnn.csv").read_bytes()
+    assert recon[0]["lambda"] == recon[1]["lambda"]
+    assert recon[0]["checkpoint_config_hash"] != recon[1]["checkpoint_config_hash"]
+
+
 @pytest.mark.parametrize("argv, manifest, sections, unread", [
     (["preprocess", "--input", "{csv}"], "preprocess_manifest.json", ("filter",), "train.lr"),
     (["split", "--input", "{csv}"], "split_manifest.json", ("split",), "filter.fir_taps"),

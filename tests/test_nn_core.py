@@ -627,7 +627,9 @@ class TestWorkspace:
             for k, gpart in enumerate((lv * tpr, tpr, sv * lv, sv)):
                 c = h * gpart
                 dlam[k] -= l5 * 2.0 / m * (f @ ((c[2:] - c[:-2]) / (2 * dt)))
-        want = batch.de_weight * dlam * nn_core.theta_jacobian(p.theta, batch.bounds)
+        lo, hi = batch.bounds.lo_hi_arrays()
+        s = nn_core.sigmoid(p.theta)
+        want = batch.de_weight * dlam * ((hi - lo) * s * (1.0 - s))  # d lambda / d theta
         got = loss_and_gradients(p, batch)[3].theta
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)  # measured <= 1e-15
 

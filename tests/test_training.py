@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracle_utils import ORACLE_INIT, coupling_products, oracle_subject
 
-from pmbnn.errors import EmptySeries, LengthMismatch, OutOfBounds
+from pmbnn import nn_core, physio_model
+from pmbnn.errors import EmptySeries, LengthMismatch, NonFiniteLoss, OutOfBounds, Singularity
 from pmbnn.experiment import split_by_activity
 from pmbnn.nn_core import (
     MlpParams,
     TrainBatch,
+    lambda_from_theta,
     loss_and_gradients,
     loss_only,
     mlp_forward,
@@ -16,13 +20,17 @@ from pmbnn.nn_core import (
 )
 from pmbnn.physio_model import (
     DEFAULT_INITIAL,
+    EPS_DEN,
     LambdaBounds,
     LambdaParams,
+    collocation_residuals,
     simulate_hr,
 )
 from pmbnn.signal_pipeline import SubjectRecord, UniformSeries, preprocess_subject
 from pmbnn.stats_eval import r_squared, rmse
 from pmbnn.training import (
+    GAUGE_PIN,
+    GAUGE_PIN_COORDS,
     LbfgsResult,
     PmFitConfig,
     TrainConfig,
@@ -304,15 +312,217 @@ class TestFitPm:
         for i in range(3):
             _, _, rec = oracle_subject(i, noise_sigma_hr=noise)
             train = split_by_activity(preprocess_subject(rec) if noise else rec).train
+            assert len(train.vo2.segment_bounds) == 3
             objective = _pm_objective(train, bounds, PmFitConfig(), theta0)
-            theta = theta0 + rng.normal(scale=0.3, size=6)
-            _, grad = objective(theta)
-            h = 1e-6
-            fd = np.array([
-                (objective(theta + h * e)[0] - objective(theta - h * e)[0]) / (2 * h)
-                for e in np.eye(6)
-            ])
-            assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+            for scale in (0.1, 0.3, 0.6):
+                theta = theta0 + rng.normal(scale=scale, size=6)
+                _, grad = objective(theta)
+                h = 1e-6
+                fd = np.array([
+                    (objective(theta + h * e)[0] - objective(theta - h * e)[0]) / (2 * h)
+                    for e in np.eye(6)
+                ])
+                assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+class TestPmObjective:
+    """The PM fit's objective: per-fit constants, one pass per call."""
+
+    @staticmethod
+    def objective_at_oracle_init(rec):
+        bounds = LambdaBounds()
+        theta0 = theta_from_lambda(ORACLE_INIT, bounds)
+        return _pm_objective(rec, bounds, PmFitConfig(), theta0), theta0
+
+    @staticmethod
+    def three_segments(*parts):
+        """A record of constant or ramped vo2 parts, 20 samples each, HR 90."""
+        vo2 = np.concatenate([np.linspace(a, b, 20) for a, b in parts])
+        bounds = tuple((20 * k, 20 * k + 20) for k in range(len(parts)))
+        return SubjectRecord("poles", series(vo2, bounds, "L/min"),
+                             series(np.full(len(vo2), 90.0), bounds, "bpm"),
+                             ("x",) * len(vo2))
+
+    @staticmethod
+    def theta_of(l5):
+        # g(1) = l2 * l4 = 2.9651 exactly at vo2 = 1, and 1 - l5 g falls
+        # through 0 between vo2 1.5 and 2.0 at l5 = 0.4
+        return theta_from_lambda(LambdaParams(0.011, 0.149, -5.9, 19.9, l5, 0.1),
+                                 LambdaBounds())
+
+    def test_sign_change_inside_a_segment_scores_inf(self):
+        # the pole lies between two samples of the middle segment
+        rec = self.three_segments((0.5, 0.5), (1.0, 3.0), (3.0, 3.0))
+        objective, _ = self.objective_at_oracle_init(rec)
+        f, grad = objective(self.theta_of(0.4))
+        assert f == math.inf and np.all(grad == 0.0)
+        with pytest.raises(Singularity, match="changes sign"):
+            simulate_record_hr(rec, lambda_from_theta(self.theta_of(0.4), LambdaBounds()))
+        # den < 0 in the first segment and > 0 in the last is no pole
+        rec = self.three_segments((0.5, 0.5), (2.0, 3.0), (3.0, 3.0))
+        objective, _ = self.objective_at_oracle_init(rec)
+        assert math.isfinite(objective(self.theta_of(0.4))[0])
+
+    @pytest.mark.parametrize("den, singular", [(0.5 * EPS_DEN, True), (5 * EPS_DEN, False)])
+    def test_den_within_eps_scores_inf(self, den, singular):
+        # 1 - l5 g is ``den`` on every sample of the vo2 = 1 segment
+        rec = self.three_segments((0.5, 0.5), (1.0, 1.0), (3.0, 3.0))
+        objective, _ = self.objective_at_oracle_init(rec)
+        theta = self.theta_of((1.0 - den) / (0.149 * 19.9))
+        f, grad = objective(theta)
+        assert (f == math.inf and np.all(grad == 0.0)) if singular else math.isfinite(f)
+        if singular:
+            with pytest.raises(Singularity, match="within"):
+                simulate_record_hr(rec, lambda_from_theta(theta, LambdaBounds()))
+
+    def test_hr_is_the_simulators_bit_for_bit(self, noisy_split, monkeypatch):
+        train = noisy_split.train
+        objective, theta0 = self.objective_at_oracle_init(train)
+        seen = []
+        inner = physio_model.trajectory
+
+        def recording(*args):
+            out = inner(*args)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(physio_model, "trajectory", recording)
+        weight = np.full(6, PmFitConfig().proximal)
+        weight[list(GAUGE_PIN_COORDS)] += GAUGE_PIN
+        rng = np.random.default_rng(6)
+        for theta in (theta0, theta0 + rng.normal(scale=0.3, size=6)):
+            seen.clear()
+            f, _ = objective(theta)
+            want = simulate_record_hr(train, lambda_from_theta(theta, LambdaBounds())).values
+            assert np.array_equal(seen[0], want)
+            drift = theta - theta0
+            assert f == loss_data(want, train.hr.values) + float(weight @ (drift * drift))
+
+
+# --- the training epoch's arithmetic, copied here so that a rewrite of the
+# epoch (residual, loss, gradients, RMSprop step) is pinned bit for bit ----
+
+def reference_collocation_residuals(hr, log_vo2, segment_bounds, dt_min, lam):
+    """The residual computed one segment at a time."""
+    l1, l2, l3, l4, l5, l6 = lam
+    residuals = []
+    for a, b in segment_bounds:
+        lv = log_vo2[a:b]
+        h = hr[..., a:b]
+        p = h * ((l1 * lv + l2) * (l3 * lv + l4))
+        residuals.append(
+            ((h[..., 2:] - h[..., :-2]) - l5 * (p[..., 2:] - p[..., :-2]))
+            / (2.0 * dt_min) - l6
+        )
+    return residuals
+
+
+def reference_loss_and_gradients(p, batch):
+    y = nn_core._forward_full(p, batch._x1, *batch._work[:2])
+    resid = y - batch.hr
+    l_data = float(resid @ resid) / len(y)
+    lam = batch._lo + (batch._hi - batch._lo) * nn_core.sigmoid(p.theta)
+    res = reference_collocation_residuals(
+        y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam)
+    m = sum(len(f) for f in res)
+    l_de = sum(float(f @ f) for f in res) / m
+    w = batch.de_weight
+    l_tot = l_data + w * l_de
+    if not np.isfinite(l_tot):
+        raise NonFiniteLoss(f"L_tot = {l_tot}")
+    grads = nn_core._Tree._of(np.zeros(nn_core._SIZE))
+    dy = (2.0 / len(y)) * resid
+    if w:
+        q = np.zeros(len(y))
+        for (a, b), f in zip(batch.segment_bounds, res):
+            q[a + 2:b] += f
+            q[a:b - 2] -= f
+        q /= 2.0 * batch._dt_min
+        l1, l2, l3, l4, l5, _ = lam
+        coef = np.array([[0.0, l4, l3], [l4, l3, 0.0], [0.0, l2, l1],
+                         [l2, l1, 0.0], [l2 * l4, l1 * l4 + l2 * l3, l1 * l3]])
+        dy += (2.0 * w / m) * (1.0 - l5 * (coef[4] @ batch._lv_powers)) * q
+        sums = np.append(coef @ (batch._lv_powers @ (y * q)), sum(f.sum() for f in res))
+        dlam = np.array([l5, l5, l5, l5, 1.0, 1.0]) * sums
+        lo, hi = batch.bounds.lo_hi_arrays()
+        s = nn_core.sigmoid(p.theta)
+        grads.theta[:] = w * (-2.0 / m) * dlam * ((hi - lo) * s * (1.0 - s))
+    a1, a2, dz1 = batch._work
+    h1, h2 = a1[:nn_core.HIDDEN], a2[:nn_core.HIDDEN]
+    dy = dy.astype(a2.dtype, copy=False)
+    np.matmul(a2, dy, out=grads.layer3)
+    np.multiply(h2, h2, out=h2)
+    np.subtract(1.0, h2, out=h2)
+    h2 *= dy
+    w3 = p.layer3[:nn_core.HIDDEN, None]
+    np.matmul(h2, a1.T, out=grads.layer2)
+    grads.layer2 *= w3
+    np.matmul((w3 * p.w2).T.astype(dz1.dtype, copy=False), h2, out=dz1)
+    np.multiply(h1, h1, out=h1)
+    np.subtract(1.0, h1, out=h1)
+    dz1 *= h1
+    np.matmul(dz1, batch._x1.T, out=grads.layer1)
+    return l_data, l_de, l_tot, grads
+
+
+def reference_rmsprop_step(p, g, v, lr):
+    v *= nn_core.RMSPROP_RHO
+    t = (1.0 - nn_core.RMSPROP_RHO) * g.flat
+    t *= g.flat
+    v += t
+    np.multiply(lr, g.flat, out=t)
+    t /= np.sqrt(v) + nn_core.RMSPROP_EPS
+    return nn_core._Tree._of(p.flat - t)
+
+
+def reference_train(train, cfg):
+    """train_pmbnn's loop on the reference epoch: final flat and L_tot history."""
+    batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
+                       segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
+                       bounds=LambdaBounds(), de_weight=cfg.de_weight, dtype=np.float32)
+    params = xavier_init(cfg.seed, LambdaBounds(), DEFAULT_INITIAL)
+    v = np.zeros(nn_core._SIZE)
+    history = []
+    for _ in range(cfg.max_epochs):
+        *_, l_tot, grads = reference_loss_and_gradients(params, batch)
+        history.append(l_tot)
+        if l_tot < cfg.stop_threshold:
+            break
+        params = reference_rmsprop_step(params, grads, v, cfg.lr)
+        np.clip(params.theta, -30.0, 30.0, out=params.theta)
+    return params.flat, history
+
+
+class TestEpochBitForBit:
+    @pytest.mark.parametrize("de_weight", [TrainConfig().de_weight, 0.0],
+                             ids=["pmbnn", "fcnn"])
+    def test_training_matches_the_reference_epoch(self, noisy_split, de_weight):
+        train = noisy_split.train   # 1,440 samples in 3 segments
+        assert len(train) == 1440 and len(train.vo2.segment_bounds) == 3
+        cfg = TrainConfig(seed=0, max_epochs=400, de_weight=de_weight)
+        model = train_pmbnn(train, cfg)
+        flat, history = reference_train(train, cfg)
+        assert model.stopped_reason == "threshold" and len(history) >= 200
+        assert len(model.loss_history) == len(history)
+        assert [l.l_tot for l in model.loss_history] == history
+        assert np.array_equal(model.mlp.flat, flat)
+
+    def test_residuals_match_per_segment_passes(self):
+        # the gradient check scores stacked (..., n) inputs, training 1-D ones
+        rng = np.random.default_rng(8)
+        segs, n, k = ((0, 3), (3, 17), (17, 40)), 40, 5
+        log_vo2 = np.log(rng.uniform(0.4, 3.0, n))
+        lo, hi = LambdaBounds().lo_hi_arrays()
+        lam = rng.uniform(lo, hi, size=(k, 6))
+        cases = [(70.0 + 30.0 * rng.uniform(size=n), lam[0]),
+                 (70.0 + 30.0 * rng.uniform(size=(k, n)), lam.T[:, :, None]),
+                 (70.0 + 30.0 * rng.uniform(size=(2, k, n)), lam[1])]
+        for hr, lam_case in cases:
+            got = collocation_residuals(hr, log_vo2, segs, 1 / 60, lam_case)
+            want = reference_collocation_residuals(hr, log_vo2, segs, 1 / 60, lam_case)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("make, key", [
