@@ -25,8 +25,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import nn_core, stats_eval
-from .errors import (IoFailure, MalformedHeader, MalformedRow, OutOfBounds, PmbnnError,
-                     malformed_fields)
+from .errors import (INTEGER, NUMBER, NUMBER_OR_NULL, STRING, IoFailure, ListOf,
+                     MalformedHeader, MalformedRow, OutOfBounds, PmbnnError, check_json)
 from .experiment import (
     ActivityPhase,
     DEFAULT_PLAN,
@@ -65,6 +65,18 @@ MODEL_SECTIONS = {"pmbnn": ("split", "train"), "fcnn": ("split", "train"), "pm":
 
 MODEL_COLUMNS = {m: f"hr_{m}" for m in ("pmbnn", "fcnn", "pm", "pmbnn_r")}
 JOINED_HEADER = ["t_s", "hr_true", *MODEL_COLUMNS.values(), "activity"]
+
+#: a ``synth --spec`` file: SyntheticSpec's fields but its box (errors.check_json)
+SPEC_FIELDS = {"subject_id?": STRING, "lambda_true": ListOf(NUMBER, 6), "hr0?": NUMBER,
+               "noise_sigma_hr?": NUMBER, "noise_sigma_vo2?": NUMBER, "seed?": INTEGER,
+               "plan": ListOf({"label": STRING, "duration_s": INTEGER, "target_vo2": NUMBER,
+                               "tau_s?": NUMBER})}
+
+#: a ``metrics.json`` as ``evaluate`` writes it: R^2 and RMSE per model and scope
+METRIC_FIELDS = {"r2": NUMBER_OR_NULL, "rmse": NUMBER}
+METRICS_FIELDS = {"command": STRING, "participant": STRING, "n_samples": INTEGER, "models": {
+    f"{m}?": {"overall": METRIC_FIELDS, "per_activity": {"*": METRIC_FIELDS}}
+    for m in MODEL_COLUMNS}}
 
 #: default ground truth for ``synth``: rising-HR configuration inside the box
 SYNTH_DEFAULT_LAMBDA = LambdaParams(0.025, 0.08, -2.8, 19.0, 0.44, 0.1)
@@ -237,47 +249,11 @@ def cmd_preprocess(args, cfg: dict) -> dict[str, bytes]:
                 "n_samples": len(out)})}
 
 
-def _number(value, name: str) -> float:
-    """A spec file's number; a bool, string or null is OutOfBounds."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise OutOfBounds(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:   # JSON integers are unbounded
-        raise OverflowError(f"{name} is too large for a float") from None
-
-
-def _whole_seconds(value) -> int:
-    if not _number(value, "duration_s").is_integer():
-        raise OutOfBounds(f"duration_s must be a whole number of seconds, got {value!r}")
-    return int(value)
-
-
 def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
-    payload = _read_json(path)
-    with malformed_fields(path):
-        allowed = {f.name for f in fields(SyntheticSpec)} - {"bounds"}   # a spec sets no box
-        unknown = [k for k in payload if k not in allowed] + [
-            f"plan[{i}].{k}" for i, p in enumerate(payload["plan"])
-            for k in p if k not in {f.name for f in fields(ActivityPhase)}]
-        if unknown:
-            raise IoFailure(f"{path}: unknown key(s) {', '.join(unknown)}")
-        plan = tuple(
-            ActivityPhase(p["label"], _whole_seconds(p["duration_s"]),
-                          _number(p["target_vo2"], f"plan[{i}].target_vo2"),
-                          _number(p.get("tau_s", 30.0), f"plan[{i}].tau_s"))
-            for i, p in enumerate(payload["plan"])
-        )
-        return SyntheticSpec(
-            subject_id=payload.get("subject_id", "synthetic"),
-            plan=plan,
-            lambda_true=LambdaParams.from_array(
-                [_number(v, f"lambda_true[{i}]") for i, v in enumerate(payload["lambda_true"])]),
-            hr0=_number(payload.get("hr0", 70.0), "hr0"),
-            noise_sigma_hr=_number(payload.get("noise_sigma_hr", 0.0), "noise_sigma_hr"),
-            noise_sigma_vo2=_number(payload.get("noise_sigma_vo2", 0.0), "noise_sigma_vo2"),
-            seed=payload.get("seed", 0) if seed is None else seed,
-        )
+    spec = {"subject_id": "synthetic", **check_json(_read_json(path), SPEC_FIELDS, path),
+            **({} if seed is None else {"seed": seed})}
+    return SyntheticSpec(**{**spec, "plan": tuple(ActivityPhase(**p) for p in spec["plan"]),
+                            "lambda_true": LambdaParams(*spec["lambda_true"])})
 
 
 def cmd_synth(args, cfg: dict) -> dict[str, bytes]:
@@ -422,18 +398,13 @@ def cmd_evaluate(args, cfg: dict) -> dict[str, bytes]:
 def cmd_report(args, cfg: dict) -> dict[str, bytes]:
     subjects = []
     for path in args.metrics:
-        payload = _read_json(path)
+        payload = check_json(_read_json(path), METRICS_FIELDS, path)
         overall, per_activity = {}, {}
-        with malformed_fields(path):
-            for model, entry in payload["models"].items():
-                overall[model] = stats_eval.MetricPair(**entry["overall"])
-                for act, m in entry["per_activity"].items():
-                    per_activity.setdefault(act, {})[model] = stats_eval.MetricPair(**m)
-            subjects.append(stats_eval.SubjectMetrics(
-                participant=payload["participant"],
-                overall=overall,
-                per_activity=per_activity,
-            ))
+        for model, entry in payload["models"].items():
+            overall[model] = stats_eval.MetricPair(**entry["overall"])
+            for act, m in entry["per_activity"].items():
+                per_activity.setdefault(act, {})[model] = stats_eval.MetricPair(**m)
+        subjects.append(stats_eval.SubjectMetrics(payload["participant"], overall, per_activity))
     report = stats_eval.build_eval_report(subjects)
     return {**stats_eval.emit_report(report),
             "report_manifest.json": _manifest(args, cfg, {
@@ -480,8 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
 
     p = add("synth", cmd_synth, "generate a synthetic oracle subject", seed=True)
-    p.add_argument("--spec", help="synthetic spec JSON")
-    p.add_argument("--noise-hr", type=float, default=0.0)
+    recipe = p.add_mutually_exclusive_group()   # a spec sets its own noise
+    recipe.add_argument("--spec", help="synthetic spec JSON")
+    recipe.add_argument("--noise-hr", type=float, default=0.0)
 
     p = add("split", cmd_split, "per-activity 80/20 split", ("split",))
     p.add_argument("--input", required=True)

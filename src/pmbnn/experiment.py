@@ -130,6 +130,7 @@ class SyntheticSpec:
         sid = self.subject_id
         _require(isinstance(sid, str) and sid not in ("", ".", "..")
                  and os.path.basename(sid) == sid, "subject_id", sid, "a plain file name")
+        _require(len(self.plan) > 0, "plan", self.plan, "at least one phase")
         positive = {"hr0": self.hr0}
         for i, phase in enumerate(self.plan):
             _require(isinstance(phase.label, str) and phase.label != "", f"plan[{i}].label",
@@ -143,8 +144,7 @@ class SyntheticSpec:
             value = getattr(self, name)
             _require(math.isfinite(value) and value >= 0, name, value, "finite and >= 0")
         self.bounds.require_inside(self.lambda_true)
-        _require(isinstance(self.seed, int) and not isinstance(self.seed, bool)
-                 and self.seed >= 0, "seed", self.seed, "an integer >= 0")
+        _require(type(self.seed) is int and self.seed >= 0, "seed", self.seed, "an integer >= 0")
 
 
 #: default plan: resting, then cycling and running at two intensities each

@@ -18,16 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physio_model as pm
-from .errors import (
-    BadBounds,
-    InvalidStep,
-    IoFailure,
-    LengthMismatch,
-    NonFiniteGradient,
-    NonFiniteLoss,
-    OutOfBounds,
-    malformed_fields,
-)
+from .errors import (INTEGER, NUMBER, STRING, BadBounds, InvalidStep, IoFailure, LengthMismatch,
+                     ListOf, NonFiniteGradient, NonFiniteLoss, OutOfBounds, check_json)
 from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
 
 HIDDEN = 64
@@ -464,16 +456,20 @@ def run_gradcheck(seed: int, h: float = 1e-5) -> float:
     return gradient_check(p, batch, h)
 
 
-#: the top-level keys of a checkpoint, as :func:`checkpoint_bytes` renders them
-_CHECKPOINT_KEYS = ("schema_version", "layer_shapes", "arrays", "bounds", "seed",
-                    "config_hash")
+#: each array's shape in the network
+_SHAPES = {f: list(getattr(_Tree._of(np.empty(_SIZE)), f).shape) for f in ARRAY_FIELDS}
+#: a checkpoint's fields, as :func:`checkpoint_bytes` writes them (errors.check_json)
+CHECKPOINT_FIELDS = {"schema_version": INTEGER, "seed": INTEGER, "config_hash": STRING,
+                     "layer_shapes": {f: ListOf(INTEGER) for f in ARRAY_FIELDS},
+                     "arrays": {f: ListOf(NUMBER, int(np.prod(s))) for f, s in _SHAPES.items()},
+                     "bounds": {k: ListOf(NUMBER, 2) for k, _ in LambdaBounds().items()}}
 
 
 def checkpoint_bytes(p: MlpParams, bounds: LambdaBounds, seed: int, config_hash: str) -> bytes:
     """The model as JSON: shapes, row-major arrays, theta, bounds."""
     payload = {
         "schema_version": 1,
-        "layer_shapes": {f: list(getattr(p, f).shape) for f in ARRAY_FIELDS},
+        "layer_shapes": _SHAPES,
         "arrays": {f: getattr(p, f).ravel().tolist() for f in ARRAY_FIELDS},
         "bounds": {k: list(v) for k, v in bounds.items()},
         "seed": seed,
@@ -493,41 +489,16 @@ def save_checkpoint(path, p: MlpParams, bounds: LambdaBounds, seed: int,
 
 
 def load_checkpoint(payload, path) -> tuple[MlpParams, LambdaBounds, int, str]:
-    """The model, bounds, seed and config hash of a parsed checkpoint;
-    ``path`` names the file in messages. A missing, unknown or malformed
-    field is IoFailure."""
-    with malformed_fields(path):
-        unknown = [k for k in payload if k not in _CHECKPOINT_KEYS] + [
-            f"{part}.{k}" for part in ("arrays", "layer_shapes")
-            for k in payload[part] if k not in ARRAY_FIELDS]
-        if unknown:
-            raise IoFailure(f"{path}: unknown key(s) {', '.join(unknown)}")
-        version = payload["schema_version"]
-        seed, config_hash = payload["seed"], payload["config_hash"]
-        if type(version) is not int or version != 1:
-            raise ValueError(f"schema_version must be 1, got {version!r}")
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        if not isinstance(config_hash, str):
-            raise ValueError(f"config_hash must be a string, got {config_hash!r}")
-        arrays = {name: np.array(payload["arrays"][name], dtype=float)
-                  .reshape(payload["layer_shapes"][name]) for name in ARRAY_FIELDS}
-        # json reads 1e400, Infinity and NaN as non-finite floats
-        non_finite = [name for name, a in arrays.items() if not np.isfinite(a).all()]
-        if non_finite:
-            raise ValueError(f"arrays {', '.join(non_finite)} must be finite")
-        box = payload["bounds"]
-        missing = [k for k, _ in LambdaBounds().items() if k not in box]
-        if missing:   # LambdaBounds would give each its default box; an unknown key fails it
-            raise ValueError(f"bounds lacks {', '.join(missing)}")
-        bounds = LambdaBounds(**{k: _box(k, v) for k, v in box.items()})
-        return MlpParams(**arrays), bounds, seed, config_hash
-
-
-def _box(name: str, value) -> tuple[float, float]:
-    """A checkpoint's ``bounds`` entry: two finite numbers (no bools), else
-    ValueError, which :func:`malformed_fields` makes an IoFailure."""
-    if not (isinstance(value, list) and len(value) == 2
-            and all(type(v) in (int, float) and np.isfinite(v) for v in value)):
-        raise ValueError(f"bounds {name} must be two finite numbers, got {value!r}")
-    return float(value[0]), float(value[1])
+    """The model, bounds, seed and config hash of a parsed checkpoint from
+    the file ``path``. Fields CHECKPOINT_FIELDS does not allow, a
+    ``schema_version`` other than 1, a negative ``seed`` or ``layer_shapes``
+    other than the network's are IoFailure."""
+    ckpt = check_json(payload, CHECKPOINT_FIELDS, path)
+    for key, ok, rule in (("schema_version", ckpt["schema_version"] == 1, "1"),
+                          ("seed", ckpt["seed"] >= 0, ">= 0"),
+                          ("layer_shapes", ckpt["layer_shapes"] == _SHAPES, str(_SHAPES))):
+        if not ok:
+            raise IoFailure(f"{path}: {key} must be {rule}, got {ckpt[key]!r}")
+    params = MlpParams(**{f: np.reshape(ckpt["arrays"][f], s) for f, s in _SHAPES.items()})
+    bounds = LambdaBounds(**{k: tuple(v) for k, v in ckpt["bounds"].items()})
+    return params, bounds, ckpt["seed"], ckpt["config_hash"]

@@ -102,23 +102,6 @@ def _check_positive_vo2(vo2) -> np.ndarray:
     return v
 
 
-def stroke_volume(lam: LambdaParams, vo2):
-    """SV = l1 * ln(vo2) + l2, vo2 in L/min."""
-    v = _check_positive_vo2(vo2)
-    return lam.l1 * np.log(v) + lam.l2
-
-
-def peripheral_resistance(lam: LambdaParams, vo2):
-    """TPR = l3 * ln(vo2) + l4, vo2 in L/min."""
-    v = _check_positive_vo2(vo2)
-    return lam.l3 * np.log(v) + lam.l4
-
-
-def coupling_g(lam: LambdaParams, vo2):
-    """g = SV * TPR, the HR-to-MAP coupling factor."""
-    return stroke_volume(lam, vo2) * peripheral_resistance(lam, vo2)
-
-
 def segment_offsets(segment_bounds) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's segment start index, and its samples since that start."""
     lengths = [b - a for a, b in segment_bounds]

@@ -70,8 +70,6 @@ class MetricPair:
     rmse: float
 
     def __post_init__(self):
-        if isinstance(self.rmse, bool) or isinstance(self.r2, bool):
-            raise OutOfBounds(f"r2 and rmse must be numbers, got {self.r2!r} and {self.rmse!r}")
         # comparing with the largest float also rejects inf, NaN and an int too large for one
         if not 0 <= self.rmse <= sys.float_info.max:
             raise OutOfBounds(f"rmse must be finite and >= 0, got {self.rmse}")

@@ -13,7 +13,7 @@ from pmbnn.experiment import (
     SyntheticSpec,
     generate_synthetic_subject,
 )
-from pmbnn.physio_model import LambdaBounds, LambdaParams, coupling_g
+from pmbnn.physio_model import LambdaBounds, LambdaParams
 
 BOUNDS = LambdaBounds()
 
@@ -49,7 +49,7 @@ def sample_lambda_interior(rng: np.random.Generator) -> LambdaParams:
     representative of the products to sit strictly inside the box.
     """
     lo, hi = BOUNDS.lo_hi_arrays()
-    v_grid = np.linspace(0.25, 3.4, 150)
+    log_v = np.log(np.linspace(0.25, 3.4, 150))   # g = SV * TPR on this vo2 grid
     c_star = ORACLE_INIT.l2 * ORACLE_INIT.l4
     for _ in range(1000):
         l1 = rng.uniform(lo[0] + 0.3 * (hi[0] - lo[0]),
@@ -71,7 +71,7 @@ def sample_lambda_interior(rng: np.random.Generator) -> LambdaParams:
         if not (lo[0] + 0.001 < r1 < hi[0] - 0.001
                 and lo[2] + 0.05 < r3 < hi[2] - 0.05):
             continue
-        den = 1.0 - lam.l5 * coupling_g(lam, v_grid)
+        den = 1.0 - lam.l5 * ((lam.l1 * log_v + lam.l2) * (lam.l3 * log_v + lam.l4))
         if np.min(np.abs(den)) < 0.12 or np.any(den <= 0):
             continue
         probe = generate_synthetic_subject(

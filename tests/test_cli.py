@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,9 +10,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pmbnn import errors
 from pmbnn.cli import DEFAULTS, MODEL_COLUMNS, MODEL_SECTIONS, main
 
 
@@ -317,6 +321,79 @@ def test_json_input_missing_field_is_io_failure(tmp_path, capsys, argv, payload)
     assert "IoFailure" in capsys.readouterr().err
 
 
+#: a spec that sets every key, so that each may be mutated
+_FULL_SPEC = {"subject_id": "full", "lambda_true": [0.02, 0.1, -5.3, 10.5, 0.44, 0.1],
+              "hr0": 72.0, "noise_sigma_hr": 1.0, "noise_sigma_vo2": 0.01, "seed": 4,
+              "plan": [{"label": "rest", "duration_s": 60, "target_vo2": 0.4},
+                       {"label": "run", "duration_s": 60, "target_vo2": 2.0, "tau_s": 20}]}
+
+#: the keys a JSON input may lack: a spec key with a default, an entry of
+#: metrics.json's models or of a model's per_activity
+_MAY_LACK = {"spec": lambda path: path[-1] in ("subject_id", "hr0", "noise_sigma_hr",
+                                               "noise_sigma_vo2", "seed", "tau_s"),
+             "ckpt": lambda path: False,
+             "metrics": lambda path: path[-2:-1] in (("models",), ("per_activity",))}
+
+#: a value of each JSON kind that no field accepts as it stands (a list for a
+#: scalar, for an object or for a list of another length or kind)
+_BAD_VALUES = [True, math.nan, math.inf, 10**400, "x", [0.5], None]
+
+
+@pytest.fixture(scope="module")
+def json_inputs(pipeline_dirs, tmp_path_factory):
+    """The three JSON inputs of real CLI runs, each with the argv of the
+    subcommand that reads it, where ``{path}`` stands for the input."""
+    spec = tmp_path_factory.mktemp("spec") / "spec.json"
+    spec.write_text(json.dumps(_FULL_SPEC))
+    assert run(["synth", "--spec", str(spec), "--out", str(spec.parent / "o")]) == 0
+    names = _artifacts(pipeline_dirs)
+    return {"spec": (str(spec), ["synth", "--spec", "{path}"]),
+            "ckpt": (names["ckpt"],
+                     ["reconstruct", "--checkpoint", "{path}", "--input", names["csv"]]),
+            "metrics": (names["metrics"], ["report", "--metrics", "{path}"])}
+
+
+def _key_paths(value, path=()):
+    """The key path of every value inside a parsed JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,)
+        yield from _key_paths(inner, path + (key,))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_json_input_is_a_typed_error(json_inputs, data):
+    # one mutation of a real run's spec, checkpoint or metrics.json: a key
+    # deleted or added, or a value of another kind, ends in exit 1 with a
+    # typed error and no file, never in a traceback or a run
+    name = data.draw(st.sampled_from(sorted(json_inputs)))
+    source, argv = json_inputs[name]
+    payload = json.loads(pathlib.Path(source).read_text())
+    path = data.draw(st.sampled_from(list(_key_paths(payload))))
+    *head, last = path
+    parent = functools.reduce(lambda node, key: node[key], head, payload)
+    mutation = data.draw(st.sampled_from(["delete", "add", "set"]))
+    if mutation == "delete" and isinstance(parent, dict) and not _MAY_LACK[name](path):
+        del parent[last]
+    elif mutation == "add" and isinstance(parent[last], dict):
+        parent[last]["zzz"] = 1
+    else:
+        old, new = parent[last], data.draw(st.sampled_from(_BAD_VALUES))
+        assume(not (type(old) is type(new) is str or new is None and last == "r2"))
+        parent[last], mutation = new, f"set to {new!r}"
+    with tempfile.TemporaryDirectory() as tmp:
+        target, out = pathlib.Path(tmp) / "input.json", pathlib.Path(tmp) / "out"
+        target.write_text(json.dumps(payload))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run([a.format(path=target) for a in argv] + ["--out", str(out)])
+        assert code == 1, (name, path, mutation)
+        kind = err.getvalue().removeprefix("error: ").split(":")[0]
+        assert issubclass(getattr(errors, kind), errors.PmbnnError), err.getvalue()
+        assert not out.exists()
+
+
 def test_evaluate_one_sample_activity(tmp_path):
     # a 5-sample activity segment leaves one test sample after the split
     pred = tmp_path / "predictions_pmbnn.csv"
@@ -406,21 +483,57 @@ def test_evaluate_overflowing_score_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("overall", [
-    '{"r2": 0.9, "rmse": -1}',      # was LengthMismatch
-    '{"r2": NaN, "rmse": NaN}',     # exited 0 and wrote nan rows
-    '{"r2": 1.5, "rmse": 2.0}',
-    '{"r2": true, "rmse": true}',   # read as 1 and reported, exit 0
-    '{"r2": 0.9, "rmse": 1%s}' % ("0" * 400),    # an OverflowError traceback
-    '{"r2": -1%s, "rmse": 2.0}' % ("0" * 400),
+_HUGE = "100000000000000000...0000000000000000000"   # how a message shows 10**400
+
+
+@pytest.mark.parametrize("overall, shown", [
+    ('{"r2": 0.9, "rmse": -1}',          # was LengthMismatch
+     "OutOfBounds: rmse must be finite and >= 0, got -1"),
+    ('{"r2": NaN, "rmse": NaN}',         # exited 0 and wrote nan rows
+     "IoFailure: {path}: models.pmbnn.overall.r2 must be a finite number or null, got nan"),
+    ('{"r2": 1.5, "rmse": 2.0}', "OutOfBounds: r2 must be null or finite and <= 1, got 1.5"),
+    ('{"r2": true, "rmse": true}',       # read as 1 and reported, exit 0
+     "IoFailure: {path}: models.pmbnn.overall.r2 must be a finite number or null, got True"),
+    ('{"r2": 0.9, "rmse": 1%s}' % ("0" * 400),    # an OverflowError traceback
+     "IoFailure: {path}: models.pmbnn.overall.rmse must be a finite number, got " + _HUGE),
+    ('{"r2": -1%s, "rmse": 2.0}' % ("0" * 400),
+     "IoFailure: {path}: models.pmbnn.overall.r2 must be a finite number or null, "
+     "got -10000000000000000...0000000000000000000"),
 ], ids=["negative-rmse", "nan", "r2-above-one", "bool", "huge-rmse", "huge-r2"])
-def test_report_bad_metric_exits_one(tmp_path, capsys, overall):
+def test_report_bad_metric_exits_one(tmp_path, capsys, overall, shown):
     path = tmp_path / "metrics.json"
-    path.write_text('{"participant": "s", "models": {"pmbnn": {"overall": %s, '
-                    '"per_activity": {}}}}' % overall)
+    path.write_text('{"command": "evaluate", "participant": "s", "n_samples": 2, "models": '
+                    '{"pmbnn": {"overall": %s, "per_activity": {}}}}' % overall)
     out = tmp_path / "r"
     assert run(["report", "--metrics", str(path), "--out", str(out)]) == 1
-    assert "OutOfBounds" in capsys.readouterr().err
+    assert shown.format(path=path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, shown", [
+    (lambda m: m.update(participant=[1, 2]),   # reported as participant "[1, 2]"
+     "participant must be a string, got [1, 2]"),
+    (lambda m: m.update(participant=None),     # reported with an empty participant cell
+     "participant must be a string, got None"),
+    (lambda m: m.update(extra=1), "unknown key(s) extra"),
+    (lambda m: m["models"].update(zzz=m["models"]["pm"]),   # reported as a model zzz
+     "unknown key(s) models.zzz"),
+    (lambda m: m["models"]["pm"]["per_activity"].update(sprint=[1.0, 2.0]),
+     "models.pm.per_activity.sprint must be an object, got [1.0, 2.0]"),
+    (lambda m: m["models"]["fcnn"]["overall"].pop("r2"),
+     "missing key(s) models.fcnn.overall.r2"),
+], ids=["participant-list", "participant-null", "unknown-key", "unknown-model",
+        "activity-not-an-object", "missing-r2"])
+def test_report_metrics_field_of_wrong_kind_is_io_failure(pipeline_dirs, tmp_path, capsys,
+                                                          edit, shown):
+    # the first four exited 0 and wrote a report
+    metrics = json.loads(pathlib.Path(_artifacts(pipeline_dirs)["metrics"]).read_text())
+    edit(metrics)
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(metrics))
+    out = tmp_path / "r"
+    assert run(["report", "--metrics", str(path), "--out", str(out)]) == 1
+    assert f"error: IoFailure: {path}: {shown}\n" == capsys.readouterr().err
     assert not out.exists()
 
 
@@ -599,38 +712,55 @@ SPEC = {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
         "lambda_true": [0.02, 0.1, -5.3, 10.5, 0.44, 0.1]}
 
 
-@pytest.mark.parametrize("flags, spec, field", [
-    (["--noise-hr", "-2"], None, "noise_sigma_hr"),
-    (["--noise-hr", "nan"], None, "noise_sigma_hr"),
-    ([], {"noise_sigma_vo2": -1}, "noise_sigma_vo2"),
-    ([], {"hr0": -70}, "hr0"),
+@pytest.mark.parametrize("flags, spec, shown", [
+    (["--noise-hr", "-2"], None, "OutOfBounds: noise_sigma_hr"),
+    (["--noise-hr", "nan"], None, "OutOfBounds: noise_sigma_hr"),
+    ([], {"noise_sigma_vo2": -1}, "OutOfBounds: noise_sigma_vo2"),
+    ([], {"hr0": -70}, "OutOfBounds: hr0"),
     ([], {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4, "tau_s": 0}]},
-     "plan[0].tau_s"),
+     "OutOfBounds: plan[0].tau_s"),
     ([], {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": math.nan}]},
-     "plan[0].target_vo2"),
-    ([], {"plan": [{"label": "rest", "duration_s": 90.7, "target_vo2": 0.4}]}, "duration_s"),
-    ([], {"seed": 2.7}, "seed"),              # ran as seed 2
-    ([], {"seed": True}, "seed"),             # ran as seed 1
-    ([], {"hr0": True}, "hr0"),               # ran with hr0 1.0 bpm
-    ([], {"lambda_true": [0.02, 0.1, -5.3, 10.5, 0.44, False]}, "lambda_true[5]"),  # ran as 0.0
-    ([], {"subject_id": 7}, "subject_id"),
-    ([], {"plan": [{"label": 7, "duration_s": 120, "target_vo2": 0.4}]}, "plan[0].label"),
-    ([], {"subject_id": "../escaped"}, "subject_id"),  # wrote escaped.csv beside --out
-    ([], {"subject_id": ".."}, "subject_id"),
-    ([], {"subject_id": ""}, "subject_id"),
+     "IoFailure: {spec}: plan[0].target_vo2 must be a finite number, got nan"),
+    ([], {"plan": [{"label": "rest", "duration_s": 90.7, "target_vo2": 0.4}]},
+     "IoFailure: {spec}: plan[0].duration_s must be a finite integer, got 90.7"),
+    ([], {"seed": 2.7}, "IoFailure: {spec}: seed must be a finite integer, got 2.7"),  # seed 2
+    ([], {"seed": True}, "IoFailure: {spec}: seed must be a finite integer, got True"),  # 1
+    ([], {"hr0": True}, "IoFailure: {spec}: hr0 must be a finite number, got True"),  # 1 bpm
+    ([], {"lambda_true": [0.02, 0.1, -5.3, 10.5, 0.44, False]},     # ran as 0.0
+     "IoFailure: {spec}: lambda_true[5] must be a finite number, got False"),
+    ([], {"subject_id": 7}, "IoFailure: {spec}: subject_id must be a string, got 7"),
+    ([], {"plan": [{"label": 7, "duration_s": 120, "target_vo2": 0.4}]},
+     "IoFailure: {spec}: plan[0].label must be a string, got 7"),
+    ([], {"subject_id": "../escaped"},   # wrote escaped.csv beside --out
+     "OutOfBounds: subject_id"),
+    ([], {"subject_id": ".."}, "OutOfBounds: subject_id"),
+    ([], {"subject_id": ""}, "OutOfBounds: subject_id"),
+    ([], {"plan": []},                  # an IndexError traceback
+     "OutOfBounds: plan must be at least one phase, got ()"),
 ], ids=["noise-hr-negative", "noise-hr-nan", "noise-vo2-negative", "hr0-negative",
         "tau-zero", "target-vo2-nan", "duration-fractional", "seed-fractional",
         "seed-bool", "hr0-bool", "lambda-bool", "subject-id-number", "label-number", "subject-id-path",
-        "subject-id-dotdot", "subject-id-empty"])
-def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, field):
+        "subject-id-dotdot", "subject-id-empty", "plan-empty"])
+def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, shown):
     # each of these was ignored, truncated or written into the CSV with exit 0,
     # or ended in an error that named no setting
+    path = tmp_path / "spec.json"
     if spec is not None:
-        (tmp_path / "spec.json").write_text(json.dumps({**SPEC, **spec}))
-        flags = ["--spec", str(tmp_path / "spec.json")]
+        path.write_text(json.dumps({**SPEC, **spec}))
+        flags = ["--spec", str(path)]
     assert run(["synth", "--out", str(tmp_path / "o"), *flags]) == 1
-    assert f"OutOfBounds: {field}" in capsys.readouterr().err
+    assert shown.format(spec=path) in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] in ([], ["spec.json"])   # nothing written
+
+
+def test_synth_spec_with_noise_hr_is_usage_error(tmp_path, capsys):
+    # exited 0 and wrote noise_sigma_hr 0.0: the spec's noise won silently
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC))
+    assert _exit_code(["synth", "--spec", str(path), "--noise-hr", "5",
+                       "--out", str(tmp_path / "o")]) == 2
+    assert "argument --noise-hr: not allowed with argument --spec" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 @pytest.mark.parametrize("spec, key", [
@@ -652,8 +782,8 @@ def test_synth_spec_number_too_large_for_a_float_is_io_failure(tmp_path, capsys)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({**SPEC, "hr0": 10**400}))
     assert run(["synth", "--spec", str(path), "--out", str(tmp_path / "o")]) == 1
-    assert (f"IoFailure: {path}: missing or malformed field: "
-            "OverflowError('hr0 is too large for a float')") in capsys.readouterr().err
+    assert f"IoFailure: {path}: hr0 must be a finite number, got {_HUGE}\n" in (
+        capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
@@ -989,14 +1119,13 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(
     assert [m["config"]["train.seed"] for m in manifests] == [5, DEFAULTS["train.seed"]]
 
 
-_NOT_TWO_NUMBERS = "bounds l1 must be two finite numbers"
-
-
 @pytest.mark.parametrize("edit, shown", [
-    (lambda box: box.update(l1=["a", "b"]), _NOT_TWO_NUMBERS),   # a numpy traceback
-    (lambda box: box.update(l1=[True, 2.0]), _NOT_TWO_NUMBERS),  # read as the box (1, 2)
-    (lambda box: box.pop("l1"), "bounds lacks l1"),              # took the default box
-    (lambda box: box.update(l7=[0.0, 1.0]), "l7"),
+    (lambda box: box.update(l1=["a", "b"]),   # a numpy traceback
+     "bounds.l1[0] must be a finite number, got 'a'"),
+    (lambda box: box.update(l1=[True, 2.0]),  # read as the box (1, 2)
+     "bounds.l1[0] must be a finite number, got True"),
+    (lambda box: box.pop("l1"), "missing key(s) bounds.l1"),   # took the default box
+    (lambda box: box.update(l7=[0.0, 1.0]), "unknown key(s) bounds.l7"),
 ], ids=["strings", "bool", "missing", "unknown"])
 def test_checkpoint_bounds_not_two_finite_numbers_is_io_failure(
         pipeline_dirs, tmp_path, capsys, edit, shown):
@@ -1007,10 +1136,11 @@ def test_checkpoint_bounds_not_two_finite_numbers_is_io_failure(
 
 @pytest.mark.parametrize("key, value, shown", [
     ("schema_version", 99, "schema_version must be 1, got 99"),
-    ("seed", "abc", "seed must be an integer >= 0, got 'abc'"),
-    ("seed", True, "seed must be an integer >= 0, got True"),
+    ("seed", "abc", "seed must be a finite integer, got 'abc'"),
+    ("seed", True, "seed must be a finite integer, got True"),
+    ("seed", -1, "seed must be >= 0, got -1"),
     ("config_hash", [1], "config_hash must be a string, got [1]"),
-], ids=["schema_version", "seed-string", "seed-bool", "config_hash"])
+], ids=["schema_version", "seed-string", "seed-bool", "seed-negative", "config_hash"])
 def test_checkpoint_header_field_of_wrong_value_is_io_failure(
         pipeline_dirs, tmp_path, capsys, key, value, shown):
     # each was taken as it stood, and reconstruct exited 0
@@ -1029,8 +1159,7 @@ def _reconstruct_edited_checkpoint(pipeline_dirs, tmp_path, capsys, edit, shown)
     out = tmp_path / "r"
     assert run(["reconstruct", "--checkpoint", str(path), "--input",
                 _artifacts(pipeline_dirs)["csv"], "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"IoFailure: {path}: " in err and shown in err
+    assert capsys.readouterr().err == f"error: IoFailure: {path}: {shown}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -516,15 +517,34 @@ def test_checkpoint_unknown_key_is_io_failure(edit, key):
 
 
 @pytest.mark.parametrize("literal, shown", [
-    ("1" + "0" * 400, "OverflowError"),      # an OverflowError traceback
-    ("1e400", "arrays w1 must be finite"),   # loaded as inf; reconstruct exited 0
-    ("NaN", "arrays w1 must be finite"),
+    ("1" + "0" * 400, "100000000000000000...0000000000000000000"),   # an OverflowError traceback
+    ("1e400", "inf"),   # loaded as inf; reconstruct exited 0
+    ("NaN", "nan"),
 ], ids=["int-10**400", "float-1e400", "nan"])
 def test_checkpoint_number_not_a_finite_float_is_io_failure(literal, shown):
     ckpt = json.loads(checkpoint_bytes(xavier_init(0), LambdaBounds(), 0, "h"))
     ckpt["arrays"]["w1"][0] = "@"
-    with pytest.raises(IoFailure, match=shown):
+    message = f"ckpt.json: arrays.w1[0] must be a finite number, got {shown}"
+    with pytest.raises(IoFailure, match=f"^{re.escape(message)}$"):
         load_checkpoint(json.loads(json.dumps(ckpt).replace('"@"', literal)), "ckpt.json")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c["arrays"]["w2"].pop(),
+     "arrays.w2 must be a list of 4096, got [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]"),
+    (lambda c: c["layer_shapes"].update(w2=[4096]),
+     "layer_shapes must be {'w1': [64, 1], 'b1': [64], 'w2': [64, 64], 'b2': [64], "
+     "'w3': [1, 64], 'b3': [1], 'theta': [6]}, got {'b1': [64], 'b2': [64], 'b3': [1], "
+     "'theta': [6], 'w1': [64, 1], 'w2': [4096], 'w3': [1, 64]}"),
+], ids=["array-length", "layer-shape"])
+def test_checkpoint_of_another_network_is_io_failure(edit, message):
+    # a shorter w2 or a reshaped layer ended in a numpy ValueError
+    zeros = xavier_init(0)
+    zeros.flat[:] = 0.0
+    ckpt = json.loads(checkpoint_bytes(zeros, LambdaBounds(), 0, "h"))
+    edit(ckpt)
+    with pytest.raises(IoFailure, match=f"^{re.escape('ckpt.json: ' + message)}$"):
+        load_checkpoint(ckpt, "ckpt.json")
 
 
 def test_unwritable_checkpoint_is_io_failure(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from pmbnn.physio_model import (
     LambdaBounds,
     LambdaParams,
     collocation_residuals,
-    coupling_g,
     de_residual_series,
-    peripheral_resistance,
     simulate_hr,
-    stroke_volume,
+    trajectory,
 )
 from pmbnn.signal_pipeline import UniformSeries
 
@@ -30,6 +29,28 @@ def vo2_series(values, bounds=None):
     if bounds is None:
         bounds = ((0, len(values)),)
     return UniformSeries(0.0, 1.0, values, bounds, "L/min")
+
+
+def coupling_g(lam, vo2):
+    """g = SV * TPR at each vo2, read off the den = 1 - l5 * g that the
+    simulator's trajectory returns."""
+    log_vo2 = np.log(np.atleast_1d(np.asarray(vo2, dtype=float)))
+    n = len(log_vo2)
+    _, den = trajectory(log_vo2, np.arange(n), np.zeros(n), np.full(n, 70.0), 1 / 60,
+                        lam.as_array())
+    g = (1.0 - den) / lam.l5
+    return g if np.ndim(vo2) else float(g[0])
+
+
+def stroke_volume(lam, vo2):
+    """SV = l1 * ln(vo2) + l2: g with TPR = 1 (l3 = 0, l4 = 1), at l5 = 1."""
+    return coupling_g(replace(lam, l3=0.0, l4=1.0, l5=1.0), vo2)
+
+
+def peripheral_resistance(lam, vo2):
+    """TPR = l3 * ln(vo2) + l4: g with SV = 1 (l1 = 0, l2 = 1), at l5 = 1/64,
+    a power of two, so den stays away from 0 and scaling by l5 is exact."""
+    return coupling_g(replace(lam, l1=0.0, l2=1.0, l5=1 / 64), vo2)
 
 
 def exp_approach(n, start, target, tau=30.0):
@@ -45,8 +66,9 @@ class TestHemodynamicAlgebra:
         assert stroke_volume(INIT, math.e) == pytest.approx(0.12, rel=1e-12)
 
     def test_stroke_volume_rejects_zero_vo2(self):
+        # ln(vo2) in the SV and TPR laws needs vo2 > 0
         with pytest.raises(NonPositiveVo2):
-            stroke_volume(INIT, 0.0)
+            simulate_hr(vo2_series([1.0, 0.0, 1.0]), INIT, [70.0])
 
     def test_tpr_at_unit_vo2(self):
         assert peripheral_resistance(INIT, 1.0) == pytest.approx(10.5, abs=1e-15)
@@ -83,7 +105,7 @@ class TestHemodynamicAlgebra:
         n = 30
         hr = rng.uniform(40, 200, n)
         v = rng.uniform(0.2, 4.0, n)
-        mean_ap = hr * stroke_volume(INIT, v) * peripheral_resistance(INIT, v)
+        mean_ap = hr * (INIT.l1 * np.log(v) + INIT.l2) * (INIT.l3 * np.log(v) + INIT.l4)
         dt_min = 1.0 / 60.0
         expected = ((hr[2:] - hr[:-2]) / (2 * dt_min) - INIT.l6
                     - INIT.l5 * (mean_ap[2:] - mean_ap[:-2]) / (2 * dt_min))
