@@ -30,7 +30,7 @@ from .errors import (INTEGER, NUMBER, NUMBER_OR_NULL, STRING, IoFailure, ListOf,
 from .experiment import (
     ActivityPhase,
     DEFAULT_PLAN,
-    ExperimentConfig,
+    SPLIT_RATIO,
     SyntheticSpec,
     fit_model,
     generate_synthetic_subject,
@@ -58,7 +58,7 @@ SECTIONS = {"filter": FilterConfig, "train": TrainConfig, "pm": PmFitConfig}
 #: every config key and its default: ``<section>.<field>``, and ``split.ratio``
 DEFAULTS = {**{f"{section}.{f.name}": f.default
                for section, cls in SECTIONS.items() for f in fields(cls)},
-            "split.ratio": ExperimentConfig.split_ratio}
+            "split.ratio": SPLIT_RATIO}
 
 #: the config sections that each model's fit reads
 MODEL_SECTIONS = {"pmbnn": ("split", "train"), "fcnn": ("split", "train"), "pm": ("split", "pm")}
@@ -249,11 +249,21 @@ def cmd_preprocess(args, cfg: dict) -> dict[str, bytes]:
                 "n_samples": len(out)})}
 
 
+def _from_json(make, fields: dict, path: str, key: str = ""):
+    """``make(**fields)`` for the object at ``key`` (a key path ending in a dot)
+    of the JSON file ``path``; its range errors name the file and key path."""
+    try:
+        return make(**fields)
+    except OutOfBounds as exc:
+        raise OutOfBounds(f"{path}: {key}{exc}") from None
+
+
 def _spec_from_file(path: str, seed: int | None) -> SyntheticSpec:
     spec = {"subject_id": "synthetic", **check_json(_read_json(path), SPEC_FIELDS, path),
             **({} if seed is None else {"seed": seed})}
-    return SyntheticSpec(**{**spec, "plan": tuple(ActivityPhase(**p) for p in spec["plan"]),
-                            "lambda_true": LambdaParams(*spec["lambda_true"])})
+    return _from_json(SyntheticSpec, {
+        **spec, "plan": tuple(ActivityPhase(**p) for p in spec["plan"]),
+        "lambda_true": LambdaParams(*spec["lambda_true"])}, path)
 
 
 def cmd_synth(args, cfg: dict) -> dict[str, bytes]:
@@ -292,10 +302,9 @@ def cmd_split(args, cfg: dict) -> dict[str, bytes]:
 def cmd_train(args, cfg: dict) -> dict[str, bytes]:
     rec, split = _read_split(args, cfg)
     # both fit sections are range-checked, though the model's fit reads one
-    ecfg = ExperimentConfig(float(cfg["split.ratio"]), _section("train", cfg),
-                            _section("pm", cfg))
+    train, pm = _section("train", cfg), _section("pm", cfg)
     _make_dir(args.out)  # an unusable --out fails before the fit, not after it
-    fitted = fit_model(args.model, split, ecfg)
+    fitted = fit_model(args.model, split, train, pm)
     config_hash = _config(args, cfg)["config_hash"]
     lam = list(fitted.lam.as_array())
     files = {f"{args.model}_run_manifest.json": _manifest(args, cfg, {
@@ -308,7 +317,7 @@ def cmd_train(args, cfg: dict) -> dict[str, bytes]:
                                              sort_keys=True).encode() + b"\n"
     else:
         files[f"{args.model}_checkpoint.json"] = nn_core.checkpoint_bytes(
-            fitted.mlp, LambdaBounds(), ecfg.train.seed, config_hash)
+            fitted.mlp, LambdaBounds(), train.seed, config_hash)
     return files
 
 
@@ -401,9 +410,11 @@ def cmd_report(args, cfg: dict) -> dict[str, bytes]:
         payload = check_json(_read_json(path), METRICS_FIELDS, path)
         overall, per_activity = {}, {}
         for model, entry in payload["models"].items():
-            overall[model] = stats_eval.MetricPair(**entry["overall"])
+            pair = lambda m, scope: _from_json(stats_eval.MetricPair, m, path,
+                                               f"models.{model}.{scope}.")
+            overall[model] = pair(entry["overall"], "overall")
             for act, m in entry["per_activity"].items():
-                per_activity.setdefault(act, {})[model] = stats_eval.MetricPair(**m)
+                per_activity.setdefault(act, {})[model] = pair(m, f"per_activity.{act}")
         subjects.append(stats_eval.SubjectMetrics(payload["participant"], overall, per_activity))
     report = stats_eval.build_eval_report(subjects)
     return {**stats_eval.emit_report(report),

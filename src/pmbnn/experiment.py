@@ -1,4 +1,4 @@
-"""Dataset splitting, synthetic-subject generation and experiment runs.
+"""Dataset splitting, synthetic-subject generation and model fitting.
 
 Each activity segment contributes its temporal prefix (80% by default) to
 the training set and the remainder to the test set; the pieces are spliced
@@ -10,6 +10,7 @@ configurable activity plan and serve as the ground-truth oracle for tests.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import time
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn_core, physio_model, stats_eval, training
+from . import nn_core, physio_model, training
 from .errors import OutOfBounds, SegmentTooShort
 from .physio_model import LambdaBounds, LambdaParams
 from .signal_pipeline import SubjectRecord, UniformSeries, segments_from_labels
@@ -43,12 +44,8 @@ class SplitRecord:
 
 def _subrecord(rec: SubjectRecord, chunks: list[np.ndarray]) -> SubjectRecord:
     idx = np.concatenate(chunks)
-    bounds = []
-    pos = 0
-    for c in chunks:
-        bounds.append((pos, pos + len(c)))
-        pos += len(c)
-    bounds = tuple(bounds)
+    ends = list(itertools.accumulate(map(len, chunks)))
+    bounds = tuple(zip([0, *ends], ends))
     mk = lambda src: UniformSeries(
         t0=src.t0, dt=src.dt, values=src.values[idx],
         segment_bounds=bounds, unit=src.unit,
@@ -61,18 +58,11 @@ def _subrecord(rec: SubjectRecord, chunks: list[np.ndarray]) -> SubjectRecord:
     )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Split and fit settings; ``train`` configures both networks. The
-    default ``LambdaBounds`` box the lambdas of every model."""
-
-    split_ratio: float = 0.8
-    train: TrainConfig = field(default_factory=TrainConfig)
-    pm_fit: PmFitConfig = field(default_factory=PmFitConfig)
+#: the ``split.ratio`` default: each segment's share of train samples
+SPLIT_RATIO = 0.8
 
 
-def split_by_activity(rec: SubjectRecord,
-                      ratio: float = ExperimentConfig.split_ratio) -> SplitRecord:
+def split_by_activity(rec: SubjectRecord, ratio: float = SPLIT_RATIO) -> SplitRecord:
     """Per segment: first floor(ratio*n) samples to train, rest to test.
 
     The ratio must lie strictly inside (0, 1) and give every segment at
@@ -143,7 +133,8 @@ class SyntheticSpec:
         for name in ("noise_sigma_hr", "noise_sigma_vo2"):
             value = getattr(self, name)
             _require(math.isfinite(value) and value >= 0, name, value, "finite and >= 0")
-        self.bounds.require_inside(self.lambda_true)
+        _require(self.bounds.contains(self.lambda_true), "lambda_true", self.lambda_true,
+                 f"strictly inside {self.bounds}")
         _require(type(self.seed) is int and self.seed >= 0, "seed", self.seed, "an integer >= 0")
 
 
@@ -225,19 +216,21 @@ class Fitted:
     diagnostics: dict               # the run manifest's fit block
 
 
-def fit_model(model: str, split: SplitRecord,
-              cfg: ExperimentConfig = ExperimentConfig()) -> Fitted:
+def fit_model(model: str, split: SplitRecord, train: TrainConfig = TrainConfig(),
+              pm: PmFitConfig = PmFitConfig()) -> Fitted:
     """Fit ``pmbnn``, ``fcnn`` or ``pm`` on ``split.train``, predict ``split.test``.
 
-    A network's diagnostics are its stop rule, epoch count and final loss
-    parts; the PM's are its training MSE and the L-BFGS outcome. Both add
-    ``wall_time_s``, the seconds from the fit's start to its predictions.
+    ``train`` configures both networks, ``pm`` the PM fit, and the default
+    ``LambdaBounds`` box every model's lambdas. A network's diagnostics are
+    its stop rule, epoch count and final loss parts; the PM's are its
+    training MSE and the L-BFGS outcome. Both add ``wall_time_s``, the
+    seconds from the fit's start to its predictions.
     """
     if model not in ("pmbnn", "fcnn", "pm"):
         raise OutOfBounds(f"model must be pmbnn, fcnn or pm, got {model!r}")
     started = time.perf_counter()
     if model == "pm":
-        lam, fit = training.fit_pm(split.train, cfg=cfg.pm_fit)
+        lam, fit = training.fit_pm(split.train, cfg=pm)
         mlp = None
         pred = reconstruct_pmbnn_r(split.test, lam).values
         train_pred = training.simulate_record_hr(split.train, lam).values
@@ -248,7 +241,7 @@ def fit_model(model: str, split: SplitRecord,
         }
     else:
         trainer = training.train_pmbnn if model == "pmbnn" else training.train_fcnn
-        net = trainer(split.train, cfg.train)
+        net = trainer(split.train, train)
         lam, mlp = net.lam, net.mlp
         pred = nn_core.mlp_forward(mlp, split.test.vo2.values)
         final = net.loss_history[-1] if net.loss_history else None
@@ -261,44 +254,3 @@ def fit_model(model: str, split: SplitRecord,
         }
     diagnostics["wall_time_s"] = time.perf_counter() - started
     return Fitted(pred, lam, mlp, diagnostics)
-
-
-@dataclass
-class ModelResult:
-    """Test-set predictions and metrics for one model on one subject."""
-
-    model: str
-    predictions: np.ndarray
-    r2: float | None
-    rmse: float
-    per_activity: dict[str, dict[str, float | None]]
-    lam: LambdaParams
-
-
-def run_subject_experiment(rec: SubjectRecord, cfg: ExperimentConfig = ExperimentConfig()):
-    """Split once, fit PMB-NN / FCNN / PM on the same training part,
-    score everything (plus the PMB-NN-R reconstruction) on the same test
-    part, and return per-model results with a manifest whose model
-    entries carry each fit's diagnostics."""
-    split = split_by_activity(rec, cfg.split_ratio)
-    test = split.test
-    fits = {m: fit_model(m, split, cfg) for m in ("pmbnn", "fcnn", "pm")}
-    lam_r = fits["pmbnn"].lam
-    fits["pmbnn_r"] = Fitted(reconstruct_pmbnn_r(test, lam_r).values,
-                             lam_r, None, {})
-    results: dict[str, ModelResult] = {}
-    models: dict[str, dict] = {}
-    for name, fit in fits.items():
-        scores = stats_eval.score_predictions(test.hr.values, fit.predictions,
-                                              test.activity_labels)
-        overall = scores["overall"]
-        results[name] = ModelResult(name, fit.predictions, overall["r2"], overall["rmse"],
-                                    scores["per_activity"], fit.lam)
-        models[name] = {**overall, "lambda": list(fit.lam.as_array()), **fit.diagnostics}
-    manifest = {
-        "subject_id": rec.subject_id,
-        "split_ratio": cfg.split_ratio,
-        "split_hash": split.provenance_hash(),
-        "models": models,
-    }
-    return split, results, manifest

@@ -97,9 +97,9 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     """Full-batch RMSprop training of the physiologically constrained net.
 
     Per epoch: forward pass, L_tot, backprop, parameter update. Stops when
-    L_tot < cfg.stop_threshold, at the epoch cap, or on divergence; a
-    diverged run returns the parameters whose losses the history's last
-    entry records, the initial ones if it is empty. The lambdas start at
+    L_tot < cfg.stop_threshold, at the epoch cap, or on divergence, and
+    returns the parameters whose losses the history's last entry records
+    (the initial ones if a diverged run left it empty). The lambdas start at
     ``DEFAULT_INITIAL`` inside the default ``LambdaBounds``. The network
     passes run in float32 (:class:`TrainBatch`); the weights, theta, the
     RMSprop state and the losses stay float64.
@@ -124,6 +124,8 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
         history.append(LossBreakdown(l_data, l_de, l_tot, epoch))
         if l_tot < cfg.stop_threshold:
             reason = "threshold"
+            break
+        if epoch == cfg.max_epochs:   # the cap: keep the parameters just scored
             break
         try:
             params, state = nn_core.rmsprop_step(params, grads, state)

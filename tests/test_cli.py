@@ -488,10 +488,11 @@ _HUGE = "100000000000000000...0000000000000000000"   # how a message shows 10**4
 
 @pytest.mark.parametrize("overall, shown", [
     ('{"r2": 0.9, "rmse": -1}',          # was LengthMismatch
-     "OutOfBounds: rmse must be finite and >= 0, got -1"),
+     "OutOfBounds: {path}: models.pmbnn.overall.rmse must be finite and >= 0, got -1"),
     ('{"r2": NaN, "rmse": NaN}',         # exited 0 and wrote nan rows
      "IoFailure: {path}: models.pmbnn.overall.r2 must be a finite number or null, got nan"),
-    ('{"r2": 1.5, "rmse": 2.0}', "OutOfBounds: r2 must be null or finite and <= 1, got 1.5"),
+    ('{"r2": 1.5, "rmse": 2.0}',
+     "OutOfBounds: {path}: models.pmbnn.overall.r2 must be null or finite and <= 1, got 1.5"),
     ('{"r2": true, "rmse": true}',       # read as 1 and reported, exit 0
      "IoFailure: {path}: models.pmbnn.overall.r2 must be a finite number or null, got True"),
     ('{"r2": 0.9, "rmse": 1%s}' % ("0" * 400),    # an OverflowError traceback
@@ -534,6 +535,31 @@ def test_report_metrics_field_of_wrong_kind_is_io_failure(pipeline_dirs, tmp_pat
     out = tmp_path / "r"
     assert run(["report", "--metrics", str(path), "--out", str(out)]) == 1
     assert f"error: IoFailure: {path}: {shown}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, scope, field, value, rule", [
+    ("pm", "overall", "rmse", -1, "finite and >= 0"),
+    ("fcnn", "overall", "r2", 1.5, "null or finite and <= 1"),
+    ("pmbnn", "per_activity.rest", "rmse", -0.5, "finite and >= 0"),
+    ("pmbnn_r", "per_activity.run", "r2", 2.0, "null or finite and <= 1"),
+], ids=["pm-rmse", "fcnn-r2", "activity-rmse", "activity-r2"])
+def test_report_range_error_names_file_and_key_path(pipeline_dirs, tmp_path, capsys,
+                                                    model, scope, field, value, rule):
+    # printed only "rmse must be finite and >= 0, got -1.0": with several
+    # --metrics files nothing said which file, model or activity held it
+    metrics = json.loads(pathlib.Path(_artifacts(pipeline_dirs)["metrics"]).read_text())
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text(json.dumps(metrics))
+    entry = metrics["models"][model]
+    for part in scope.split("."):
+        entry = entry[part]
+    entry[field] = value
+    bad.write_text(json.dumps(metrics))
+    out = tmp_path / "r"
+    assert run(["report", "--metrics", str(good), str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: OutOfBounds: {bad}: models.{model}.{scope}."
+                                       f"{field} must be {rule}, got {float(value)}\n")
     assert not out.exists()
 
 
@@ -705,7 +731,7 @@ class TestSynthSpecFile:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         assert run(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 1
-        assert "OutOfBounds: seed" in capsys.readouterr().err
+        assert f"OutOfBounds: {spec_path}: seed" in capsys.readouterr().err
 
 
 SPEC = {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
@@ -715,10 +741,10 @@ SPEC = {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
 @pytest.mark.parametrize("flags, spec, shown", [
     (["--noise-hr", "-2"], None, "OutOfBounds: noise_sigma_hr"),
     (["--noise-hr", "nan"], None, "OutOfBounds: noise_sigma_hr"),
-    ([], {"noise_sigma_vo2": -1}, "OutOfBounds: noise_sigma_vo2"),
-    ([], {"hr0": -70}, "OutOfBounds: hr0"),
+    ([], {"noise_sigma_vo2": -1}, "OutOfBounds: {spec}: noise_sigma_vo2"),
+    ([], {"hr0": -70}, "OutOfBounds: {spec}: hr0 must be finite and > 0, got -70.0"),
     ([], {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4, "tau_s": 0}]},
-     "OutOfBounds: plan[0].tau_s"),
+     "OutOfBounds: {spec}: plan[0].tau_s must be finite and > 0, got 0.0"),
     ([], {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": math.nan}]},
      "IoFailure: {spec}: plan[0].target_vo2 must be a finite number, got nan"),
     ([], {"plan": [{"label": "rest", "duration_s": 90.7, "target_vo2": 0.4}]},
@@ -732,15 +758,17 @@ SPEC = {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
     ([], {"plan": [{"label": 7, "duration_s": 120, "target_vo2": 0.4}]},
      "IoFailure: {spec}: plan[0].label must be a string, got 7"),
     ([], {"subject_id": "../escaped"},   # wrote escaped.csv beside --out
-     "OutOfBounds: subject_id"),
-    ([], {"subject_id": ".."}, "OutOfBounds: subject_id"),
-    ([], {"subject_id": ""}, "OutOfBounds: subject_id"),
+     "OutOfBounds: {spec}: subject_id"),
+    ([], {"subject_id": ".."}, "OutOfBounds: {spec}: subject_id"),
+    ([], {"subject_id": ""}, "OutOfBounds: {spec}: subject_id"),
     ([], {"plan": []},                  # an IndexError traceback
-     "OutOfBounds: plan must be at least one phase, got ()"),
+     "OutOfBounds: {spec}: plan must be at least one phase, got ()"),
+    ([], {"lambda_true": [0.5, 0.1, -5.3, 10.5, 0.44, 0.1]},   # named neither key nor file
+     "OutOfBounds: {spec}: lambda_true must be strictly inside LambdaBounds("),
 ], ids=["noise-hr-negative", "noise-hr-nan", "noise-vo2-negative", "hr0-negative",
         "tau-zero", "target-vo2-nan", "duration-fractional", "seed-fractional",
         "seed-bool", "hr0-bool", "lambda-bool", "subject-id-number", "label-number", "subject-id-path",
-        "subject-id-dotdot", "subject-id-empty", "plan-empty"])
+        "subject-id-dotdot", "subject-id-empty", "plan-empty", "lambda-outside-box"])
 def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, shown):
     # each of these was ignored, truncated or written into the CSV with exit 0,
     # or ended in an error that named no setting
@@ -821,62 +849,6 @@ def test_log_env_variable_any_case_or_usage_error(monkeypatch, capsys, value, co
     assert _exit_code(["gradcheck", "--seed", "2"]) == code
     if code:
         assert f"PMBNN_LOG: unknown log level {value!r}" in capsys.readouterr().err
-
-
-def test_public_api_experiment_smoke():
-    from pmbnn import experiment, training
-    from pmbnn.physio_model import LambdaParams
-
-    spec = experiment.SyntheticSpec(
-        subject_id="api",
-        plan=(
-            experiment.ActivityPhase("rest", 100, 0.4),
-            experiment.ActivityPhase("run", 100, 2.0),
-        ),
-        lambda_true=LambdaParams(0.02, 0.1, -5.3, 10.5, 0.44, 0.0),
-        hr0=70.0,
-        seed=1,
-    )
-    rec = experiment.generate_synthetic_subject(spec)
-    cfg = experiment.ExperimentConfig(
-        train=training.TrainConfig(max_epochs=10, seed=1),
-        pm_fit=training.PmFitConfig(iters=15),
-    )
-    split, results, manifest = experiment.run_subject_experiment(rec, cfg)
-    assert set(results) == {"pmbnn", "fcnn", "pm", "pmbnn_r"}
-    assert manifest["subject_id"] == "api"
-
-
-def test_train_and_library_share_one_fit_path(tmp_path):
-    # one record and one config: `pmbnn train` writes the predictions and
-    # fit diagnostics that run_subject_experiment computes
-    from pmbnn import cli, experiment, training
-    from pmbnn.signal_pipeline import parse_recording_csv, resample_linear_1hz
-
-    assert run(["synth", "--out", str(tmp_path / "s"), "--seed", "4",
-                "--noise-hr", "2.0"]) == 0
-    csv_path = tmp_path / "s" / "synthetic.csv"
-    train = tmp_path / "t"
-    budget = {"pmbnn": ["--train.max_epochs", "40"], "fcnn": ["--train.max_epochs", "40"],
-              "pm": ["--pm.iters", "20"]}
-    for model in ("pmbnn", "fcnn", "pm"):
-        assert run(["train", "--model", model, "--input", str(csv_path), "--out", str(train),
-                    "--seed", "3", *budget[model]]) == 0
-
-    rec = resample_linear_1hz(parse_recording_csv(csv_path.read_bytes(), "synthetic"))
-    cfg = experiment.ExperimentConfig(train=training.TrainConfig(max_epochs=40, seed=3),
-                                      pm_fit=training.PmFitConfig(iters=20))
-    split, results, manifest = experiment.run_subject_experiment(rec, cfg)
-    run_keys = {"command", "model", "subject_id", "config", "config_hash", "split_hash"}
-    for model in ("pmbnn", "fcnn", "pm"):
-        assert cli._predictions(model, rec, split, results[model].predictions) == \
-            (train / f"predictions_{model}.csv").read_bytes()
-        run_manifest = json.loads((train / f"{model}_run_manifest.json").read_text())
-        cli_fit = {k: v for k, v in run_manifest.items() if k not in run_keys}
-        lib_fit = {k: v for k, v in manifest["models"][model].items() if k not in ("r2", "rmse")}
-        assert cli_fit.pop("wall_time_s") > 0 and lib_fit.pop("wall_time_s") > 0
-        assert cli_fit == lib_fit
-    assert "lbfgs" in manifest["models"]["pm"] and "epochs_run" in manifest["models"]["fcnn"]
 
 
 #: the 13 config keys, their defaults and their types, as one literal in
@@ -1006,35 +978,59 @@ def test_train_hashes_only_the_sections_its_model_reads(pipeline_dirs, tmp_path)
     assert pm_runs[0]["lambda"] == pm_runs[1]["lambda"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_diverged_train_writes_the_model_its_losses_score(pipeline_dirs, tmp_path):
-    # a diverged fit wrote the diverged weights (predictions near 1e301 bpm)
-    # beside the finite final_losses of the epoch before
+def _written_model_losses(csv: str, out, model: str) -> dict:
+    """The final_losses that ``model``'s checkpoint in ``out`` scores on
+    ``csv``'s training split, as train_pmbnn computes them; checks that
+    the written predictions are that network's."""
     from pmbnn import cli, nn_core
     from pmbnn.experiment import split_by_activity
     from pmbnn.physio_model import LambdaBounds
     from pmbnn.training import TrainConfig
 
-    csv, out = _artifacts(pipeline_dirs)["csv"], tmp_path / "diverged"
-    assert run(["train", "--model", "pmbnn", "--input", csv, "--out", str(out),
-                "--train.lr", "1e300", "--train.max_epochs", "3"]) == 0
-    manifest = json.loads((out / "pmbnn_run_manifest.json").read_text())
-    assert manifest["stopped_reason"] == "divergence" and manifest["epochs_run"] == 1
-    ckpt = out / "pmbnn_checkpoint.json"
-    params, bounds, _, _ = nn_core.load_checkpoint(json.loads(ckpt.read_text()), ckpt)
+    ckpt = out / f"{model}_checkpoint.json"
+    params, _, _, _ = nn_core.load_checkpoint(json.loads(ckpt.read_text()), ckpt)
     rec = cli._read_record(csv)
     split = split_by_activity(rec)
     train = split.train
     batch = nn_core.TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
                                segment_bounds=train.vo2.segment_bounds,
                                dt_seconds=train.vo2.dt, bounds=LambdaBounds(),
-                               de_weight=TrainConfig().de_weight, dtype=np.float32)
+                               de_weight=TrainConfig().de_weight if model == "pmbnn" else 0.0,
+                               dtype=np.float32)
     l_data, l_de, l_tot, _ = nn_core.loss_and_gradients(params, batch)
-    assert manifest["final_losses"] == {"l_data": l_data, "l_de": l_de, "l_tot": l_tot}
+    assert (out / f"predictions_{model}.csv").read_bytes() == cli._predictions(
+        model, rec, split, nn_core.mlp_forward(params, split.test.vo2.values))
+    return {"l_data": l_data, "l_de": l_de, "l_tot": l_tot}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_train_writes_the_model_its_losses_score(pipeline_dirs, tmp_path):
+    # a diverged fit wrote the diverged weights (predictions near 1e301 bpm)
+    # beside the finite final_losses of the epoch before
+    from pmbnn import nn_core
+
+    csv, out = _artifacts(pipeline_dirs)["csv"], tmp_path / "diverged"
+    assert run(["train", "--model", "pmbnn", "--input", csv, "--out", str(out),
+                "--train.lr", "1e300", "--train.max_epochs", "3"]) == 0
+    manifest = json.loads((out / "pmbnn_run_manifest.json").read_text())
+    assert manifest["stopped_reason"] == "divergence" and manifest["epochs_run"] == 1
+    assert manifest["final_losses"] == _written_model_losses(csv, out, "pmbnn")
     # one epoch ran, so the written model is the initial one
+    ckpt = json.loads((out / "pmbnn_checkpoint.json").read_text())
+    params, bounds, _, _ = nn_core.load_checkpoint(ckpt, "pmbnn_checkpoint.json")
     np.testing.assert_array_equal(params.flat, nn_core.xavier_init(0, bounds).flat)
-    assert (out / "predictions_pmbnn.csv").read_bytes() == cli._predictions(
-        "pmbnn", rec, split, nn_core.mlp_forward(params, split.test.vo2.values))
+
+
+@pytest.mark.parametrize("model", ["pmbnn", "fcnn"])
+def test_capped_train_writes_the_model_its_losses_score(pipeline_dirs, tmp_path, model):
+    # at the epoch cap the checkpoint held the network one RMSprop step past
+    # the one whose losses final_losses recorded
+    csv, out = _artifacts(pipeline_dirs)["csv"], tmp_path / model
+    assert run(["train", "--model", model, "--input", csv, "--out", str(out),
+                "--train.max_epochs", "40"]) == 0
+    manifest = json.loads((out / f"{model}_run_manifest.json").read_text())
+    assert manifest["stopped_reason"] == "epoch-cap" and manifest["epochs_run"] == 40
+    assert manifest["final_losses"] == _written_model_losses(csv, out, model)
 
 
 def test_reconstruct_manifest_names_its_train_run(pipeline_dirs, tmp_path):

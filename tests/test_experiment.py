@@ -10,11 +10,10 @@ from oracle_utils import ORACLE_INIT, oracle_subject
 from pmbnn.errors import OutOfBounds, PmbnnError, SegmentTooShort, Singularity
 from pmbnn.experiment import (
     ActivityPhase,
-    ExperimentConfig,
     SyntheticSpec,
+    fit_model,
     generate_synthetic_subject,
     reconstruct_pmbnn_r,
-    run_subject_experiment,
     split_by_activity,
 )
 from pmbnn.physio_model import LambdaParams, de_residual_series
@@ -232,59 +231,58 @@ class TestReconstruct:
             reconstruct_pmbnn_r(rec, lam)
 
 
+def fit_and_score(rec, train, pm):
+    """One subject's experiment: split once, fit PMB-NN, FCNN and the PM on
+    the train part with fit_model, reconstruct PMB-NN-R from PMB-NN's
+    lambdas, and score each model's test predictions."""
+    split = split_by_activity(rec)
+    fits = {m: fit_model(m, split, train, pm) for m in ("pmbnn", "fcnn", "pm")}
+    preds = {m: fit.predictions for m, fit in fits.items()}
+    preds["pmbnn_r"] = reconstruct_pmbnn_r(split.test, fits["pmbnn"].lam).values
+    test = split.test
+    scores = {m: score_predictions(test.hr.values, p, test.activity_labels)
+              for m, p in preds.items()}
+    return split, fits, preds, scores
+
+
 @pytest.fixture(scope="module")
 def experiment_result():
     _, _, rec = oracle_subject(0, noise_sigma_hr=3.0)
-    cfg = ExperimentConfig(
-        train=TrainConfig(seed=11),
-        pm_fit=PmFitConfig(),
-    )
-    return run_subject_experiment(preprocess_subject(rec), cfg)
+    return fit_and_score(preprocess_subject(rec), TrainConfig(seed=11), PmFitConfig())
 
 
 class TestRunSubjectExperiment:
     def test_easy_subject_pmbnn_r2(self, experiment_result):
-        _, results, _ = experiment_result
-        assert results["pmbnn"].r2 >= 0.9
+        *_, scores = experiment_result
+        assert scores["pmbnn"]["overall"]["r2"] >= 0.9
 
     def test_all_models_present_with_shared_split(self, experiment_result):
-        split, results, manifest = experiment_result
-        assert set(results) == {"pmbnn", "fcnn", "pm", "pmbnn_r"}
-        assert manifest["split_hash"] == split.provenance_hash()
+        split, _, preds, _ = experiment_result
+        assert set(preds) == {"pmbnn", "fcnn", "pm", "pmbnn_r"}
+        for pred in preds.values():
+            assert pred.shape == split.test.hr.values.shape
 
     def test_per_activity_metrics_for_each_label(self, experiment_result):
-        _, results, _ = experiment_result
-        for res in results.values():
-            assert set(res.per_activity) == {"rest", "cycle", "run"}
-            for metrics in res.per_activity.values():
+        *_, scores = experiment_result
+        for score in scores.values():
+            assert set(score["per_activity"]) == {"rest", "cycle", "run"}
+            for metrics in score["per_activity"].values():
                 assert metrics["rmse"] >= 0
 
     def test_pm_prediction_is_reconstruction_code_path(self, experiment_result):
-        split, results, _ = experiment_result
-        again = reconstruct_pmbnn_r(split.test, results["pm"].lam).values
-        np.testing.assert_array_equal(results["pm"].predictions, again)
-
-    def test_manifest_row_shape(self, experiment_result):
-        # lambda table + metrics per model, as in the identified-parameters table
-        _, _, manifest = experiment_result
-        for name in ("pmbnn", "pm", "pmbnn_r"):
-            entry = manifest["models"][name]
-            assert len(entry["lambda"]) == 6
-            assert "r2" in entry and "rmse" in entry
+        split, fits, _, _ = experiment_result
+        again = reconstruct_pmbnn_r(split.test, fits["pm"].lam).values
+        np.testing.assert_array_equal(fits["pm"].predictions, again)
 
 
 def test_five_sample_segment_scores_without_r2():
     # a 5-sample activity leaves 1 test sample: R^2 is undefined there
     rec = make_record([5, 60], ["sprint", "rest"])
-    cfg = ExperimentConfig(
-        train=TrainConfig(seed=1, max_epochs=3),
-        pm_fit=PmFitConfig(iters=3),
-    )
-    _, results, _ = run_subject_experiment(rec, cfg)
-    for res in results.values():
-        assert res.per_activity["sprint"]["r2"] is None
-        assert res.per_activity["sprint"]["rmse"] >= 0
-        assert res.per_activity["rest"]["r2"] is not None
+    *_, scores = fit_and_score(rec, TrainConfig(seed=1, max_epochs=3), PmFitConfig(iters=3))
+    for score in scores.values():
+        assert score["per_activity"]["sprint"]["r2"] is None
+        assert score["per_activity"]["sprint"]["rmse"] >= 0
+        assert score["per_activity"]["rest"]["r2"] is not None
 
 
 def test_oracle_soundness_zero_noise_fit():

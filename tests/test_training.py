@@ -486,7 +486,7 @@ def reference_train(train, cfg):
     for _ in range(cfg.max_epochs):
         *_, l_tot, grads = reference_loss_and_gradients(params, batch)
         history.append(l_tot)
-        if l_tot < cfg.stop_threshold:
+        if l_tot < cfg.stop_threshold or len(history) == cfg.max_epochs:
             break
         params = reference_rmsprop_step(params, grads, v, cfg.lr)
         np.clip(params.theta, -30.0, 30.0, out=params.theta)
