@@ -322,12 +322,12 @@ def cmd_train(args, cfg: dict) -> dict[str, bytes]:
 
 
 def cmd_reconstruct(args, cfg: dict) -> dict[str, bytes]:
-    params, bounds, seed, config_hash = nn_core.load_checkpoint(_read_json(args.checkpoint),
-                                                                args.checkpoint)
-    lam = nn_core.lambda_from_theta(params.theta, bounds)
+    params, seed, config_hash = nn_core.load_checkpoint(_read_json(args.checkpoint),
+                                                        args.checkpoint)
+    lam = nn_core.lambda_from_theta(params.theta, LambdaBounds())
     rec, split = _read_split(args, cfg)
     return {"predictions_pmbnn_r.csv": _predictions(
-                "pmbnn_r", rec, split, reconstruct_pmbnn_r(split.test, lam, bounds).values),
+                "pmbnn_r", rec, split, reconstruct_pmbnn_r(split.test, lam).values),
             "pmbnn_r_run_manifest.json": _manifest(args, cfg, {
                 "subject_id": rec.subject_id, "checkpoint": os.path.basename(args.checkpoint),
                 "checkpoint_seed": seed, "checkpoint_config_hash": config_hash,

@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,7 +114,6 @@ class SyntheticSpec:
     noise_sigma_hr: float = 0.0
     noise_sigma_vo2: float = 0.0
     seed: int = 0
-    bounds: LambdaBounds = field(default_factory=LambdaBounds)
 
     def __post_init__(self):
         sid = self.subject_id
@@ -133,8 +132,8 @@ class SyntheticSpec:
         for name in ("noise_sigma_hr", "noise_sigma_vo2"):
             value = getattr(self, name)
             _require(math.isfinite(value) and value >= 0, name, value, "finite and >= 0")
-        _require(self.bounds.contains(self.lambda_true), "lambda_true", self.lambda_true,
-                 f"strictly inside {self.bounds}")
+        _require(LambdaBounds().contains(self.lambda_true), "lambda_true", self.lambda_true,
+                 f"strictly inside {LambdaBounds()}")
         _require(type(self.seed) is int and self.seed >= 0, "seed", self.seed, "an integer >= 0")
 
 
@@ -190,20 +189,19 @@ def generate_synthetic_subject(spec: SyntheticSpec) -> SubjectRecord:
     )
 
 
-def reconstruct_pmbnn_r(
-    test: SubjectRecord,
-    lam: LambdaParams,
-    bounds: LambdaBounds = LambdaBounds(),
-) -> UniformSeries:
-    """Simulate the PM on the test vo2 with identified lambdas.
+def reconstruct_pmbnn_r(rec: SubjectRecord, lam: LambdaParams) -> UniformSeries:
+    """Simulate the PM over a record's vo2 with identified lambdas.
 
-    Each test segment is seeded with its first measured HR sample.
-    Fitted lambdas may sit numerically on a box face (sigmoid saturation),
-    so containment is checked inclusively.
+    Each segment is seeded with its first measured HR sample. Lambdas
+    outside the ``LambdaBounds()`` box are OutOfBounds; fitted ones may sit
+    numerically on a box face (sigmoid saturation), so the faces count as
+    inside.
     """
-    if not bounds.contains(lam, strict=False):
-        bounds.require_inside(lam)
-    return training.simulate_record_hr(test, lam)
+    box = LambdaBounds()
+    if not box.contains(lam, strict=False):
+        raise OutOfBounds(f"{lam} outside bounds {box}")
+    hr0 = [float(rec.hr.values[a]) for a, _ in rec.hr.segment_bounds]
+    return physio_model.simulate_hr(rec.vo2, lam, hr0)
 
 
 @dataclass(frozen=True)
@@ -220,10 +218,10 @@ def fit_model(model: str, split: SplitRecord, train: TrainConfig = TrainConfig()
               pm: PmFitConfig = PmFitConfig()) -> Fitted:
     """Fit ``pmbnn``, ``fcnn`` or ``pm`` on ``split.train``, predict ``split.test``.
 
-    ``train`` configures both networks, ``pm`` the PM fit, and the default
-    ``LambdaBounds`` box every model's lambdas. A network's diagnostics are
-    its stop rule, epoch count and final loss parts; the PM's are its
-    training MSE and the L-BFGS outcome. Both add ``wall_time_s``, the
+    ``train`` configures both networks, ``pm`` the PM fit, and the
+    ``LambdaBounds()`` box holds every model's lambdas. A network's
+    diagnostics are its stop rule, epoch count and final loss parts; the
+    PM's are its training MSE and the L-BFGS outcome. Both add ``wall_time_s``, the
     seconds from the fit's start to its predictions.
     """
     if model not in ("pmbnn", "fcnn", "pm"):
@@ -233,7 +231,7 @@ def fit_model(model: str, split: SplitRecord, train: TrainConfig = TrainConfig()
         lam, fit = training.fit_pm(split.train, cfg=pm)
         mlp = None
         pred = reconstruct_pmbnn_r(split.test, lam).values
-        train_pred = training.simulate_record_hr(split.train, lam).values
+        train_pred = reconstruct_pmbnn_r(split.train, lam).values
         diagnostics = {
             "train_mse": training.loss_data(train_pred, split.train.hr.values),
             "lbfgs": {k: getattr(fit, k)

@@ -100,9 +100,6 @@ class _Tree:
             raise ValueError(f"{name} must have shape {view.shape}, got {np.shape(value)}")
         view[...] = value
 
-    def arrays(self):
-        return [getattr(self, f) for f in ARRAY_FIELDS]
-
     def copy(self):
         return _Tree._of(self.flat.copy())
 
@@ -158,10 +155,11 @@ class TrainBatch:
 
     Validates vo2 positivity once and caches what every loss evaluation
     reuses: lv = log(vo2) and its powers (1, lv, lv^2), the input rows
-    [vo2; 1], the spacing in minutes, the bound arrays and the kernel's
-    scratch buffers. Every :func:`loss_only` and :func:`loss_and_gradients`
-    call overwrites those buffers, so one batch must not be evaluated by
-    two calls at the same time; :func:`gradient_check` uses its own.
+    [vo2; 1], the spacing in minutes, the arrays of the ``LambdaBounds()``
+    box and the kernel's scratch buffers. Every :func:`loss_only` and
+    :func:`loss_and_gradients` call overwrites those buffers, so one batch
+    must not be evaluated by two calls at the same time;
+    :func:`gradient_check` uses its own.
 
     ``dtype`` is the working precision of the input rows and the activation
     buffers, so of the network's gemms, tanh passes and backward elementwise
@@ -176,7 +174,6 @@ class TrainBatch:
     hr: np.ndarray
     segment_bounds: tuple[tuple[int, int], ...]
     dt_seconds: float
-    bounds: LambdaBounds
     de_weight: float
     dtype: type = np.float64
 
@@ -184,7 +181,7 @@ class TrainBatch:
         if len(self.vo2) != len(self.hr):
             raise LengthMismatch("vo2 and hr must be aligned")
         pm._check_positive_vo2(self.vo2)
-        lo, hi = self.bounds.lo_hi_arrays()
+        lo, hi = LambdaBounds().lo_hi_arrays()
         lv = np.log(self.vo2)
         x1, a1, a2 = _layer_inputs(self.vo2, self.dtype)
         self.__dict__.update(  # the dataclass is frozen; caches bypass that
@@ -281,36 +278,23 @@ RMSPROP_RHO = 0.99
 RMSPROP_EPS = 1e-8
 
 
-@dataclass
-class RmspropState:
-    """Squared-gradient accumulators plus the learning rate."""
-
-    v: _Tree
-    lr: float
-
-    @classmethod
-    def init(cls, p: MlpParams, lr: float) -> "RmspropState":
-        return cls(_Tree._of(np.zeros(_SIZE)), lr)
-
-
-def rmsprop_step(
-    p: MlpParams, g: MlpParams, st: RmspropState
-) -> tuple[MlpParams, RmspropState]:
+def rmsprop_step(p: MlpParams, g: MlpParams, v: np.ndarray, lr: float) -> MlpParams:
     """v <- rho*v + (1-rho)*g^2; p <- p - lr * g / (sqrt(v) + eps).
 
-    Passes over the flat vectors: ``st.v`` is updated in place and
-    returned with fresh parameters; ``p`` is left as it was.
+    Passes over the flat vectors: ``v``, the squared-gradient accumulators
+    laid out like ``p.flat``, is updated in place; the parameters come back
+    fresh and ``p`` is left as it was.
     """
     if not np.isfinite(g.flat).all():
         raise NonFiniteGradient("gradient contains NaN or inf")
-    v, gf = st.v.flat, g.flat
+    gf = g.flat
     v *= RMSPROP_RHO
     t = (1.0 - RMSPROP_RHO) * gf
     t *= gf
     v += t
-    np.multiply(st.lr, gf, out=t)
+    np.multiply(lr, gf, out=t)
     t /= np.sqrt(v) + RMSPROP_EPS
-    return _Tree._of(p.flat - t), st
+    return _Tree._of(p.flat - t)
 
 
 def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
@@ -444,7 +428,6 @@ def make_gradcheck_case(seed: int) -> tuple[MlpParams, TrainBatch]:
     hr = pred - (12.0 + 4.0 * rng.uniform(size=2 * half))
     batch = TrainBatch(
         vo2=vo2, hr=hr, segment_bounds=bounds_idx, dt_seconds=1.0,
-        bounds=LambdaBounds(),
         de_weight=70.0 / 3600.0,  # 70 per (bpm/s)^2; L_DE is in (bpm/min)^2
     )
     return p, batch
@@ -488,17 +471,21 @@ def save_checkpoint(path, p: MlpParams, bounds: LambdaBounds, seed: int,
         raise IoFailure(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def load_checkpoint(payload, path) -> tuple[MlpParams, LambdaBounds, int, str]:
-    """The model, bounds, seed and config hash of a parsed checkpoint from
-    the file ``path``. Fields CHECKPOINT_FIELDS does not allow, a
-    ``schema_version`` other than 1, a negative ``seed`` or ``layer_shapes``
-    other than the network's are IoFailure."""
+def load_checkpoint(payload, path) -> tuple[MlpParams, int, str]:
+    """The model, seed and config hash of a parsed checkpoint from the file
+    ``path``. Fields CHECKPOINT_FIELDS does not allow, a ``schema_version``
+    other than 1, a negative ``seed``, ``layer_shapes`` other than the
+    network's or ``bounds`` other than the ``LambdaBounds()`` box, which is
+    the one box theta maps through, are IoFailure naming the first
+    differing key."""
     ckpt = check_json(payload, CHECKPOINT_FIELDS, path)
+    got = {**ckpt, **{f"bounds.{k}": v for k, v in ckpt["bounds"].items()}}
     for key, ok, rule in (("schema_version", ckpt["schema_version"] == 1, "1"),
                           ("seed", ckpt["seed"] >= 0, ">= 0"),
-                          ("layer_shapes", ckpt["layer_shapes"] == _SHAPES, str(_SHAPES))):
+                          ("layer_shapes", ckpt["layer_shapes"] == _SHAPES, str(_SHAPES)),
+                          *((f"bounds.{k}", got[f"bounds.{k}"] == list(v), str(list(v)))
+                            for k, v in LambdaBounds().items())):
         if not ok:
-            raise IoFailure(f"{path}: {key} must be {rule}, got {ckpt[key]!r}")
+            raise IoFailure(f"{path}: {key} must be {rule}, got {got[key]!r}")
     params = MlpParams(**{f: np.reshape(ckpt["arrays"][f], s) for f, s in _SHAPES.items()})
-    bounds = LambdaBounds(**{k: tuple(v) for k, v in ckpt["bounds"].items()})
-    return params, bounds, ckpt["seed"], ckpt["config_hash"]
+    return params, ckpt["seed"], ckpt["config_hash"]

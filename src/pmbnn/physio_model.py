@@ -18,7 +18,6 @@ from .errors import (
     BadBounds,
     LengthMismatch,
     NonPositiveVo2,
-    OutOfBounds,
     SegmentTooShort,
     Singularity,
 )
@@ -89,10 +88,6 @@ class LambdaBounds:
         if strict:
             return bool(np.all(arr > lo) and np.all(arr < hi))
         return bool(np.all(arr >= lo) and np.all(arr <= hi))
-
-    def require_inside(self, lam: LambdaParams) -> None:
-        if not self.contains(lam, strict=True):
-            raise OutOfBounds(f"{lam} outside bounds {self}")
 
 
 def _check_positive_vo2(vo2) -> np.ndarray:

@@ -318,40 +318,35 @@ def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     return np.linalg.pinv(vander)[0]
 
 
-def _filter_segment(x: np.ndarray, weights: np.ndarray, left: int, right: int) -> np.ndarray:
-    padded = _odd_reflect_pad(x, left, right)
-    return np.convolve(padded, weights[::-1], mode="valid")
+def _convolve_segments(s: UniformSeries, kernel: np.ndarray, left: int, right: int,
+                       too_long: str) -> np.ndarray:
+    """Each segment of ``s``, odd-reflection padded by ``left`` and ``right``
+    samples, convolved with ``kernel``. A segment shorter than the kernel is
+    WindowTooLarge: ``too_long`` followed by the segment length."""
+    out = np.empty_like(s.values)
+    for sl in s.segment_slices():
+        seg = s.values[sl]
+        if len(kernel) > len(seg):
+            raise WindowTooLarge(f"{too_long} segment length {len(seg)}")
+        out[sl] = np.convolve(_odd_reflect_pad(seg, left, right), kernel, "valid")
+    return out
 
 
 def savitzky_golay_smooth(s: UniformSeries, window: int, polyorder: int) -> UniformSeries:
     """Per-segment Savitzky-Golay smoothing with odd-reflection edges."""
     weights = savgol_coefficients(window, polyorder)
     half = window // 2
-    out = np.empty_like(s.values)
-    for sl in s.segment_slices():
-        seg = s.values[sl]
-        if window > len(seg):
-            raise WindowTooLarge(
-                f"window {window} exceeds segment length {len(seg)}"
-            )
-        out[sl] = _filter_segment(seg, weights, half, half)
-    return s.with_values(out)
+    return s.with_values(_convolve_segments(s, weights[::-1], half, half,
+                                            f"window {window} exceeds"))
 
 
 def fir_lowpass(s: UniformSeries, taps: int) -> UniformSeries:
     """Per-segment moving-average FIR (uniform taps, DC gain exactly 1)."""
     if taps < 1:
         raise BadWindow(f"taps must be >= 1, got {taps}")
-    left, right = (taps - 1) // 2, taps // 2
-    ones = np.ones(taps)
-    out = np.empty_like(s.values)
-    for sl in s.segment_slices():
-        seg = s.values[sl]
-        if taps > len(seg):
-            raise WindowTooLarge(f"taps {taps} exceed segment length {len(seg)}")
-        # summing ones then dividing keeps constants exact
-        out[sl] = np.convolve(_odd_reflect_pad(seg, left, right), ones, "valid") / taps
-    return s.with_values(out)
+    # summing ones then dividing keeps constants exact
+    return s.with_values(_convolve_segments(s, np.ones(taps), (taps - 1) // 2, taps // 2,
+                                            f"taps {taps} exceed") / taps)
 
 
 def preprocess_subject(rec: SubjectRecord, cfg: FilterConfig = FilterConfig()) -> SubjectRecord:

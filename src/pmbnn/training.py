@@ -22,9 +22,9 @@ from .errors import (
     NonFiniteLoss,
     OutOfBounds,
 )
-from .nn_core import MlpParams, RmspropState, TrainBatch
+from .nn_core import MlpParams, TrainBatch
 from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
-from .signal_pipeline import SubjectRecord, UniformSeries
+from .signal_pipeline import SubjectRecord
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,15 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     L_tot < cfg.stop_threshold, at the epoch cap, or on divergence, and
     returns the parameters whose losses the history's last entry records
     (the initial ones if a diverged run left it empty). The lambdas start at
-    ``DEFAULT_INITIAL`` inside the default ``LambdaBounds``. The network
+    ``DEFAULT_INITIAL`` inside the ``LambdaBounds()`` box. The network
     passes run in float32 (:class:`TrainBatch`); the weights, theta, the
-    RMSprop state and the losses stay float64.
+    RMSprop accumulators ``v`` and the losses stay float64.
     """
-    bounds = LambdaBounds()
     batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
                        segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
-                       bounds=bounds, de_weight=cfg.de_weight, dtype=np.float32)
-    params = nn_core.xavier_init(cfg.seed, bounds, DEFAULT_INITIAL)
-    state = RmspropState.init(params, cfg.lr)
+                       de_weight=cfg.de_weight, dtype=np.float32)
+    params = nn_core.xavier_init(cfg.seed)
+    v = np.zeros_like(params.flat)
     history: list[LossBreakdown] = []
     reason = "epoch-cap"
     scored = params   # the parameters whose losses history[-1] records
@@ -128,7 +127,7 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
         if epoch == cfg.max_epochs:   # the cap: keep the parameters just scored
             break
         try:
-            params, state = nn_core.rmsprop_step(params, grads, state)
+            params = nn_core.rmsprop_step(params, grads, v, cfg.lr)
         except NonFiniteGradient:
             reason = "divergence"
             break
@@ -137,7 +136,7 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
         np.clip(params.theta, -30.0, 30.0, out=params.theta)
     return TrainedModel(
         mlp=params,
-        lam=nn_core.lambda_from_theta(params.theta, bounds),
+        lam=nn_core.lambda_from_theta(params.theta, LambdaBounds()),
         loss_history=history,
         stopped_reason=reason,
     )
@@ -261,14 +260,7 @@ class PmFitConfig:
                  "pm.proximal", self.proximal, "finite and >= 0")
 
 
-def simulate_record_hr(rec: SubjectRecord, lam: LambdaParams) -> UniformSeries:
-    """Simulate HR over a record's vo2, seeded by measured segment starts."""
-    hr0 = [float(rec.hr.values[a]) for a, _ in rec.hr.segment_bounds]
-    return physio_model.simulate_hr(rec.vo2, lam, hr0)
-
-
-def _pm_objective(rec: SubjectRecord, bounds: LambdaBounds, cfg: PmFitConfig,
-                  theta0: np.ndarray):
+def _pm_objective(rec: SubjectRecord, cfg: PmFitConfig, theta0: np.ndarray):
     """Penalized trajectory MSE over theta and its exact gradient.
 
     Per segment the simulator steps HR_i * den_i = h0 * den_a + l6 * t_i
@@ -288,7 +280,7 @@ def _pm_objective(rec: SubjectRecord, bounds: LambdaBounds, cfg: PmFitConfig,
     h0 = hr_meas[start]
     dt_min = rec.vo2.dt / physio_model.SECONDS_PER_MINUTE
     t_min = steps * dt_min
-    lo, hi = bounds.lo_hi_arrays()
+    lo, hi = LambdaBounds().lo_hi_arrays()
     width = hi - lo
     weight = np.full(6, cfg.proximal)
     weight[list(GAUGE_PIN_COORDS)] += GAUGE_PIN
@@ -318,13 +310,9 @@ def _pm_objective(rec: SubjectRecord, bounds: LambdaBounds, cfg: PmFitConfig,
     return objective
 
 
-def fit_pm(
-    train: SubjectRecord,
-    bounds: LambdaBounds = LambdaBounds(),
-    init: LambdaParams = DEFAULT_INITIAL,
-    cfg: PmFitConfig = PmFitConfig(),
-) -> tuple[LambdaParams, LbfgsResult]:
-    """Fit l1..l6 by L-BFGS over the sigmoid-reparameterized box.
+def fit_pm(train: SubjectRecord, init: LambdaParams = DEFAULT_INITIAL,
+           cfg: PmFitConfig = PmFitConfig()) -> tuple[LambdaParams, LbfgsResult]:
+    """Fit l1..l6 by L-BFGS over the sigmoid-reparameterized ``LambdaBounds()`` box.
 
     The objective is the trajectory MSE of the forward simulation seeded
     with the first measured HR of each segment, plus the gauge pins and
@@ -333,7 +321,6 @@ def fit_pm(
     and the optimizer result, whose iterations and convergence flags are
     the fit's diagnostics.
     """
-    theta0 = nn_core.theta_from_lambda(init, bounds)
-    objective = _pm_objective(train, bounds, cfg, theta0)
-    result = lbfgs_minimize(objective, theta0, cfg.iters)
-    return nn_core.lambda_from_theta(result.x, bounds), result
+    theta0 = nn_core.theta_from_lambda(init, LambdaBounds())
+    result = lbfgs_minimize(_pm_objective(train, cfg, theta0), theta0, cfg.iters)
+    return nn_core.lambda_from_theta(result.x, LambdaBounds()), result

@@ -157,10 +157,7 @@ def test_criterion_05_pmbnn_generalizes_fcnn(subjects):
     a = train_pmbnn(split.train, cfg)
     b = train_fcnn(split.train, cfg)
     assert len(a.loss_history) == len(b.loss_history) == 100
-    diff = max(
-        float(np.max(np.abs(x - y)))
-        for x, y in zip(a.mlp.arrays(), b.mlp.arrays())
-    )
+    diff = float(np.max(np.abs(a.mlp.flat - b.mlp.flat)))
     assert diff <= 1e-12
     assert [l.l_tot for l in a.loss_history] == [l.l_tot for l in b.loss_history]
     report_line(5, "PMB-NN generalizes FCNN", f"(max param diff {diff:.1e})")

@@ -984,17 +984,16 @@ def _written_model_losses(csv: str, out, model: str) -> dict:
     the written predictions are that network's."""
     from pmbnn import cli, nn_core
     from pmbnn.experiment import split_by_activity
-    from pmbnn.physio_model import LambdaBounds
     from pmbnn.training import TrainConfig
 
     ckpt = out / f"{model}_checkpoint.json"
-    params, _, _, _ = nn_core.load_checkpoint(json.loads(ckpt.read_text()), ckpt)
+    params, _, _ = nn_core.load_checkpoint(json.loads(ckpt.read_text()), ckpt)
     rec = cli._read_record(csv)
     split = split_by_activity(rec)
     train = split.train
     batch = nn_core.TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
                                segment_bounds=train.vo2.segment_bounds,
-                               dt_seconds=train.vo2.dt, bounds=LambdaBounds(),
+                               dt_seconds=train.vo2.dt,
                                de_weight=TrainConfig().de_weight if model == "pmbnn" else 0.0,
                                dtype=np.float32)
     l_data, l_de, l_tot, _ = nn_core.loss_and_gradients(params, batch)
@@ -1017,8 +1016,8 @@ def test_diverged_train_writes_the_model_its_losses_score(pipeline_dirs, tmp_pat
     assert manifest["final_losses"] == _written_model_losses(csv, out, "pmbnn")
     # one epoch ran, so the written model is the initial one
     ckpt = json.loads((out / "pmbnn_checkpoint.json").read_text())
-    params, bounds, _, _ = nn_core.load_checkpoint(ckpt, "pmbnn_checkpoint.json")
-    np.testing.assert_array_equal(params.flat, nn_core.xavier_init(0, bounds).flat)
+    params, _, _ = nn_core.load_checkpoint(ckpt, "pmbnn_checkpoint.json")
+    np.testing.assert_array_equal(params.flat, nn_core.xavier_init(0).flat)
 
 
 @pytest.mark.parametrize("model", ["pmbnn", "fcnn"])
@@ -1128,6 +1127,18 @@ def test_checkpoint_bounds_not_two_finite_numbers_is_io_failure(
     # bounds must hold exactly l1..l6, each two finite numbers
     _reconstruct_edited_checkpoint(pipeline_dirs, tmp_path, capsys,
                                    lambda ckpt: edit(ckpt["bounds"]), shown)
+
+
+@pytest.mark.parametrize("l1", [
+    [0.03, 0.01],   # error: BadBounds: l1: lo 0.03 must be < hi 0.01, naming no file
+    [0.0, 0.5],     # exit 0, theta mapped through this box to an l1 outside the default
+], ids=["inverted", "valid-but-not-the-default"])
+def test_checkpoint_box_other_than_the_default_is_io_failure(
+        pipeline_dirs, tmp_path, capsys, l1):
+    # theta maps through the one LambdaBounds() box, so bounds must be it
+    _reconstruct_edited_checkpoint(pipeline_dirs, tmp_path, capsys,
+                                   lambda ckpt: ckpt["bounds"].update(l1=l1),
+                                   f"bounds.l1 must be [0.01, 0.03], got {l1}")
 
 
 @pytest.mark.parametrize("key, value, shown", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pmbnn.experiment import (
     reconstruct_pmbnn_r,
     split_by_activity,
 )
-from pmbnn.physio_model import LambdaParams, de_residual_series
+from pmbnn.physio_model import LambdaBounds, LambdaParams, de_residual_series
 from pmbnn.signal_pipeline import (
     SubjectRecord,
     UniformSeries,
@@ -25,7 +26,7 @@ from pmbnn.signal_pipeline import (
     resample_linear_1hz,
 )
 from pmbnn.stats_eval import MetricPair, rmse, score_predictions
-from pmbnn.training import PmFitConfig, TrainConfig, fit_pm, simulate_record_hr
+from pmbnn.training import PmFitConfig, TrainConfig, fit_pm
 
 
 def make_record(n_per_segment, labels=None):
@@ -218,7 +219,8 @@ class TestReconstruct:
         _, _, rec = oracle_subject(7)
         split = split_by_activity(rec)
         bad = LambdaParams(0.5, 0.1, -5.3, 10.5, 0.44, 0.0)
-        with pytest.raises(OutOfBounds):
+        message = f"{bad} outside bounds {LambdaBounds()}"
+        with pytest.raises(OutOfBounds, match=f"^{re.escape(message)}$"):
             reconstruct_pmbnn_r(split.test, bad)
 
     def test_singular_lambda_surfaces_no_partial_series(self):
@@ -289,5 +291,5 @@ def test_oracle_soundness_zero_noise_fit():
     _, _, rec = oracle_subject(8)
     split = split_by_activity(rec)
     lam_fit, _ = fit_pm(split.train, init=ORACLE_INIT)
-    pred = simulate_record_hr(split.test, lam_fit).values
+    pred = reconstruct_pmbnn_r(split.test, lam_fit).values
     assert rmse(split.test.hr.values, pred) <= 0.5

@@ -39,7 +39,6 @@ from pmbnn.nn_core import (
     save_checkpoint,
     theta_from_lambda,
     xavier_init,
-    RmspropState,
 )
 from pmbnn.physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
 from pmbnn.signal_pipeline import preprocess_subject
@@ -112,9 +111,7 @@ class TestBoundedInverse:
 
 class TestXavierInit:
     def test_deterministic(self):
-        a, b = xavier_init(9), xavier_init(9)
-        for x, y in zip(a.arrays(), b.arrays()):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(xavier_init(9).flat, xavier_init(9).flat)
 
     def test_theta_maps_to_default_initials(self):
         p = xavier_init(0)
@@ -172,18 +169,16 @@ def random_case(segment_bounds):
     vo2 = np.concatenate([np.linspace(0.4, 1.6, 15), np.linspace(1.8, 3.0, 15)])
     hr = 70 + 30 * rng.uniform(size=30)
     return xavier_init(0), TrainBatch(vo2=vo2, hr=hr, segment_bounds=segment_bounds,
-                                      dt_seconds=1.0, bounds=LambdaBounds(),
-                                      de_weight=1e5 / 3600)
+                                      dt_seconds=1.0, de_weight=1e5 / 3600)
 
 
-def batch_for(p, vo2, hr, w=1e5 / 3600, bounds=LambdaBounds()):
+def batch_for(p, vo2, hr, w=1e5 / 3600):
     n = len(vo2)
     return TrainBatch(
         vo2=np.asarray(vo2, dtype=float),
         hr=np.asarray(hr, dtype=float),
         segment_bounds=((0, n),),
         dt_seconds=1.0,
-        bounds=bounds,
         de_weight=w,
     )
 
@@ -197,8 +192,7 @@ class TestBackward:
         vo2 = np.full(30, 1.2)
         hr = mlp_forward(p, vo2)
         grads = loss_and_gradients(p, batch_for(p, vo2, hr))[3]
-        for arr in grads.arrays():
-            np.testing.assert_allclose(arr, 0.0, atol=1e-12)
+        np.testing.assert_allclose(grads.flat, 0.0, atol=1e-12)
 
     def test_full_network_fd_agreement(self):
         p, batch = make_gradcheck_case(123)
@@ -212,7 +206,7 @@ class TestBackward:
         p, batch = make_gradcheck_case(7)
         k = 5  # l6: box (-0.5, 0.5)
         p.theta[k] = 0.0
-        lo, hi = batch.bounds.lo_hi_arrays()
+        lo, hi = LambdaBounds().lo_hi_arrays()
         analytic = loss_and_gradients(p, batch)[3].theta[k]
 
         h_lam = 1e-7
@@ -226,44 +220,43 @@ class TestBackward:
         assert analytic == pytest.approx(lambda_grad * (hi[k] - lo[k]) / 4.0, rel=1e-5)
 
 
+def zeros_like(p):
+    """A parameter tree of zeros, laid out like ``p``."""
+    return MlpParams(*[np.zeros_like(getattr(p, f)) for f in ARRAY_FIELDS])
+
+
 class TestRmsprop:
     def test_zero_gradient_is_fixed_point(self):
         p = xavier_init(2)
-        st0 = RmspropState.init(p, lr=0.01)
-        for arr in st0.v.arrays():
-            arr += 0.5  # non-trivial accumulators
-        zero = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
-        p2, st1 = rmsprop_step(p, zero, st0)
-        for a, b in zip(p.arrays(), p2.arrays()):
-            np.testing.assert_array_equal(a, b)
-        for v in st1.v.arrays():
-            np.testing.assert_allclose(v, 0.5 * 0.99, rtol=1e-15)
+        v = np.full_like(p.flat, 0.5)  # non-trivial accumulators
+        p2 = rmsprop_step(p, zeros_like(p), v, 0.01)
+        np.testing.assert_array_equal(p.flat, p2.flat)
+        np.testing.assert_allclose(v, 0.5 * 0.99, rtol=1e-15)
 
     def test_first_step_magnitude(self):
         p = xavier_init(2)
-        g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
+        g = zeros_like(p)
         g.b3 = np.array([0.37])
-        p2, _ = rmsprop_step(p, g, RmspropState.init(p, lr=0.01))
+        p2 = rmsprop_step(p, g, np.zeros_like(p.flat), 0.01)
         expected = -0.01 * 0.37 / (math.sqrt(0.01 * 0.37 ** 2) + 1e-8)
         assert (p2.b3[0] - p.b3[0]) == pytest.approx(expected, rel=1e-6)
         assert expected == pytest.approx(-0.01 / math.sqrt(1 - 0.99), rel=1e-4)
 
     def test_accumulator_after_two_constant_steps(self):
         p = xavier_init(2)
-        g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
+        g = zeros_like(p)
         g.b3 = np.array([1.3])
-        st0 = RmspropState.init(p, lr=0.01)
-        p1, st1 = rmsprop_step(p, g, st0)
-        _, st2 = rmsprop_step(p1, g, st1)
+        v = np.zeros_like(p.flat)
+        rmsprop_step(rmsprop_step(p, g, v, 0.01), g, v, 0.01)
         rho = 0.99
-        assert st2.v.b3[0] == pytest.approx((1 - rho) * (rho + 1) * 1.3 ** 2, rel=1e-12)
+        assert MlpParams._of(v).b3[0] == pytest.approx((1 - rho) * (rho + 1) * 1.3 ** 2, rel=1e-12)
 
     def test_non_finite_gradient_rejected(self):
         p = xavier_init(2)
-        g = MlpParams(*[np.zeros_like(a) for a in p.arrays()])
+        g = zeros_like(p)
         g.w2[0, 0] = np.nan
         with pytest.raises(NonFiniteGradient):
-            rmsprop_step(p, g, RmspropState.init(p, lr=0.01))
+            rmsprop_step(p, g, np.zeros_like(p.flat), 0.01)
 
 
 def per_unit_loss_differences(p, batch, h):
@@ -463,11 +456,9 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, p, LambdaBounds(), 31, "abc123")
     assert path.read_bytes() == data
-    q, bounds, seed, chash = load_checkpoint(json.loads(data), path)
-    for a, b in zip(p.arrays(), q.arrays()):
-        np.testing.assert_array_equal(a, b)
+    q, seed, chash = load_checkpoint(json.loads(data), path)
+    np.testing.assert_array_equal(p.flat, q.flat)
     assert seed == 31 and chash == "abc123"
-    assert bounds == LambdaBounds()
 
 
 def test_loss_and_gradients_breakdown_consistency():
@@ -482,7 +473,7 @@ def test_segments_under_three_samples_raise():
     p = xavier_init(4)
     vo2 = np.array([0.5, 0.6, 1.0, 1.1])
     batch = TrainBatch(vo2=vo2, hr=np.full(4, 80.0), segment_bounds=((0, 2), (2, 4)),
-                       dt_seconds=1.0, bounds=LambdaBounds(), de_weight=1.0)
+                       dt_seconds=1.0, de_weight=1.0)
     with pytest.raises(SegmentTooShort):
         loss_and_gradients(p, batch)
     with pytest.raises(SegmentTooShort):
@@ -498,7 +489,7 @@ def test_loss_de_in_bpm_per_minute_squared():
     p, batch = make_gradcheck_case(5)
     pred = UniformSeries(0.0, 1.0, mlp_forward(p, batch.vo2), batch.segment_bounds, "bpm")
     vo2 = UniformSeries(0.0, 1.0, batch.vo2, batch.segment_bounds, "L/min")
-    res = de_residual_series(pred, vo2, lambda_from_theta(p.theta, batch.bounds))
+    res = de_residual_series(pred, vo2, lambda_from_theta(p.theta, LambdaBounds()))
     _, l_de, _, _ = loss_and_gradients(p, batch)
     assert l_de == pytest.approx(float(res @ res) / len(res), rel=1e-12)
 
@@ -565,7 +556,7 @@ class TestWorkspace:
         hr = 60.0 + 40.0 * rng.uniform(size=n)
         bounds = tuple((k * n // segs, (k + 1) * n // segs) for k in range(segs))
         batch = TrainBatch(vo2=vo2, hr=hr, segment_bounds=bounds, dt_seconds=1.0,
-                           bounds=LambdaBounds(), de_weight=1e5 / 3600)
+                           de_weight=1e5 / 3600)
         return xavier_init(2), batch
 
     def test_no_hidden_sized_allocation(self, case):
@@ -587,15 +578,13 @@ class TestWorkspace:
         loss_only(p, batch)
         second = loss_and_gradients(p, batch)
         assert first[:3] == second[:3]
-        for a, b in zip(first[3].arrays(), second[3].arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(first[3].flat, second[3].flat)
 
     def test_gradients_do_not_alias_buffers(self, case):
         p, batch = case
         grads = loss_and_gradients(p, batch)[3]
-        for arr in grads.arrays():
-            for buf in (*batch._work, batch._x1, batch._lv_powers):
-                assert not np.shares_memory(arr, buf)
+        for buf in (*batch._work, batch._x1, batch._lv_powers):
+            assert not np.shares_memory(grads.flat, buf)
 
     def test_loss_only_and_forward_agree_bitwise(self, case):
         p, batch = case
@@ -622,7 +611,7 @@ class TestWorkspace:
         ref = [dz1.T @ X, dz1.sum(axis=0), dz2.T @ a1, dz2.sum(axis=0),
                dy[:, None].T @ a2, np.array([dy.sum()])]
         grads = loss_and_gradients(p, batch)[3]
-        for got, want in zip(grads.arrays(), ref):
+        for got, want in zip((getattr(grads, f) for f in ARRAY_FIELDS), ref):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("which", ["six_segments", "uneven_segments"])
@@ -631,7 +620,7 @@ class TestWorkspace:
         p, batch = case if which == "six_segments" else random_case(
             ((0, 3), (3, 10), (10, 30)))
         y = mlp_forward(p, batch.vo2)
-        lam = lambda_from_theta(p.theta, batch.bounds).as_array()
+        lam = lambda_from_theta(p.theta, LambdaBounds()).as_array()
         l1, l2, l3, l4, l5, _ = lam
         res = pm.collocation_residuals(y, batch._log_vo2, batch.segment_bounds,
                                        batch._dt_min, lam)
@@ -647,7 +636,7 @@ class TestWorkspace:
             for k, gpart in enumerate((lv * tpr, tpr, sv * lv, sv)):
                 c = h * gpart
                 dlam[k] -= l5 * 2.0 / m * (f @ ((c[2:] - c[:-2]) / (2 * dt)))
-        lo, hi = batch.bounds.lo_hi_arrays()
+        lo, hi = LambdaBounds().lo_hi_arrays()
         s = nn_core.sigmoid(p.theta)
         want = batch.de_weight * dlam * ((hi - lo) * s * (1.0 - s))  # d lambda / d theta
         got = loss_and_gradients(p, batch)[3].theta
@@ -681,8 +670,7 @@ class TestWorkingPrecision:
              else train_pmbnn(train_split, replace(cfg, max_epochs=epochs)).mlp)
         b64 = TrainBatch(vo2=train_split.vo2.values, hr=train_split.hr.values,
                          segment_bounds=train_split.vo2.segment_bounds,
-                         dt_seconds=train_split.vo2.dt, bounds=LambdaBounds(),
-                         de_weight=de_weight)
+                         dt_seconds=train_split.vo2.dt, de_weight=de_weight)
         _, _, l64, g64 = loss_and_gradients(p, b64)
         _, _, l32, g32 = loss_and_gradients(p, replace(b64, dtype=np.float32))
         assert g32.flat.dtype == np.float64

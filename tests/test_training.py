@@ -7,7 +7,7 @@ from oracle_utils import ORACLE_INIT, coupling_products, oracle_subject
 
 from pmbnn import nn_core, physio_model
 from pmbnn.errors import EmptySeries, LengthMismatch, NonFiniteLoss, OutOfBounds, Singularity
-from pmbnn.experiment import split_by_activity
+from pmbnn.experiment import reconstruct_pmbnn_r, split_by_activity
 from pmbnn.nn_core import (
     MlpParams,
     TrainBatch,
@@ -38,7 +38,6 @@ from pmbnn.training import (
     fit_pm,
     lbfgs_minimize,
     loss_data,
-    simulate_record_hr,
     train_fcnn,
     train_pmbnn,
 )
@@ -84,8 +83,7 @@ def flat_net_batch(hr_target, l6, w):
         theta=theta_from_lambda(lam, LambdaBounds()),
     )
     batch = TrainBatch(vo2=np.ones(20), hr=np.full(20, hr_target),
-                       segment_bounds=((0, 20),), dt_seconds=1.0,
-                       bounds=LambdaBounds(), de_weight=w)
+                       segment_bounds=((0, 20),), dt_seconds=1.0, de_weight=w)
     return p, batch
 
 
@@ -150,15 +148,13 @@ class TestTrainPmbnn:
         cfg = TrainConfig(seed=4, lr=1e160, max_epochs=50)
         model = train_pmbnn(noisy_split.train, cfg)
         assert model.stopped_reason == "divergence"
-        for arr in model.mlp.arrays():
-            assert np.all(np.isfinite(arr))
+        assert np.all(np.isfinite(model.mlp.flat))
 
     def test_deterministic(self, noisy_split):
         cfg = TrainConfig(seed=7, max_epochs=40)
         a = train_pmbnn(noisy_split.train, cfg)
         b = train_pmbnn(noisy_split.train, cfg)
-        for x, y in zip(a.mlp.arrays(), b.mlp.arrays()):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.mlp.flat, b.mlp.flat)
         assert [l.l_tot for l in a.loss_history] == [l.l_tot for l in b.loss_history]
 
 
@@ -194,10 +190,7 @@ class TestTrainFcnn:
         cfg = TrainConfig(seed=9, max_epochs=100, de_weight=0.0)
         a = train_pmbnn(noisy_split.train, cfg)
         b = train_fcnn(noisy_split.train, cfg)
-        diff = max(
-            np.max(np.abs(x - y)) for x, y in zip(a.mlp.arrays(), b.mlp.arrays())
-        )
-        assert diff <= 1e-12
+        assert np.max(np.abs(a.mlp.flat - b.mlp.flat)) <= 1e-12
 
 
 class TestLbfgs:
@@ -278,7 +271,7 @@ class TestFitPm:
         lam_true, _, rec = oracle_subject(1)
         split = split_by_activity(rec)
         lam_fit, _ = fit_pm(split.train, init=ORACLE_INIT)
-        pred = simulate_record_hr(split.test, lam_fit).values
+        pred = reconstruct_pmbnn_r(split.test, lam_fit).values
         assert r_squared(split.test.hr.values, pred) >= 0.999
         assert rmse(split.test.hr.values, pred) <= 0.5
 
@@ -307,13 +300,12 @@ class TestFitPm:
     @pytest.mark.parametrize("noise", [0.0, 3.0])
     def test_exact_gradient_matches_central_differences(self, noise):
         rng = np.random.default_rng(11)
-        bounds = LambdaBounds()
-        theta0 = theta_from_lambda(ORACLE_INIT, bounds)
+        theta0 = theta_from_lambda(ORACLE_INIT, LambdaBounds())
         for i in range(3):
             _, _, rec = oracle_subject(i, noise_sigma_hr=noise)
             train = split_by_activity(preprocess_subject(rec) if noise else rec).train
             assert len(train.vo2.segment_bounds) == 3
-            objective = _pm_objective(train, bounds, PmFitConfig(), theta0)
+            objective = _pm_objective(train, PmFitConfig(), theta0)
             for scale in (0.1, 0.3, 0.6):
                 theta = theta0 + rng.normal(scale=scale, size=6)
                 _, grad = objective(theta)
@@ -330,9 +322,8 @@ class TestPmObjective:
 
     @staticmethod
     def objective_at_oracle_init(rec):
-        bounds = LambdaBounds()
-        theta0 = theta_from_lambda(ORACLE_INIT, bounds)
-        return _pm_objective(rec, bounds, PmFitConfig(), theta0), theta0
+        theta0 = theta_from_lambda(ORACLE_INIT, LambdaBounds())
+        return _pm_objective(rec, PmFitConfig(), theta0), theta0
 
     @staticmethod
     def three_segments(*parts):
@@ -357,7 +348,7 @@ class TestPmObjective:
         f, grad = objective(self.theta_of(0.4))
         assert f == math.inf and np.all(grad == 0.0)
         with pytest.raises(Singularity, match="changes sign"):
-            simulate_record_hr(rec, lambda_from_theta(self.theta_of(0.4), LambdaBounds()))
+            reconstruct_pmbnn_r(rec, lambda_from_theta(self.theta_of(0.4), LambdaBounds()))
         # den < 0 in the first segment and > 0 in the last is no pole
         rec = self.three_segments((0.5, 0.5), (2.0, 3.0), (3.0, 3.0))
         objective, _ = self.objective_at_oracle_init(rec)
@@ -373,7 +364,7 @@ class TestPmObjective:
         assert (f == math.inf and np.all(grad == 0.0)) if singular else math.isfinite(f)
         if singular:
             with pytest.raises(Singularity, match="within"):
-                simulate_record_hr(rec, lambda_from_theta(theta, LambdaBounds()))
+                reconstruct_pmbnn_r(rec, lambda_from_theta(theta, LambdaBounds()))
 
     def test_hr_is_the_simulators_bit_for_bit(self, noisy_split, monkeypatch):
         train = noisy_split.train
@@ -393,7 +384,7 @@ class TestPmObjective:
         for theta in (theta0, theta0 + rng.normal(scale=0.3, size=6)):
             seen.clear()
             f, _ = objective(theta)
-            want = simulate_record_hr(train, lambda_from_theta(theta, LambdaBounds())).values
+            want = reconstruct_pmbnn_r(train, lambda_from_theta(theta, LambdaBounds())).values
             assert np.array_equal(seen[0], want)
             drift = theta - theta0
             assert f == loss_data(want, train.hr.values) + float(weight @ (drift * drift))
@@ -444,7 +435,7 @@ def reference_loss_and_gradients(p, batch):
         dy += (2.0 * w / m) * (1.0 - l5 * (coef[4] @ batch._lv_powers)) * q
         sums = np.append(coef @ (batch._lv_powers @ (y * q)), sum(f.sum() for f in res))
         dlam = np.array([l5, l5, l5, l5, 1.0, 1.0]) * sums
-        lo, hi = batch.bounds.lo_hi_arrays()
+        lo, hi = LambdaBounds().lo_hi_arrays()
         s = nn_core.sigmoid(p.theta)
         grads.theta[:] = w * (-2.0 / m) * dlam * ((hi - lo) * s * (1.0 - s))
     a1, a2, dz1 = batch._work
@@ -479,7 +470,7 @@ def reference_train(train, cfg):
     """train_pmbnn's loop on the reference epoch: final flat and L_tot history."""
     batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
                        segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
-                       bounds=LambdaBounds(), de_weight=cfg.de_weight, dtype=np.float32)
+                       de_weight=cfg.de_weight, dtype=np.float32)
     params = xavier_init(cfg.seed, LambdaBounds(), DEFAULT_INITIAL)
     v = np.zeros(nn_core._SIZE)
     history = []
