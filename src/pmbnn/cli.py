@@ -127,13 +127,10 @@ def _json_value(text: str):
 
 
 def _fits_default_type(value, default) -> bool:
-    """A bool only for bool keys, an integral number for int keys, any
-    number for float keys."""
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, int):
-        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    return isinstance(value, (int, float))
+    """An integral number for int keys, any number for float keys; never a bool."""
+    if type(default) is int:
+        return type(value) is int or type(value) is float and value.is_integer()
+    return type(value) in (int, float)
 
 
 def _seed(text: str) -> int:

@@ -81,10 +81,6 @@ class NonFiniteGradient(PmbnnError):
     """A gradient entry is NaN or infinite."""
 
 
-class InvalidStep(PmbnnError):
-    """Finite-difference step size must be positive."""
-
-
 # --- statistics ----------------------------------------------------------
 
 class EmptySeries(PmbnnError):
@@ -109,6 +105,12 @@ class ZeroVariance(PmbnnError):
 
 class IoFailure(PmbnnError):
     """An input file could not be read, or an output could not be written."""
+
+
+def _require(ok: bool, key: str, value, rule: str) -> None:
+    """Reject a config value outside its range, naming its config key."""
+    if not ok:
+        raise OutOfBounds(f"{key} must be {rule}, got {value!r}")
 
 
 # --- JSON inputs -----------------------------------------------------------

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core, physio_model, training
-from .errors import OutOfBounds, SegmentTooShort
+from .errors import OutOfBounds, SegmentTooShort, _require
 from .physio_model import LambdaBounds, LambdaParams
 from .signal_pipeline import SubjectRecord, UniformSeries, segments_from_labels
-from .training import PmFitConfig, TrainConfig, _require
+from .training import PmFitConfig, TrainConfig
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import physio_model as pm
-from .errors import (INTEGER, NUMBER, STRING, BadBounds, InvalidStep, IoFailure, LengthMismatch,
-                     ListOf, NonFiniteGradient, NonFiniteLoss, OutOfBounds, check_json)
+from .errors import (INTEGER, NUMBER, STRING, IoFailure, LengthMismatch, ListOf,
+                     NonFiniteGradient, NonFiniteLoss, OutOfBounds, check_json)
 from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
 
 HIDDEN = 64
@@ -31,24 +31,10 @@ _THETA = _L3 + HIDDEN + 1
 _SIZE = _THETA + 6
 
 
-def sigmoid(x):
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=float)
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of an array."""
     e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return out if out.ndim else float(out)
-
-
-def bounded_inverse(lam, lo: float, hi: float):
-    """Logit of the box coordinate: the theta that the logistic map sends to lam."""
-    if not lo < hi:
-        raise BadBounds(f"need lo < hi, got ({lo}, {hi})")
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= lo) or np.any(lam >= hi):
-        raise OutOfBounds(f"{lam} not strictly inside ({lo}, {hi})")
-    p = (lam - lo) / (hi - lo)
-    out = np.log(p) - np.log1p(-p)
-    return out if out.ndim else float(out)
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def lambda_from_theta(theta: np.ndarray, bounds: LambdaBounds) -> LambdaParams:
@@ -57,9 +43,13 @@ def lambda_from_theta(theta: np.ndarray, bounds: LambdaBounds) -> LambdaParams:
 
 
 def theta_from_lambda(lam: LambdaParams, bounds: LambdaBounds) -> np.ndarray:
+    """The theta that :func:`lambda_from_theta` maps to ``lam``, the logit of each
+    lambda's box coordinate; a lambda not strictly inside its box is OutOfBounds."""
+    if not bounds.contains(lam):
+        raise OutOfBounds(f"{lam} not strictly inside {bounds}")
     lo, hi = bounds.lo_hi_arrays()
-    return np.array([bounded_inverse(v, l, h)
-                     for v, l, h in zip(lam.as_array(), lo, hi)])
+    p = (lam.as_array() - lo) / (hi - lo)
+    return np.log(p) - np.log1p(-p)
 
 
 class _Tree:
@@ -143,10 +133,9 @@ def _forward_full(p: MlpParams, x1: np.ndarray, a1: np.ndarray, a2: np.ndarray):
     return (l3 @ a2).astype(np.float64, copy=False)
 
 
-def mlp_forward(p: MlpParams, vo2):
-    """Network output for scalar or 1-D vo2 input."""
-    y = _forward_full(p, *_layer_inputs(np.atleast_1d(np.asarray(vo2, dtype=float))))
-    return y if np.ndim(vo2) else float(y[0])
+def mlp_forward(p: MlpParams, vo2: np.ndarray) -> np.ndarray:
+    """Network output for a 1-D vo2 array."""
+    return _forward_full(p, *_layer_inputs(vo2))
 
 
 @dataclass(frozen=True)
@@ -297,11 +286,15 @@ def rmsprop_step(p: MlpParams, g: MlpParams, v: np.ndarray, lr: float) -> MlpPar
     return _Tree._of(p.flat - t)
 
 
-def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
+#: the central-difference step of :func:`gradient_check`
+_FD_STEP = 1e-5
+
+
+def gradient_check(p: MlpParams, batch: TrainBatch) -> float:
     """Max relative disagreement between reverse mode and central FD.
 
-    Central differences (L(p + h e_k) - L(p - h e_k)) / 2h serve as a
-    forward-only oracle that shares no code with the backward pass
+    Central differences (L(p + h e_k) - L(p - h e_k)) / 2h, h = 1e-5, serve
+    as a forward-only oracle that shares no code with the backward pass
     (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 1).
     Each weight or bias probe changes one hidden unit, so the probes are
     grouped by unit and one stacked forward pass per block of units gives
@@ -315,12 +308,9 @@ def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
     product form over F with the exact logistic difference of lambda.
 
     Relative error per parameter: |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|).
-    The step ``h`` must be finite and positive, else InvalidStep.
     """
-    if not 0.0 < h < np.inf:
-        raise InvalidStep(f"step must be finite and positive, got {h}")
     analytic = loss_and_gradients(p, batch)[3].flat
-    fd = _loss_differences(p, batch, h).flat / (2.0 * h)
+    fd = _loss_differences(p, batch).flat / (2.0 * _FD_STEP)
     denom = np.maximum(1e-12, np.abs(analytic) + np.abs(fd))
     return float(np.max(np.abs(analytic - fd) / denom))
 
@@ -331,14 +321,15 @@ def gradient_check(p: MlpParams, batch: TrainBatch, h: float = 1e-5) -> float:
 _PROBE_BLOCK = 8
 
 
-def _loss_differences(p: MlpParams, batch: TrainBatch, h: float) -> _Tree:
-    """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k.
+def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
+    """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k, h = _FD_STEP.
 
     The [w1 | b1] and [w2 | b2] probes take one stacked tanh pass per block
     of ``_PROBE_BLOCK`` hidden units, and ``diff`` scores all [w1 | b1]
     blocks at once and each [w2 | b2] block on its own; each row comes out
     bit for bit as a pass over its unit alone would give it.
     """
+    h = _FD_STEP
     x1, a1e, a2e = _layer_inputs(batch.vo2)
     y = _forward_full(p, x1, a1e, a2e)
     a1, a2 = a1e[:HIDDEN], a2e[:HIDDEN]
@@ -433,10 +424,9 @@ def make_gradcheck_case(seed: int) -> tuple[MlpParams, TrainBatch]:
     return p, batch
 
 
-def run_gradcheck(seed: int, h: float = 1e-5) -> float:
+def run_gradcheck(seed: int) -> float:
     """Gradient check on the conditioned per-seed instance."""
-    p, batch = make_gradcheck_case(seed)
-    return gradient_check(p, batch, h)
+    return gradient_check(*make_gradcheck_case(seed))
 
 
 #: each array's shape in the network

@@ -183,18 +183,3 @@ def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> li
         )
     return residuals
 
-
-def de_residual_series(
-    hr: UniformSeries, vo2: UniformSeries, lam: LambdaParams
-) -> np.ndarray:
-    """Concatenated collocation residuals (bpm/min), edges excluded.
-
-    The result is shorter than the input by 2 samples per segment.
-    """
-    if (len(hr) != len(vo2)) or hr.segment_bounds != vo2.segment_bounds:
-        raise LengthMismatch("hr and vo2 must share grid and segments")
-    parts = collocation_residuals(
-        hr.values, np.log(_check_positive_vo2(vo2.values)), vo2.segment_bounds,
-        vo2.dt / SECONDS_PER_MINUTE, lam.as_array(),
-    )
-    return np.concatenate(parts) if parts else np.empty(0)

@@ -24,6 +24,7 @@ from .errors import (
     NonMonotonicTime,
     NonPositiveSignal,
     WindowTooLarge,
+    _require,
 )
 
 CSV_HEADER = ("time_s", "vo2_lpm", "hr_bpm", "activity")
@@ -151,7 +152,10 @@ class FilterConfig:
     sg_polyorder: int = 1
     fir_taps: int = 10
     vo2_floor: float = 0.05     # L/min, keeps downstream logarithms defined
-    sg_on_hr: bool = False      # vo2 always gets SG; HR only if enabled
+
+    def __post_init__(self):
+        _require(math.isfinite(self.vo2_floor) and self.vo2_floor > 0, "filter.vo2_floor",
+                 self.vo2_floor, "finite and > 0")
 
 
 def _cell(text: str, missing_ok: bool) -> float:
@@ -353,10 +357,7 @@ def preprocess_subject(rec: SubjectRecord, cfg: FilterConfig = FilterConfig()) -
     """Smooth a subject record: SG then FIR on vo2, FIR on HR, then floor vo2."""
     vo2 = savitzky_golay_smooth(rec.vo2, cfg.sg_window, cfg.sg_polyorder)
     vo2 = fir_lowpass(vo2, cfg.fir_taps)
-    hr = rec.hr
-    if cfg.sg_on_hr:
-        hr = savitzky_golay_smooth(hr, cfg.sg_window, cfg.sg_polyorder)
-    hr = fir_lowpass(hr, cfg.fir_taps)
+    hr = fir_lowpass(rec.hr, cfg.fir_taps)
     # clamp last so the logarithmic hemodynamics stay defined
     vo2 = vo2.with_values(np.maximum(vo2.values, cfg.vo2_floor))
     return SubjectRecord(

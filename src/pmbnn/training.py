@@ -20,7 +20,7 @@ from .errors import (
     LengthMismatch,
     NonFiniteGradient,
     NonFiniteLoss,
-    OutOfBounds,
+    _require,
 )
 from .nn_core import MlpParams, TrainBatch
 from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
@@ -32,7 +32,7 @@ class LossBreakdown:
     """One epoch's loss components: l_tot = l_data + w * l_de.
 
     l_data is in bpm^2; l_de is the mean squared collocation residual in
-    (bpm/min)^2, the unit of :func:`physio_model.de_residual_series`. (The
+    (bpm/min)^2, the unit of :func:`physio_model.collocation_residuals`. (The
     PM fit minimizes a simulated trajectory's MSE, in bpm^2.)
     """
 
@@ -63,12 +63,6 @@ class TrainConfig:
         _require(math.isfinite(self.lr) and self.lr > 0, "train.lr", self.lr,
                  "finite and > 0")
         _require(self.seed >= 0, "train.seed", self.seed, ">= 0")
-
-
-def _require(ok: bool, key: str, value, rule: str) -> None:
-    """Reject a config value outside its range, naming its config key."""
-    if not ok:
-        raise OutOfBounds(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -112,28 +106,30 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     history: list[LossBreakdown] = []
     reason = "epoch-cap"
     scored = params   # the parameters whose losses history[-1] records
-    for epoch in range(1, cfg.max_epochs + 1):
-        try:
-            l_data, l_de, l_tot, grads = nn_core.loss_and_gradients(params, batch)
-        except (NonFiniteLoss, NonFiniteGradient):
-            reason = "divergence"
-            params = scored
-            break
-        scored = params
-        history.append(LossBreakdown(l_data, l_de, l_tot, epoch))
-        if l_tot < cfg.stop_threshold:
-            reason = "threshold"
-            break
-        if epoch == cfg.max_epochs:   # the cap: keep the parameters just scored
-            break
-        try:
-            params = nn_core.rmsprop_step(params, grads, v, cfg.lr)
-        except NonFiniteGradient:
-            reason = "divergence"
-            break
-        # sigmoid gradients vanish past ~30, so cap theta to keep the
-        # bounded lambdas strictly inside their boxes in float64
-        np.clip(params.theta, -30.0, 30.0, out=params.theta)
+    # NonFiniteLoss/NonFiniteGradient report divergence; NumPy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            try:
+                l_data, l_de, l_tot, grads = nn_core.loss_and_gradients(params, batch)
+            except (NonFiniteLoss, NonFiniteGradient):
+                reason = "divergence"
+                params = scored
+                break
+            scored = params
+            history.append(LossBreakdown(l_data, l_de, l_tot, epoch))
+            if l_tot < cfg.stop_threshold:
+                reason = "threshold"
+                break
+            if epoch == cfg.max_epochs:   # the cap: keep the parameters just scored
+                break
+            try:
+                params = nn_core.rmsprop_step(params, grads, v, cfg.lr)
+            except NonFiniteGradient:
+                reason = "divergence"
+                break
+            # sigmoid gradients vanish past ~30, so cap theta to keep the
+            # bounded lambdas strictly inside their boxes in float64
+            np.clip(params.theta, -30.0, 30.0, out=params.theta)
     return TrainedModel(
         mlp=params,
         lam=nn_core.lambda_from_theta(params.theta, LambdaBounds()),

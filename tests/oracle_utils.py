@@ -13,12 +13,25 @@ from pmbnn.experiment import (
     SyntheticSpec,
     generate_synthetic_subject,
 )
-from pmbnn.physio_model import LambdaBounds, LambdaParams
+from pmbnn.physio_model import (
+    SECONDS_PER_MINUTE,
+    LambdaBounds,
+    LambdaParams,
+    collocation_residuals,
+)
 
 BOUNDS = LambdaBounds()
 
 #: prior used by oracle fits: wide-span-friendly gauge representative
 ORACLE_INIT = LambdaParams(0.02, 0.08, -5.3, 17.0, 0.44, 0.0)
+
+
+def residual_series(hr, vo2, lam: LambdaParams) -> np.ndarray:
+    """The collocation residuals (bpm/min) of the HR series ``hr`` over the vo2
+    series ``vo2``, concatenated: 2 samples per segment shorter than the series."""
+    return np.concatenate(collocation_residuals(
+        hr.values, np.log(vo2.values), vo2.segment_bounds, vo2.dt / SECONDS_PER_MINUTE,
+        lam.as_array()))
 
 
 def coupling_products(lam: LambdaParams) -> np.ndarray:

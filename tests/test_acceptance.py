@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from oracle_utils import BOUNDS, ORACLE_INIT, coupling_products, oracle_subject
+from oracle_utils import BOUNDS, ORACLE_INIT, coupling_products, oracle_subject, residual_series
 
 from pmbnn.cli import main as cli_main
 from pmbnn.experiment import reconstruct_pmbnn_r, split_by_activity
 from pmbnn.nn_core import mlp_forward, run_gradcheck
-from pmbnn.physio_model import LambdaParams, Singularity, de_residual_series, simulate_hr
+from pmbnn.physio_model import LambdaParams, Singularity, simulate_hr
 from pmbnn.signal_pipeline import UniformSeries, fir_lowpass, preprocess_subject, savitzky_golay_smooth
 from pmbnn.stats_eval import (
     MetricPair,
@@ -80,7 +80,7 @@ def test_criterion_02_ode_loss_consistency():
             hr = simulate_hr(vo2, lam, [70.0])
         except Singularity:
             continue  # singular draw: the check conditions on singularity-free
-        res = de_residual_series(hr, vo2, lam)
+        res = residual_series(hr, vo2, lam)
         l_de = float(res @ res) / len(res)
         max_f = float(np.max(np.abs(res)))
         worst_lde = max(worst_lde, l_de)

@@ -139,7 +139,8 @@ class TestGradcheckCommand:
 class TestErrorPaths:
     def test_domain_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        # positive raw values that the un-clamped filters drive negative
+        # positive raw values that the filters drive negative: a floor below
+        # zero let them through, and train ended in NonPositiveVo2
         vo2 = ["0.02"] * 40
         vo2[20] = "2.5"
         rows = [f"{t},{v},70,rest" for t, v in enumerate(vo2)]
@@ -148,11 +149,9 @@ class TestErrorPaths:
         prep = tmp_path / "prep"
         assert run(["preprocess", "--input", str(bad), "--out", str(prep),
                     "--filter.vo2_floor", "-100",
-                    "--filter.sg_polyorder", "3"]) == 0
-        code = run(["train", "--model", "pm", "--input",
-                    str(prep / "preprocessed.csv"), "--out", str(tmp_path / "t")])
-        assert code == 1
-        assert "NonPositive" in capsys.readouterr().err
+                    "--filter.sg_polyorder", "3"]) == 1
+        assert "OutOfBounds: filter.vo2_floor" in capsys.readouterr().err
+        assert not prep.exists()
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -195,7 +194,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("key, value", [
         ("train.max_epochs", "abc"),   # not a number for an int key
         ("pm.iters", "1.5"),           # non-integral float for an int key
-        ("filter.sg_on_hr", '"no"'),   # a string for a bool key
+        ("filter.vo2_floor", "true"),  # a bool for a float key
     ])
     def test_wrong_type_config_value_exits_two(self, tmp_path, capsys, key, value):
         model = "pm" if key.startswith("pm.") else "pmbnn"
@@ -303,6 +302,21 @@ def test_out_of_range_config_value_exits_one(pipeline_dirs, tmp_path, capsys,
             "--out", str(tmp_path / "t"), *setting]
     assert run(argv) == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("NaN", "nan"),        # ended in NonPositiveSignal, naming no key
+    ("Infinity", "inf"),
+    ("0", "0.0"),          # exited 0, so ln(vo2) could meet vo2 = 0
+    ("-1", "-1.0"),
+])
+def test_out_of_range_vo2_floor_exits_one(pipeline_dirs, tmp_path, capsys, value, shown):
+    out = tmp_path / "p"
+    assert run(["preprocess", "--input", str(pipeline_dirs["prep"] / "preprocessed.csv"),
+                "--out", str(out), "--filter.vo2_floor", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: OutOfBounds: filter.vo2_floor must be finite and > 0, got {shown}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -851,14 +865,13 @@ def test_log_env_variable_any_case_or_usage_error(monkeypatch, capsys, value, co
         assert f"PMBNN_LOG: unknown log level {value!r}" in capsys.readouterr().err
 
 
-#: the 13 config keys, their defaults and their types, as one literal in
+#: the 12 config keys, their defaults and their types, as one literal in
 #: the CLI declared them before the config dataclasses did
 REFERENCE_DEFAULTS = {
     "filter.sg_window": 15,
     "filter.sg_polyorder": 1,
     "filter.fir_taps": 10,
     "filter.vo2_floor": 0.05,
-    "filter.sg_on_hr": False,
     "split.ratio": 0.8,
     "train.max_epochs": 5000,
     "train.stop_threshold": 10.0,
@@ -1002,7 +1015,6 @@ def _written_model_losses(csv: str, out, model: str) -> dict:
     return {"l_data": l_data, "l_de": l_de, "l_tot": l_tot}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_train_writes_the_model_its_losses_score(pipeline_dirs, tmp_path):
     # a diverged fit wrote the diverged weights (predictions near 1e301 bpm)
     # beside the finite final_losses of the epoch before
@@ -1196,9 +1208,8 @@ def test_negative_polyorder_exits_one(pipeline_dirs, tmp_path, capsys):
 
 #: valid and invalid values of each config key, the valid ones first;
 #: train.max_epochs and pm.iters stay <= 3 so that a run takes milliseconds
-_VALUES = {int: ["1", "3", "7", "0", "-1", "1.5", "abc"],
-           float: ["0.5", "0.9", "2", "0", "-1", "NaN", "Infinity", '"x"'],
-           bool: ["true", "false", "1", '"no"']}
+_VALUES = {int: ["1", "3", "7", "0", "-1", "1.5", "abc", "true"],
+           float: ["0.5", "0.9", "2", "0", "-1", "NaN", "Infinity", '"x"', "false"]}
 _SMALL = ["1", "3", "2.0", "0", "-1", "abc"]
 #: each subcommand's inputs and the config sections it reads
 _COMMANDS = {

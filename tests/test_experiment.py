@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import ORACLE_INIT, oracle_subject
+from oracle_utils import ORACLE_INIT, oracle_subject, residual_series
 
 from pmbnn.errors import OutOfBounds, PmbnnError, SegmentTooShort, Singularity
 from pmbnn.experiment import (
@@ -17,7 +17,7 @@ from pmbnn.experiment import (
     reconstruct_pmbnn_r,
     split_by_activity,
 )
-from pmbnn.physio_model import LambdaBounds, LambdaParams, de_residual_series
+from pmbnn.physio_model import LambdaBounds, LambdaParams
 from pmbnn.signal_pipeline import (
     SubjectRecord,
     UniformSeries,
@@ -178,7 +178,7 @@ class TestGenerateSyntheticSubject:
 
     def test_zero_noise_satisfies_dynamics(self):
         lam_true, _, rec = oracle_subject(5)
-        res = de_residual_series(rec.hr, rec.vo2, lam_true)
+        res = residual_series(rec.hr, rec.vo2, lam_true)
         assert np.max(np.abs(res)) <= 1e-8
 
     def test_same_seed_bitwise_identical(self):

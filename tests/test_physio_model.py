@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracle_utils import residual_series
 
 from pmbnn.errors import (
     LengthMismatch,
@@ -10,12 +11,12 @@ from pmbnn.errors import (
     SegmentTooShort,
     Singularity,
 )
+from pmbnn.nn_core import TrainBatch
 from pmbnn.physio_model import (
     DEFAULT_INITIAL,
     LambdaBounds,
     LambdaParams,
     collocation_residuals,
-    de_residual_series,
     simulate_hr,
     trajectory,
 )
@@ -109,7 +110,7 @@ class TestHemodynamicAlgebra:
         dt_min = 1.0 / 60.0
         expected = ((hr[2:] - hr[:-2]) / (2 * dt_min) - INIT.l6
                     - INIT.l5 * (mean_ap[2:] - mean_ap[:-2]) / (2 * dt_min))
-        res = de_residual_series(vo2_series(hr), vo2_series(v), INIT)
+        res = residual_series(vo2_series(hr), vo2_series(v), INIT)
         np.testing.assert_allclose(res, expected, rtol=1e-9, atol=1e-9)
 
 
@@ -149,7 +150,7 @@ class TestSimulateHr:
     def test_simulated_output_satisfies_residual(self):
         v = vo2_series(exp_approach(400, 0.35, 2.5))
         hr = simulate_hr(v, INIT, [70.0])
-        res = de_residual_series(hr, v, INIT)
+        res = residual_series(hr, v, INIT)
         assert np.max(np.abs(res)) <= 1e-8
 
     def test_initial_count_mismatch(self):
@@ -164,36 +165,39 @@ class TestSimulateHr:
 
 
 class TestDeResidualSeries:
+    """The collocation residuals of a series, concatenated over its segments."""
+
     def test_constant_everything_zero_bias(self):
         lam = LambdaParams(0.02, 0.1, -5.3, 10.5, 0.44, 0.0)
         hr = vo2_series(np.full(50, 70.0))
         v = vo2_series(np.full(50, 1.0))
-        np.testing.assert_allclose(de_residual_series(hr, v, lam), 0.0, atol=1e-15)
+        np.testing.assert_allclose(residual_series(hr, v, lam), 0.0, atol=1e-15)
 
     def test_bias_only_survives(self):
         hr = vo2_series(np.full(50, 70.0))
         v = vo2_series(np.full(50, 1.0))
-        res = de_residual_series(hr, v, INIT)
+        res = residual_series(hr, v, INIT)
         np.testing.assert_allclose(res, -0.3, atol=1e-15)
 
     def test_length_shorter_by_two_per_segment(self):
         bounds = ((0, 20), (20, 50))
         hr = vo2_series(np.linspace(70, 90, 50), bounds)
         v = vo2_series(np.linspace(0.4, 2.0, 50), bounds)
-        assert len(de_residual_series(hr, v, INIT)) == 50 - 2 * 2
+        assert len(residual_series(hr, v, INIT)) == 50 - 2 * 2
 
     def test_segment_too_short(self):
         bounds = ((0, 2),)
         hr = vo2_series([70.0, 71.0], bounds)
         v = vo2_series([1.0, 1.0], bounds)
         with pytest.raises(SegmentTooShort):
-            de_residual_series(hr, v, INIT)
+            residual_series(hr, v, INIT)
 
     def test_misaligned_series(self):
-        hr = vo2_series(np.full(50, 70.0))
-        v = vo2_series(np.full(40, 1.0))
+        # the training batch, whose L_DE is this series' mean square, takes
+        # hr and vo2 of one length only
         with pytest.raises(LengthMismatch):
-            de_residual_series(hr, v, INIT)
+            TrainBatch(vo2=np.full(40, 1.0), hr=np.full(50, 70.0), segment_bounds=((0, 40),),
+                       dt_seconds=1.0, de_weight=1.0)
 
 
 def test_collocation_residuals_batch_axis_matches_rows():

@@ -15,10 +15,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pmbnn"
 
 #: (module, name) kept public though only tests use it, with the reason
-SURFACE_EXCEPTIONS = {
-    ("physio_model", "de_residual_series"):
-        "the acceptance tests measure the collocation residual of a series with it",
-}
+SURFACE_EXCEPTIONS: dict[tuple[str, str], str] = {}
 
 
 def _references(node) -> set[str]:

@@ -143,7 +143,6 @@ class TestTrainPmbnn:
             assert model.loss_history[-1].l_tot < 10.0
         assert len(model.loss_history) <= 5000
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self, noisy_split):
         cfg = TrainConfig(seed=4, lr=1e160, max_epochs=50)
         model = train_pmbnn(noisy_split.train, cfg)
