@@ -301,11 +301,11 @@ def gradient_check(p: MlpParams, batch: TrainBatch) -> float:
     their perturbed predictions y + delta (:func:`_loss_differences`). At
     fixed lambdas L_data is quadratic in y and the collocation residual
     affine, F(y + delta) = F(y) + A delta, so each numerator is taken
-    exactly as sum (d+ - d-) (2 r + d+ + d-) over the data residuals r
-    and the same form over F and A delta, instead of by subtracting two
-    nearly equal losses. A theta probe moves one lambda and leaves y, and
-    the residual is affine in each lambda, so its numerator takes the same
-    product form over F with the exact logistic difference of lambda.
+    exactly as d . (b + K s), d = d+ - d-, s = d+ + d-, b from the data
+    residuals r and F and the n x n matrix K from A, instead of by
+    subtracting two nearly equal losses. A theta probe moves one lambda and
+    leaves y, and the residual is affine in each lambda, so its numerator
+    takes a product form over F with the exact logistic difference of lambda.
 
     Relative error per parameter: |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|).
     """
@@ -316,8 +316,8 @@ def gradient_check(p: MlpParams, batch: TrainBatch) -> float:
 
 
 #: hidden units per stacked probe pass. A block of [w1 | b1] probes is one
-#: (2, 8, 2, HIDDEN, n) array, 0.5 MB at the gradient check's n = 32; a pass
-#: works in place in it, as each fresh array that size costs page faults
+#: (2, 8, 2, HIDDEN, n) array, 0.5 MB at the gradient check's n = 32; every
+#: pass works in place in one buffer, as each fresh array that size faults pages
 _PROBE_BLOCK = 8
 
 
@@ -325,9 +325,14 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k, h = _FD_STEP.
 
     The [w1 | b1] and [w2 | b2] probes take one stacked tanh pass per block
-    of ``_PROBE_BLOCK`` hidden units, and ``diff`` scores all [w1 | b1]
-    blocks at once and each [w2 | b2] block on its own; each row comes out
-    bit for bit as a pass over its unit alone would give it.
+    of ``_PROBE_BLOCK`` hidden units in one reused buffer; each row comes out
+    bit for bit as a pass over its unit alone would give it. ``diff`` scores
+    prediction changes d+, d- as d . (b + K s), d = d+ - d-, s = d+ + d-,
+    with b = 2 r / n + (w / m) A^T 2F and K = I / n + (w / m) A^T A: one gemm
+    of the stacked rows of s against K, all [w1 | b1] blocks at once and
+    each [w2 | b2] block on its own. A^T, n x m for m residuals, is the
+    residual of the identity's rows. K is n x n, so it grows as n^2 (the
+    check's n is 32).
     """
     h = _FD_STEP
     x1, a1e, a2e = _layer_inputs(batch.vo2)
@@ -335,24 +340,28 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     a1, a2 = a1e[:HIDDEN], a2e[:HIDDEN]
     z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
     lam = batch._lo + (batch._hi - batch._lo) * sigmoid(p.theta)
-    two_r = 2.0 * (y - batch.hr)
     two_f = [2.0 * f for f in pm.collocation_residuals(
         y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam)]
-    m = sum(len(f) for f in two_f)
     lam_a = np.append(lam[:5], 0.0)  # l6 = 0 leaves the linear part A
+    a_t = np.concatenate(pm.collocation_residuals(
+        np.eye(n), batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a), axis=-1)
+    m = a_t.shape[1]
+    k = np.eye(n) / n + (batch.de_weight / m) * (a_t @ a_t.T)
+    b = 2.0 * (y - batch.hr) / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
 
     def diff(plus, minus):
         # L(y + plus) - L(y + minus) for stacked prediction changes (..., n);
-        # one residual call scores d = plus - minus and s = plus + minus
-        ds = np.empty((2,) + plus.shape)
-        d, s = np.subtract(plus, minus, out=ds[0]), np.add(plus, minus, out=ds[1])
-        res = pm.collocation_residuals(
-            ds, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a)
-        de = sum(np.sum(ad * (f + as_), axis=-1) for (ad, as_), f in zip(res, two_f))
-        return np.sum(d * (two_r + s), axis=-1) / n + batch.de_weight * de / m
+        # s reaches K as one 2-D stack of rows, so every row takes one gemm
+        s = (plus + minus).reshape(-1, n)
+        return np.sum((plus - minus) * (s @ k + b).reshape(plus.shape), axis=-1)
 
     out = _Tree._of(np.empty(_SIZE))
     blocks = [slice(j, j + _PROBE_BLOCK) for j in range(0, HIDDEN, _PROBE_BLOCK)]
+    work = np.empty(4 * _PROBE_BLOCK * HIDDEN * n)  # both block passes' buffer
+
+    def block(*shape):
+        return work[:np.prod(shape)].reshape(shape)
+
     # [w1 | b1] row j: unit j of layer 1 moves and layer 2 is recomputed,
     # (2 signs, block, 2 probes, HIDDEN, n); the output changes of all
     # blocks, (2 signs, HIDDEN, 2 probes, n), take one diff
@@ -360,7 +369,7 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     dy1 = np.empty((2, HIDDEN, 2, n))
     for u in blocks:
         da1 = np.tanh(z1[u, None, None] + step) - a1[u, None, None]
-        t = da1 * p.w2.T[u, None, :, None]
+        t = np.multiply(da1, p.w2.T[u, None, :, None], out=block(*da1.shape[:3], HIDDEN, n))
         t += z2
         np.tanh(t, out=t)
         t -= a2
@@ -369,7 +378,7 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     # [w2 | b2] row i: unit i of layer 2 moves, (2 signs, block, HIDDEN + 1, n)
     step = np.stack([h * a1e, -h * a1e])[:, None]
     for u in blocks:
-        t = z2[u, None] + step
+        t = np.add(z2[u, None], step, out=block(2, len(z2[u]), HIDDEN + 1, n))
         np.tanh(t, out=t)
         t -= a2[u, None]
         t *= w3[u, None, None]

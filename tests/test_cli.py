@@ -135,6 +135,13 @@ class TestGradcheckCommand:
         assert "max relative gradient error" in out
         assert float(out.strip().split()[-1]) <= 1e-4
 
+    def test_fifty_seeds_print_the_golden_lines(self, capsys):
+        # tests/golden/gradcheck_seeds.txt pins the printed line of seeds 0..49
+        golden = pathlib.Path(__file__).parent / "golden" / "gradcheck_seeds.txt"
+        for seed in range(50):
+            assert run(["gradcheck", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == golden.read_text()
+
 
 class TestErrorPaths:
     def test_domain_error_exits_one(self, tmp_path, capsys):

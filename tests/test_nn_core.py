@@ -289,22 +289,20 @@ def per_unit_loss_differences(p, batch):
     a1, a2 = a1e[:nn_core.HIDDEN], a2e[:nn_core.HIDDEN]
     z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
     lam = batch._lo + (batch._hi - batch._lo) * nn_core.sigmoid(p.theta)
-    two_r = 2.0 * (y - batch.hr)
     two_f = [2.0 * f for f in pm.collocation_residuals(
         y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam)]
     m = sum(len(f) for f in two_f)
     lam_a = np.append(lam[:5], 0.0)  # l6 = 0 leaves the linear part A
-
-    def apply_a(v):
-        return pm.collocation_residuals(
-            v, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a)
+    a_t = np.concatenate(pm.collocation_residuals(
+        np.eye(n), batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a), axis=-1)
+    k = np.eye(n) / n + (batch.de_weight / m) * (a_t @ a_t.T)
+    b = 2.0 * (y - batch.hr) / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
 
     def diff(plus, minus):
-        # L(y + plus) - L(y + minus) for stacked prediction changes (..., n)
-        d, s = plus - minus, plus + minus
-        de = sum(np.sum(u * (f + v), axis=-1)
-                 for u, v, f in zip(apply_a(d), apply_a(s), two_f))
-        return np.sum(d * (two_r + s), axis=-1) / n + batch.de_weight * de / m
+        # L(y + plus) - L(y + minus) = d . (b + K s) for 2-D row stacks
+        # (rows, n); a 1-D row @ K would take gemv, not the gemm rows
+        assert plus.ndim == 2
+        return np.sum((plus - minus) * ((plus + minus) @ k + b), axis=-1)
 
     out = nn_core._Tree._of(np.empty(nn_core._SIZE))
     # [w1 | b1] row j: unit j of layer 1 moves and layer 2 is recomputed,
@@ -424,6 +422,40 @@ class TestGradientCheck:
         got = nn_core._loss_differences(p, batch).theta
         # measured <= 6e-16; subtracting two float64 losses is off by ~1e-7
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("case", [
+        lambda: make_gradcheck_case(0),
+        lambda: random_case(((0, 3), (3, 10), (10, 30))),
+    ], ids=["gradcheck_case_0", "uneven_segments"])
+    def test_output_layer_differences_match_40_digit_reference(self, case):
+        # L(y + d+) - L(y + d-) for the [w3 | b3] probes d+- = +-h [a2; 1],
+        # taken as float64, written out again in 40-digit decimal arithmetic
+        p, batch = case()
+        h = nn_core._FD_STEP
+        x1, a1e, a2e = nn_core._layer_inputs(batch.vo2)
+        y = nn_core._forward_full(p, x1, a1e, a2e)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            dec = decimal.Decimal
+            lv = [dec(v) for v in batch._log_vo2]
+            hr = [dec(v) for v in batch.hr]
+            l1, l2, l3, l4, l5, l6 = (dec(lo) + (dec(hi) - dec(lo)) / (1 + (-dec(t)).exp())
+                                      for t, lo, hi in zip(p.theta, batch._lo, batch._hi))
+
+            def loss(yv):
+                pv = [v * (l1 * u + l2) * (l3 * u + l4) for v, u in zip(yv, lv)]
+                f = [((yv[i + 1] - yv[i - 1]) - l5 * (pv[i + 1] - pv[i - 1]))
+                     / (2 * dec(batch._dt_min)) - l6
+                     for a, b in batch.segment_bounds for i in range(a + 1, b - 1)]
+                l_data = sum((v - t) ** 2 for v, t in zip(yv, hr)) / len(yv)
+                return l_data + dec(batch.de_weight) * sum(v * v for v in f) / len(f)
+
+            want = [float(loss([dec(v) + dec(d) for v, d in zip(y, plus)])
+                          - loss([dec(v) + dec(d) for v, d in zip(y, minus)]))
+                    for plus, minus in zip(h * a2e, -h * a2e)]
+        got = nn_core._loss_differences(p, batch).layer3
+        # measured <= 4e-16, both as d . (b + K s) and as a residual pass per call
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("field", ARRAY_FIELDS)
     def test_corrupted_gradient_entry_is_caught(self, monkeypatch, field):
