@@ -375,6 +375,8 @@ def cmd_evaluate(args, cfg: dict) -> dict[str, bytes]:
                     f"{path} line {lineno}: hr_true {row[1]!r} and activity {row[-1]!r} "
                     f"at t_s {row[0]!r} disagree with an earlier row "
                     f"({entry['hr_true']!r}, {entry['activity']!r})")
+            if header[2] in entry:   # a model column lives in one file: a repeat in this one
+                raise MalformedRow(f"{path} line {lineno}: t_s {row[0]!r} repeats an earlier row")
             entry.update(zip(header[2:-1], row[2:-1]))
     times = sorted(joined)
 

@@ -30,26 +30,20 @@ class NonMonotonicTime(PmbnnError):
 
 
 class NonPositiveSignal(PmbnnError):
-    """vo2 or hr value is zero or negative where present."""
+    """vo2 or hr value is zero or negative where present, or a series value
+    is not finite; the hemodynamic relations take only vo2 > 0."""
 
 
 class InsufficientSamples(PmbnnError):
     """Too few samples to resample or segment a signal."""
 
 
-class WindowTooLarge(PmbnnError):
-    """Filter window exceeds the segment length."""
-
-
 class BadWindow(PmbnnError):
-    """Filter window is even or too small, or the polynomial order is negative."""
+    """Filter window is even, too small or longer than a segment, or the
+    polynomial order is negative."""
 
 
 # --- physiological model -------------------------------------------------
-
-class NonPositiveVo2(PmbnnError):
-    """Logarithmic hemodynamic relations require vo2 > 0."""
-
 
 class Singularity(PmbnnError):
     """The heart-rate dynamics denominator 1 - l5*g(vo2) is (near) zero."""
@@ -65,42 +59,19 @@ class SegmentTooShort(PmbnnError):
 
 # --- network / optimization ---------------------------------------------
 
-class BadBounds(PmbnnError):
-    """Lower bound not strictly below upper bound."""
-
-
 class OutOfBounds(PmbnnError):
-    """A parameter or config value falls outside its allowed range."""
+    """A parameter or config value falls outside its allowed range, or a
+    parameter box's lower bound is not strictly below its upper bound."""
 
 
 class NonFiniteLoss(PmbnnError):
-    """Loss evaluated to NaN or infinity."""
-
-
-class NonFiniteGradient(PmbnnError):
-    """A gradient entry is NaN or infinite."""
+    """Loss or a gradient entry evaluated to NaN or infinity."""
 
 
 # --- statistics ----------------------------------------------------------
 
 class EmptySeries(PmbnnError):
-    """Operation requires a non-empty (or longer) series."""
-
-
-class EmptyInput(PmbnnError):
-    """Summary statistics require at least one value."""
-
-
-class ConstantReference(PmbnnError):
-    """R^2 undefined: reference series has zero variance."""
-
-
-class AllZeroDifferences(PmbnnError):
-    """Wilcoxon test undefined: every paired difference is zero."""
-
-
-class ZeroVariance(PmbnnError):
-    """Effect size undefined: paired differences have zero variance."""
+    """Operation requires a non-empty (or longer) series, or a value or subject."""
 
 
 class IoFailure(PmbnnError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import physio_model as pm
 from .errors import (INTEGER, NUMBER, STRING, IoFailure, LengthMismatch, ListOf,
-                     NonFiniteGradient, NonFiniteLoss, OutOfBounds, check_json)
+                     NonFiniteLoss, OutOfBounds, check_json)
 from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
 
 HIDDEN = 64
@@ -89,9 +89,6 @@ class _Tree:
         if np.shape(value) != view.shape:
             raise ValueError(f"{name} must have shape {view.shape}, got {np.shape(value)}")
         view[...] = value
-
-    def copy(self):
-        return _Tree._of(self.flat.copy())
 
 
 #: network weights/biases plus the six unconstrained lambda pre-images
@@ -275,7 +272,7 @@ def rmsprop_step(p: MlpParams, g: MlpParams, v: np.ndarray, lr: float) -> MlpPar
     fresh and ``p`` is left as it was.
     """
     if not np.isfinite(g.flat).all():
-        raise NonFiniteGradient("gradient contains NaN or inf")
+        raise NonFiniteLoss("gradient contains NaN or inf")
     gf = g.flat
     v *= RMSPROP_RHO
     t = (1.0 - RMSPROP_RHO) * gf

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadBounds,
     LengthMismatch,
-    NonPositiveVo2,
+    NonPositiveSignal,
+    OutOfBounds,
     SegmentTooShort,
     Singularity,
 )
@@ -73,7 +73,7 @@ class LambdaBounds:
     def __post_init__(self):
         for name, (lo, hi) in self.items():
             if not lo < hi:
-                raise BadBounds(f"{name}: lo {lo} must be < hi {hi}")
+                raise OutOfBounds(f"{name}: lo {lo} must be < hi {hi}")
 
     def items(self):
         return [(k, getattr(self, k)) for k in ("l1", "l2", "l3", "l4", "l5", "l6")]
@@ -93,7 +93,7 @@ class LambdaBounds:
 def _check_positive_vo2(vo2) -> np.ndarray:
     v = np.asarray(vo2, dtype=float)
     if np.any(v <= 0):
-        raise NonPositiveVo2("vo2 must be strictly positive (L/min)")
+        raise NonPositiveSignal("vo2 must be strictly positive (L/min)")
     return v
 
 

@@ -23,7 +23,6 @@ from .errors import (
     MalformedRow,
     NonMonotonicTime,
     NonPositiveSignal,
-    WindowTooLarge,
     _require,
 )
 
@@ -302,10 +301,8 @@ def _odd_reflect_pad(x: np.ndarray, left: int, right: int) -> np.ndarray:
 
     The anti-symmetric extension 2*x[edge] - x[mirror] continues straight
     lines exactly, so order-1 smoothing stays exact on affine segments.
+    ``left`` and ``right`` are below ``len(x)``, as no kernel outgrows a segment.
     """
-    n = len(x)
-    if left >= n or right >= n:
-        raise WindowTooLarge(f"padding ({left},{right}) too wide for segment of {n}")
     head = 2.0 * x[0] - x[1:left + 1][::-1] if left else np.empty(0)
     tail = 2.0 * x[-1] - x[-right - 1:-1][::-1] if right else np.empty(0)
     return np.concatenate([head, x, tail])
@@ -326,12 +323,12 @@ def _convolve_segments(s: UniformSeries, kernel: np.ndarray, left: int, right: i
                        too_long: str) -> np.ndarray:
     """Each segment of ``s``, odd-reflection padded by ``left`` and ``right``
     samples, convolved with ``kernel``. A segment shorter than the kernel is
-    WindowTooLarge: ``too_long`` followed by the segment length."""
+    BadWindow: ``too_long`` followed by the segment length."""
     out = np.empty_like(s.values)
     for sl in s.segment_slices():
         seg = s.values[sl]
         if len(kernel) > len(seg):
-            raise WindowTooLarge(f"{too_long} segment length {len(seg)}")
+            raise BadWindow(f"{too_long} segment length {len(seg)}")
         out[sl] = np.convolve(_odd_reflect_pad(seg, left, right), kernel, "valid")
     return out
 

@@ -16,15 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AllZeroDifferences,
-    ConstantReference,
-    EmptyInput,
-    EmptySeries,
-    LengthMismatch,
-    OutOfBounds,
-    ZeroVariance,
-)
+from .errors import EmptySeries, LengthMismatch, OutOfBounds
 from .signal_pipeline import csv_bytes
 
 REPORT_SCHEMA_VERSION = 1
@@ -41,13 +33,14 @@ def _paired(ref, pred) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def r_squared(ref, pred) -> float:
-    """Coefficient of determination 1 - SS_res / SS_tot (may be negative)."""
+def r_squared(ref, pred) -> float | None:
+    """Coefficient of determination 1 - SS_res / SS_tot (may be negative).
+
+    None where it is undefined: fewer than 2 samples or a constant reference.
+    """
     a, b = _paired(ref, pred)
-    if len(a) < 2:
-        raise EmptySeries("r_squared needs at least 2 samples")
-    if np.ptp(a) == 0:
-        raise ConstantReference("reference series is constant")
+    if len(a) < 2 or np.ptp(a) == 0:
+        return None
     res = a - b
     dev = a - a.mean()
     return 1.0 - float(res @ res) / float(dev @ dev)
@@ -78,13 +71,7 @@ class MetricPair:
 
 
 def _r2_rmse(ref: np.ndarray, pred: np.ndarray) -> dict:
-    r2 = None
-    if len(ref) >= 2:
-        try:
-            r2 = r_squared(ref, pred)
-        except ConstantReference:
-            pass
-    return asdict(MetricPair(r2, rmse(ref, pred)))
+    return asdict(MetricPair(r_squared(ref, pred), rmse(ref, pred)))
 
 
 def score_predictions(ref, pred, labels) -> dict:
@@ -133,14 +120,14 @@ def signed_rank_distribution(n: int) -> np.ndarray:
     return counts
 
 
-def wilcoxon_signed_rank(x, y, alternative: str = "greater") -> PairedTestResult:
+def wilcoxon_signed_rank(x, y, alternative: str = "greater") -> PairedTestResult | None:
     """One-tailed Wilcoxon signed-rank test on paired samples.
 
     Differences d = x - y; ``alternative`` states the suspected location
     of d ("greater" or "less" than zero). Zero differences are dropped
-    (classical treatment) and counted. Exact enumeration is used for
-    n <= 20 with tie-free |d|, otherwise the normal approximation with
-    tie and continuity corrections.
+    (classical treatment) and counted; None if every difference is zero.
+    Exact enumeration is used for n <= 20 with tie-free |d|, otherwise the
+    normal approximation with tie and continuity corrections.
     """
     a, b = _paired(x, y)
     if alternative not in ("greater", "less"):
@@ -151,7 +138,7 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater") -> PairedTestResult
     d = d[nonzero]
     n = len(d)
     if n == 0:
-        raise AllZeroDifferences("all paired differences are zero")
+        return None
 
     # average ranks of |d|: a run of k tied values ending at rank c gets c - (k-1)/2
     _, run, tie_sizes = np.unique(np.abs(d), return_inverse=True, return_counts=True)
@@ -183,13 +170,9 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater") -> PairedTestResult
         p = min(max(p, 0.0), 1.0)
         exact = False
 
-    try:
-        d_eff = cohens_d_paired(a, b)
-    except (ZeroVariance, EmptySeries):
-        d_eff = None
     return PairedTestResult(
         p_one_tailed=p,
-        cohens_d=d_eff,
+        cohens_d=cohens_d_paired(a, b),
         n_pairs=n,
         direction=alternative,
         n_zero_dropped=n_zero,
@@ -197,23 +180,25 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater") -> PairedTestResult
     )
 
 
-def cohens_d_paired(x, y) -> float:
-    """Paired effect size mean(y - x) / sd(y - x), sample sd (n-1)."""
+def cohens_d_paired(x, y) -> float | None:
+    """Paired effect size mean(y - x) / sd(y - x), sample sd (n-1).
+
+    None where it is undefined: fewer than 2 pairs or differences of zero
+    variance.
+    """
     a, b = _paired(x, y)
     if len(a) < 2:
-        raise EmptySeries("cohens_d_paired needs at least 2 pairs")
+        return None
     diffs = b - a
     sd = float(np.std(diffs, ddof=1))
-    if sd == 0:
-        raise ZeroVariance("paired differences have zero variance")
-    return float(np.mean(diffs)) / sd
+    return float(np.mean(diffs)) / sd if sd else None
 
 
 def summary_stats(values) -> tuple[float, float, float]:
     """(median, max, min) of a sample; median averages the middle two."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise EmptyInput("summary_stats needs at least one value")
+        raise EmptySeries("summary_stats needs at least one value")
     return float(np.median(arr)), float(arr.max()), float(arr.min())
 
 
@@ -270,14 +255,9 @@ def _scope(cells: list[dict | None], models: tuple[str, ...]) -> tuple[dict, dic
         for model in COMPARED_MODELS:
             other = columns.get(model, {})
             shared = [i for i in base if i in other]
-            result = INSUFFICIENT
-            if len(shared) >= 2:
-                try:
-                    result = wilcoxon_signed_rank([base[i] for i in shared],
-                                                  [other[i] for i in shared], direction)
-                except AllZeroDifferences:
-                    pass
-            comparisons[f"pmbnn_vs_{model}_{metric}"] = result
+            result = len(shared) >= 2 and wilcoxon_signed_rank(
+                [base[i] for i in shared], [other[i] for i in shared], direction)
+            comparisons[f"pmbnn_vs_{model}_{metric}"] = result or INSUFFICIENT
     return summary, comparisons
 
 
@@ -285,7 +265,7 @@ def build_eval_report(subjects: list[SubjectMetrics]) -> EvalReport:
     """Summaries plus paired tests (hybrid vs baseline and vs PM), overall
     and per activity, each paired by subject (see _scope)."""
     if not subjects:
-        raise EmptyInput("need at least one subject result")
+        raise EmptySeries("need at least one subject result")
     models = tuple(dict.fromkeys(m for s in subjects for m in s.overall))
     activities = dict.fromkeys(act for s in subjects for act in s.per_activity)
     summary, comparisons = _scope([s.overall for s in subjects], models)

@@ -18,7 +18,6 @@ from . import nn_core, physio_model
 from .errors import (
     EmptySeries,
     LengthMismatch,
-    NonFiniteGradient,
     NonFiniteLoss,
     _require,
 )
@@ -39,7 +38,6 @@ class LossBreakdown:
     l_data: float
     l_de: float
     l_tot: float
-    epoch: int
 
 
 @dataclass(frozen=True)
@@ -106,17 +104,17 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     history: list[LossBreakdown] = []
     reason = "epoch-cap"
     scored = params   # the parameters whose losses history[-1] records
-    # NonFiniteLoss/NonFiniteGradient report divergence; NumPy need not warn first
+    # NonFiniteLoss reports divergence; NumPy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
             try:
                 l_data, l_de, l_tot, grads = nn_core.loss_and_gradients(params, batch)
-            except (NonFiniteLoss, NonFiniteGradient):
+            except NonFiniteLoss:
                 reason = "divergence"
                 params = scored
                 break
             scored = params
-            history.append(LossBreakdown(l_data, l_de, l_tot, epoch))
+            history.append(LossBreakdown(l_data, l_de, l_tot))
             if l_tot < cfg.stop_threshold:
                 reason = "threshold"
                 break
@@ -124,7 +122,7 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
                 break
             try:
                 params = nn_core.rmsprop_step(params, grads, v, cfg.lr)
-            except NonFiniteGradient:
+            except NonFiniteLoss:
                 reason = "divergence"
                 break
             # sigmoid gradients vanish past ~30, so cap theta to keep the

@@ -455,8 +455,10 @@ _PREDICTIONS = b"t_s,hr_true,hr_pmbnn,activity\n0,70,71,rest\n"
     # the later file's hr_pm cells overwrote the earlier file's
     (b"t_s,hr_true,hr_pm,activity\n0,70,999,rest",
      "MalformedHeader: {bad} line 1: column hr_pm is also in {good}"),
+    # the later prediction at t_s 0 silently replaced the earlier one, exit 0
+    (b"0,70,950,rest", "MalformedRow: {bad} line 3: t_s '0' repeats an earlier row"),
 ], ids=["junk", "short", "nan", "inf", "latin1", "header", "unknown-column",
-        "repeated-column", "column-in-two-files"])
+        "repeated-column", "column-in-two-files", "repeated-t_s"])
 def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, data, shown):
     good = tmp_path / "predictions_pm.csv"
     good.write_text("t_s,hr_true,hr_pm,activity\n0,70,71,rest\n1,72,71,rest\n")

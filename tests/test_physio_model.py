@@ -7,7 +7,8 @@ from oracle_utils import residual_series
 
 from pmbnn.errors import (
     LengthMismatch,
-    NonPositiveVo2,
+    NonPositiveSignal,
+    OutOfBounds,
     SegmentTooShort,
     Singularity,
 )
@@ -68,7 +69,7 @@ class TestHemodynamicAlgebra:
 
     def test_stroke_volume_rejects_zero_vo2(self):
         # ln(vo2) in the SV and TPR laws needs vo2 > 0
-        with pytest.raises(NonPositiveVo2):
+        with pytest.raises(NonPositiveSignal):
             simulate_hr(vo2_series([1.0, 0.0, 1.0]), INIT, [70.0])
 
     def test_tpr_at_unit_vo2(self):
@@ -274,9 +275,7 @@ class TestLambdaBounds:
         assert LambdaBounds().contains(DEFAULT_INITIAL, strict=True)
 
     def test_inverted_bounds_rejected(self):
-        from pmbnn.errors import BadBounds
-
-        with pytest.raises(BadBounds):
+        with pytest.raises(OutOfBounds):
             LambdaBounds(l1=(0.03, 0.01))
 
     def test_from_array_wrong_length(self):

@@ -12,7 +12,6 @@ from pmbnn.errors import (
     MalformedRow,
     NonMonotonicTime,
     NonPositiveSignal,
-    WindowTooLarge,
 )
 from pmbnn.signal_pipeline import (
     CSV_HEADER,
@@ -198,7 +197,7 @@ class TestSavitzkyGolay:
             savitzky_golay_smooth(series(np.ones(30)), window=3, polyorder=2)
 
     def test_window_exceeding_segment_rejected(self):
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(BadWindow):
             savitzky_golay_smooth(series(np.ones(9)), window=11, polyorder=1)
 
     def test_negative_order_rejected(self):
@@ -227,7 +226,7 @@ class TestFirLowpass:
         assert np.var(out) < np.var(x)
 
     def test_window_too_large(self):
-        with pytest.raises(WindowTooLarge):
+        with pytest.raises(BadWindow):
             fir_lowpass(series(np.ones(5)), taps=10)
 
 

@@ -8,15 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmbnn.errors import (
-    AllZeroDifferences,
-    ConstantReference,
-    EmptyInput,
-    EmptySeries,
-    LengthMismatch,
-    OutOfBounds,
-    ZeroVariance,
-)
+from pmbnn.errors import EmptySeries, LengthMismatch, OutOfBounds
 from pmbnn.stats_eval import (
     MetricPair,
     SubjectMetrics,
@@ -49,8 +41,7 @@ class TestRSquared:
         assert r_squared([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) < 0
 
     def test_constant_reference(self):
-        with pytest.raises(ConstantReference):
-            r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+        assert r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) is None
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -157,8 +148,7 @@ class TestWilcoxon:
 
     def test_all_zero_differences(self):
         x = np.array([1.0, 2.0, 3.0])
-        with pytest.raises(AllZeroDifferences):
-            wilcoxon_signed_rank(x, x)
+        assert wilcoxon_signed_rank(x, x) is None
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(33)
@@ -249,8 +239,7 @@ class TestCohensD:
         assert cohens_d_paired([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]) == 2.0
 
     def test_zero_variance(self):
-        with pytest.raises(ZeroVariance):
-            cohens_d_paired([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        assert cohens_d_paired([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]) is None
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(35)
@@ -269,7 +258,7 @@ class TestSummaryStats:
         assert summary_stats([7.0]) == (7.0, 7.0, 7.0)
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EmptySeries):
             summary_stats([])
 
 
