@@ -314,7 +314,8 @@ def gradient_check(p: MlpParams, batch: TrainBatch) -> float:
 
 #: hidden units per stacked probe pass. A block of [w1 | b1] probes is one
 #: (2, 8, 2, HIDDEN, n) array, 0.5 MB at the gradient check's n = 32; every
-#: pass works in place in one buffer, as each fresh array that size faults pages
+#: pass and the probe scoring's sums s work in place in one buffer, as each
+#: fresh array that size faults pages
 _PROBE_BLOCK = 8
 
 
@@ -327,9 +328,10 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     prediction changes d+, d- as d . (b + K s), d = d+ - d-, s = d+ + d-,
     with b = 2 r / n + (w / m) A^T 2F and K = I / n + (w / m) A^T A: one gemm
     of the stacked rows of s against K, all [w1 | b1] blocks at once and
-    each [w2 | b2] block on its own. A^T, n x m for m residuals, is the
-    residual of the identity's rows. K is n x n, so it grows as n^2 (the
-    check's n is 32).
+    each [w2 | b2] block on its own. It works in the stacked changes and the
+    block buffer: s goes into the buffer's tail, d over d- and K s + b over
+    d+. A^T, n x m for m residuals, is the residual of the identity's rows.
+    K is n x n, so it grows as n^2 (the check's n is 32).
     """
     h = _FD_STEP
     x1, a1e, a2e = _layer_inputs(batch.vo2)
@@ -346,15 +348,22 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     k = np.eye(n) / n + (batch.de_weight / m) * (a_t @ a_t.T)
     b = 2.0 * (y - batch.hr) / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
 
-    def diff(plus, minus):
-        # L(y + plus) - L(y + minus) for stacked prediction changes (..., n);
-        # s reaches K as one 2-D stack of rows, so every row takes one gemm
-        s = (plus + minus).reshape(-1, n)
-        return np.sum((plus - minus) * (s @ k + b).reshape(plus.shape), axis=-1)
-
     out = _Tree._of(np.empty(_SIZE))
     blocks = [slice(j, j + _PROBE_BLOCK) for j in range(0, HIDDEN, _PROBE_BLOCK)]
-    work = np.empty(4 * _PROBE_BLOCK * HIDDEN * n)  # both block passes' buffer
+    work = np.empty(4 * _PROBE_BLOCK * HIDDEN * n)  # the block passes' and diff's buffer
+
+    def diff(t):
+        # L(y + plus) - L(y + minus) for stacked prediction changes
+        # t = [plus, minus], (2, ..., n), overwriting t. s is one 2-D stack
+        # of rows, so every row takes one gemm; a [w2 | b2] block and its s
+        # fill about 3/4 of work, so they never overlap
+        plus, minus = t.reshape(2, -1, n)
+        s = np.add(plus, minus, out=work[-plus.size:].reshape(plus.shape))
+        np.subtract(plus, minus, out=minus)
+        np.matmul(s, k, out=plus)
+        plus += b
+        plus *= minus
+        return np.sum(plus, axis=-1).reshape(t.shape[1:-1])
 
     def block(*shape):
         return work[:np.prod(shape)].reshape(shape)
@@ -371,7 +380,7 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
         np.tanh(t, out=t)
         t -= a2
         np.matmul(w3, t, out=dy1[:, u])
-    out.layer1[:] = diff(*dy1)
+    out.layer1[:] = diff(dy1)
     # [w2 | b2] row i: unit i of layer 2 moves, (2 signs, block, HIDDEN + 1, n)
     step = np.stack([h * a1e, -h * a1e])[:, None]
     for u in blocks:
@@ -379,9 +388,9 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
         np.tanh(t, out=t)
         t -= a2[u, None]
         t *= w3[u, None, None]
-        out.layer2[u] = diff(*t)
+        out.layer2[u] = diff(t)
     # [w3 | b3]: the output moves by the probe times the unit's activation
-    out.layer3[:] = diff(h * a2e, -h * a2e)
+    out.layer3[:] = diff(np.stack([h * a2e, -h * a2e]))
     # theta[k] moves lambda k alone and leaves y, so only L_DE changes. F
     # is affine in each lambda, F(l) = F + (l - lam_k) c_k with c_k the
     # change of F from lambda k at 0 to lambda k at 1, so F+^2 - F-^2 is

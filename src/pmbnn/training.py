@@ -316,5 +316,8 @@ def fit_pm(train: SubjectRecord, init: LambdaParams = DEFAULT_INITIAL,
     the fit's diagnostics.
     """
     theta0 = nn_core.theta_from_lambda(init, LambdaBounds())
-    result = lbfgs_minimize(_pm_objective(train, cfg, theta0), theta0, cfg.iters)
+    # NonFiniteLoss at x0 and the line search's rejection of a non-finite f
+    # report an overflowing objective; NumPy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = lbfgs_minimize(_pm_objective(train, cfg, theta0), theta0, cfg.iters)
     return nn_core.lambda_from_theta(result.x, LambdaBounds()), result

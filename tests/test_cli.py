@@ -160,6 +160,17 @@ class TestErrorPaths:
         assert "OutOfBounds: filter.vo2_floor" in capsys.readouterr().err
         assert not prep.exists()
 
+    def test_overflowing_pm_fit_exits_one_without_warnings(self, tmp_path, capsys):
+        # heart rates near 1e200 overflow the PM objective at x0; NumPy's
+        # RuntimeWarnings came first, raised as errors under filterwarnings
+        path = tmp_path / "huge.csv"
+        rows = [f"{t},1.0,{1e200 * (1 + 0.01 * (t % 5))!r},rest" for t in range(300)]
+        path.write_text("time_s,vo2_lpm,hr_bpm,activity\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        assert run(["train", "--model", "pm", "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: NonFiniteLoss:")
+        assert not any(out.iterdir())  # train makes --out before the fit
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--model", "nonsense", "--input", "x", "--out", "y"])

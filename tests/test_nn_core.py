@@ -490,6 +490,33 @@ class TestGradientCheck:
         monkeypatch.setattr(nn_core, "_loss_differences", per_unit_loss_differences)
         assert blocked == [f"{run_gradcheck(seed):.3e}" for seed in range(50)]
 
+    def test_probe_scoring_allocates_no_block_sized_temporaries(self):
+        import tracemalloc
+
+        p, batch = make_gradcheck_case(0)
+        nn_core._loss_differences(p, batch)  # warm-up
+        tracemalloc.start()
+        try:
+            nn_core._loss_differences(p, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block buffer plus three (block x (HIDDEN + 1), n) float64 arrays
+        # for the small arrays alive beside it; scoring a [w2 | b2] block
+        # through fresh s, K s, K s + b, d and their product exceeds it
+        n, rows = len(batch.vo2), nn_core._PROBE_BLOCK * (nn_core.HIDDEN + 1)
+        assert peak < 4 * nn_core._PROBE_BLOCK * nn_core.HIDDEN * n * 8 + 3 * rows * n * 8
+
+    def test_probe_scoring_writes_into_no_input(self):
+        p, batch = make_gradcheck_case(0)
+        inputs = (p.flat, batch.vo2, batch.hr, batch._log_vo2)
+        before = [a.copy() for a in inputs]
+        first = nn_core._loss_differences(p, batch).flat
+        second = nn_core._loss_differences(p, batch).flat
+        np.testing.assert_array_equal(first.view(np.int64), second.view(np.int64))
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
 
 def test_checkpoint_round_trip(tmp_path):
     p = xavier_init(31)
