@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn_core, physio_model, training
+from . import nn_core, physio_model, stats_eval, training
 from .errors import OutOfBounds, SegmentTooShort, _require
 from .physio_model import LambdaBounds, LambdaParams
 from .signal_pipeline import SubjectRecord, UniformSeries, segments_from_labels
@@ -233,7 +233,7 @@ def fit_model(model: str, split: SplitRecord, train: TrainConfig = TrainConfig()
         pred = reconstruct_pmbnn_r(split.test, lam).values
         train_pred = reconstruct_pmbnn_r(split.train, lam).values
         diagnostics = {
-            "train_mse": training.loss_data(train_pred, split.train.hr.values),
+            "train_mse": stats_eval.mse(split.train.hr.values, train_pred),
             "lbfgs": {k: getattr(fit, k)
                       for k in ("iterations", "converged", "line_search_failed")},
         }

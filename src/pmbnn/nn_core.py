@@ -13,7 +13,7 @@ of :func:`physio_model.collocation_residuals` ((bpm/min)^2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,8 @@ _L2 = 2 * HIDDEN
 _L3 = _L2 + HIDDEN * (HIDDEN + 1)
 _THETA = _L3 + HIDDEN + 1
 _SIZE = _THETA + 6
+#: the arrays of the ``LambdaBounds()`` box, which training maps theta into
+BOX = LambdaBounds().lo_hi_arrays()
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -37,9 +39,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def box_map(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The logistic map lambda = lo + (hi - lo) sigmoid(theta) and its slope in theta."""
+    s = sigmoid(theta)
+    return lo + (hi - lo) * s, (hi - lo) * s * (1.0 - s)
+
+
 def lambda_from_theta(theta: np.ndarray, bounds: LambdaBounds) -> LambdaParams:
-    lo, hi = bounds.lo_hi_arrays()
-    return LambdaParams.from_array(lo + (hi - lo) * sigmoid(theta))
+    return LambdaParams.from_array(box_map(theta, *bounds.lo_hi_arrays())[0])
 
 
 def theta_from_lambda(lam: LambdaParams, bounds: LambdaBounds) -> np.ndarray:
@@ -141,11 +148,10 @@ class TrainBatch:
 
     Validates vo2 positivity once and caches what every loss evaluation
     reuses: lv = log(vo2) and its powers (1, lv, lv^2), the input rows
-    [vo2; 1], the spacing in minutes, the arrays of the ``LambdaBounds()``
-    box and the kernel's scratch buffers. Every :func:`loss_only` and
-    :func:`loss_and_gradients` call overwrites those buffers, so one batch
-    must not be evaluated by two calls at the same time;
-    :func:`gradient_check` uses its own.
+    [vo2; 1], the spacing in minutes and the kernel's scratch buffers.
+    Every :func:`loss_only` and :func:`loss_and_gradients` call overwrites
+    those buffers, so one batch must not be evaluated by two calls at the
+    same time; :func:`gradient_check` uses its own.
 
     ``dtype`` is the working precision of the input rows and the activation
     buffers, so of the network's gemms, tanh passes and backward elementwise
@@ -167,29 +173,27 @@ class TrainBatch:
         if len(self.vo2) != len(self.hr):
             raise LengthMismatch("vo2 and hr must be aligned")
         pm._check_positive_vo2(self.vo2)
-        lo, hi = LambdaBounds().lo_hi_arrays()
         lv = np.log(self.vo2)
         x1, a1, a2 = _layer_inputs(self.vo2, self.dtype)
         self.__dict__.update(  # the dataclass is frozen; caches bypass that
             _log_vo2=lv, _lv_powers=np.vstack([x1[1], lv, lv * lv]), _x1=x1,
-            _dt_min=self.dt_seconds / pm.SECONDS_PER_MINUTE, _lo=lo, _hi=hi,
+            _dt_min=self.dt_seconds / pm.SECONDS_PER_MINUTE,
             _work=(a1, a2, np.empty((HIDDEN, len(lv)), self.dtype)))
 
 
 def _forward_loss(p: MlpParams, batch: TrainBatch):
-    """Forward pass into the batch's buffers, L_data and L_DE; also
-    sigmoid(theta), whose logistic map gives the lambdas."""
+    """Forward pass into the batch's buffers: y, y - hr, the lambdas and their
+    slope in theta, the residual per segment, its length m, L_data and L_DE."""
     y = _forward_full(p, batch._x1, *batch._work[:2])
     resid = y - batch.hr
     l_data = float(resid @ resid) / len(y)
-    s = sigmoid(p.theta)
-    lam = batch._lo + (batch._hi - batch._lo) * s
+    lam, slope = box_map(p.theta, *BOX)
     res = pm.collocation_residuals(
         y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam
     )
     m = sum(len(f) for f in res)
     l_de = sum(float(f @ f) for f in res) / m
-    return y, resid, s, lam, res, m, l_data, l_de
+    return y, resid, lam, slope, res, m, l_data, l_de
 
 
 def loss_and_gradients(p: MlpParams, batch: TrainBatch):
@@ -208,7 +212,7 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     gemm writes its weight gradient straight into the float64 tree. With
     float64 buffers every cast is a no-op.
     """
-    y, resid, s, lam, res, m, l_data, l_de = _forward_loss(p, batch)
+    y, resid, lam, slope, res, m, l_data, l_de = _forward_loss(p, batch)
     w = batch.de_weight
     l_tot = l_data + w * l_de
     if not np.isfinite(l_tot):
@@ -229,8 +233,7 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
         dy += (2.0 * w / m) * (1.0 - l5 * (coef[4] @ batch._lv_powers)) * q
         sums = np.append(coef @ (batch._lv_powers @ (y * q)), sum(f.sum() for f in res))
         dlam = np.array([l5, l5, l5, l5, 1.0, 1.0]) * sums
-        # d lambda / d theta of the logistic map
-        grads.theta[:] = w * (-2.0 / m) * dlam * ((batch._hi - batch._lo) * s * (1.0 - s))
+        grads.theta[:] = w * (-2.0 / m) * dlam * slope
 
     # backprop through the MLP, feature-major. a2's hidden rows become
     # G = (1 - a2^2) dy, so dz2 = w3 G is never formed: dW2 is G [a1; 1]^T
@@ -331,22 +334,21 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     each [w2 | b2] block on its own. It works in the stacked changes and the
     block buffer: s goes into the buffer's tail, d over d- and K s + b over
     d+. A^T, n x m for m residuals, is the residual of the identity's rows.
-    K is n x n, so it grows as n^2 (the check's n is 32).
+    K is n x n, so it grows as n^2 (the check's n is 32). The forward pass
+    is :func:`_forward_loss` on a float64 copy of ``batch``, in its buffers.
     """
     h = _FD_STEP
-    x1, a1e, a2e = _layer_inputs(batch.vo2)
-    y = _forward_full(p, x1, a1e, a2e)
+    batch = replace(batch, dtype=np.float64)
+    y, resid, lam, _, res, m, _, _ = _forward_loss(p, batch)
+    x1, (a1e, a2e, _) = batch._x1, batch._work
     a1, a2 = a1e[:HIDDEN], a2e[:HIDDEN]
     z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
-    lam = batch._lo + (batch._hi - batch._lo) * sigmoid(p.theta)
-    two_f = [2.0 * f for f in pm.collocation_residuals(
-        y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam)]
+    two_f = [2.0 * f for f in res]
     lam_a = np.append(lam[:5], 0.0)  # l6 = 0 leaves the linear part A
     a_t = np.concatenate(pm.collocation_residuals(
         np.eye(n), batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a), axis=-1)
-    m = a_t.shape[1]
     k = np.eye(n) / n + (batch.de_weight / m) * (a_t @ a_t.T)
-    b = 2.0 * (y - batch.hr) / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
+    b = 2.0 * resid / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
 
     out = _Tree._of(np.empty(_SIZE))
     blocks = [slice(j, j + _PROBE_BLOCK) for j in range(0, HIDDEN, _PROBE_BLOCK)]
@@ -396,7 +398,7 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     # change of F from lambda k at 0 to lambda k at 1, so F+^2 - F-^2 is
     # (l+ - l-) c (2F + (l+ + l- - 2 lam_k) c). The lambda steps up = l+ - lam
     # and down = lam - l- come from s(a) - s(b) = -s(a) s(-b) expm1(b - a).
-    width = batch._hi - batch._lo
+    width = BOX[1] - BOX[0]
     up = -width * sigmoid(p.theta + h) * sigmoid(-p.theta) * np.expm1(-h)
     down = -width * sigmoid(p.theta) * sigmoid(h - p.theta) * np.expm1(-h)
     own = np.eye(6, dtype=bool)

@@ -33,8 +33,9 @@ CSV_HEADER = ("time_s", "vo2_lpm", "hr_bpm", "activity")
 class RawRecording:
     """Irregularly sampled recording as read from disk.
 
-    ``vo2`` and ``hr`` use NaN for missing values; every row carries at
-    least one of the two.
+    Columns as :func:`parse_recording_csv` checks them: ``vo2`` and ``hr``
+    use NaN for missing values, every row carries at least one of the two,
+    and each value present is > 0.
     """
 
     subject_id: str
@@ -42,27 +43,6 @@ class RawRecording:
     vo2: np.ndarray        # L/min, NaN where absent
     hr: np.ndarray         # bpm, NaN where absent
     activity: tuple[str, ...]
-
-    def __post_init__(self):
-        time = np.asarray(self.time, dtype=float)
-        vo2 = np.asarray(self.vo2, dtype=float)
-        hr = np.asarray(self.hr, dtype=float)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "vo2", vo2)
-        object.__setattr__(self, "hr", hr)
-        n = len(time)
-        if not (len(vo2) == len(hr) == len(self.activity) == n):
-            raise LengthMismatch("recording columns have unequal lengths")
-        if n >= 2 and not np.all(np.diff(time) > 0):
-            raise NonMonotonicTime("sample times must be strictly increasing")
-        both_missing = np.isnan(vo2) & np.isnan(hr)
-        if np.any(both_missing):
-            idx = int(np.flatnonzero(both_missing)[0])
-            raise MalformedRow(f"row {idx}: neither vo2 nor hr present")
-        if np.any(vo2[~np.isnan(vo2)] <= 0):
-            raise NonPositiveSignal("vo2 must be positive where present")
-        if np.any(hr[~np.isnan(hr)] <= 0):
-            raise NonPositiveSignal("hr must be positive where present")
 
     def __len__(self) -> int:
         return len(self.time)
@@ -217,9 +197,10 @@ def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
     """Parse a ``time_s,vo2_lpm,hr_bpm,activity`` UTF-8 CSV into a RawRecording.
 
     A vo2/hr cell is empty (missing) or a finite number, a time cell a
-    finite number. Raises MalformedRow naming the line for any other cell
-    or a row :func:`csv_table` rejects, and MalformedHeader,
-    NonMonotonicTime or NonPositiveSignal on invalid content."""
+    finite number. The first bad row names its line: MalformedRow for any
+    other cell, a row with neither vo2 nor hr or one :func:`csv_table`
+    rejects, NonMonotonicTime for a time not above the previous one and
+    NonPositiveSignal for a vo2 or hr <= 0. A bad header is MalformedHeader."""
     header, rows = csv_table(data)
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedHeader(
@@ -228,11 +209,20 @@ def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
     times, vo2s, hrs, acts = [], [], [], []
     for line, row in rows:
         try:
-            times.append(_cell(row[0], missing_ok=False))
-            vo2s.append(_cell(row[1], missing_ok=True))
-            hrs.append(_cell(row[2], missing_ok=True))
+            t = _cell(row[0], missing_ok=False)
+            vo2, hr = _cell(row[1], missing_ok=True), _cell(row[2], missing_ok=True)
         except ValueError as exc:
             raise MalformedRow(f"line {line}: {exc}") from None
+        if times and not t > times[-1]:
+            raise NonMonotonicTime(f"line {line}: time {t!r} s is not after {times[-1]!r} s")
+        if math.isnan(vo2) and math.isnan(hr):
+            raise MalformedRow(f"line {line}: neither vo2 nor hr present")
+        if vo2 <= 0 or hr <= 0:   # False for a missing value, NaN
+            name, value = ("vo2", vo2) if vo2 <= 0 else ("hr", hr)
+            raise NonPositiveSignal(f"line {line}: {name} must be > 0, got {value!r}")
+        times.append(t)
+        vo2s.append(vo2)
+        hrs.append(hr)
         acts.append(row[3].strip())
     return RawRecording(subject_id, np.array(times), np.array(vo2s), np.array(hrs), tuple(acts))
 
@@ -319,35 +309,38 @@ def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     return np.linalg.pinv(vander)[0]
 
 
-def _convolve_segments(s: UniformSeries, kernel: np.ndarray, left: int, right: int,
-                       too_long: str) -> np.ndarray:
+def _check_width(s: UniformSeries, width: int, too_long: str) -> None:
+    """BadWindow, ``too_long`` and the length of the first segment of ``s``
+    shorter than ``width``: checked before a kernel that wide is built."""
+    for a, b in s.segment_bounds:
+        if width > b - a:
+            raise BadWindow(f"{too_long} segment length {b - a}")
+
+
+def _convolve_segments(s: UniformSeries, kernel: np.ndarray, left: int, right: int) -> np.ndarray:
     """Each segment of ``s``, odd-reflection padded by ``left`` and ``right``
-    samples, convolved with ``kernel``. A segment shorter than the kernel is
-    BadWindow: ``too_long`` followed by the segment length."""
+    samples, convolved with ``kernel``, which :func:`_check_width` passed."""
     out = np.empty_like(s.values)
     for sl in s.segment_slices():
-        seg = s.values[sl]
-        if len(kernel) > len(seg):
-            raise BadWindow(f"{too_long} segment length {len(seg)}")
-        out[sl] = np.convolve(_odd_reflect_pad(seg, left, right), kernel, "valid")
+        out[sl] = np.convolve(_odd_reflect_pad(s.values[sl], left, right), kernel, "valid")
     return out
 
 
 def savitzky_golay_smooth(s: UniformSeries, window: int, polyorder: int) -> UniformSeries:
     """Per-segment Savitzky-Golay smoothing with odd-reflection edges."""
+    _check_width(s, window, f"window {window} exceeds")
     weights = savgol_coefficients(window, polyorder)
     half = window // 2
-    return s.with_values(_convolve_segments(s, weights[::-1], half, half,
-                                            f"window {window} exceeds"))
+    return s.with_values(_convolve_segments(s, weights[::-1], half, half))
 
 
 def fir_lowpass(s: UniformSeries, taps: int) -> UniformSeries:
     """Per-segment moving-average FIR (uniform taps, DC gain exactly 1)."""
     if taps < 1:
         raise BadWindow(f"taps must be >= 1, got {taps}")
+    _check_width(s, taps, f"taps {taps} exceed")
     # summing ones then dividing keeps constants exact
-    return s.with_values(_convolve_segments(s, np.ones(taps), (taps - 1) // 2, taps // 2,
-                                            f"taps {taps} exceed") / taps)
+    return s.with_values(_convolve_segments(s, np.ones(taps), (taps - 1) // 2, taps // 2) / taps)
 
 
 def preprocess_subject(rec: SubjectRecord, cfg: FilterConfig = FilterConfig()) -> SubjectRecord:

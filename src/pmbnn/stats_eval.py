@@ -46,13 +46,18 @@ def r_squared(ref, pred) -> float | None:
     return 1.0 - float(res @ res) / float(dev @ dev)
 
 
-def rmse(ref, pred) -> float:
-    """Root mean squared error."""
+def mse(ref, pred) -> float:
+    """Mean squared error."""
     a, b = _paired(ref, pred)
     if len(a) == 0:
-        raise EmptySeries("rmse needs at least 1 sample")
+        raise EmptySeries("MSE or RMSE of no sample")
     d = a - b
-    return math.sqrt(float(d @ d) / len(d))
+    return float(d @ d) / len(d)
+
+
+def rmse(ref, pred) -> float:
+    """Root mean squared error."""
+    return math.sqrt(mse(ref, pred))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Loss definitions, network training loops and the standalone PM fitter.
+"""Network training loops, their loss records and the standalone PM fitter.
 
 The hybrid model minimizes L_tot = L_data + w * L_DE with RMSprop; the
 baseline uses the identical loop with w = 0. The standalone physiological
@@ -15,12 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn_core, physio_model
-from .errors import (
-    EmptySeries,
-    LengthMismatch,
-    NonFiniteLoss,
-    _require,
-)
+from .errors import NonFiniteLoss, _require
 from .nn_core import MlpParams, TrainBatch
 from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
 from .signal_pipeline import SubjectRecord
@@ -71,18 +66,6 @@ class TrainedModel:
     lam: LambdaParams
     loss_history: list[LossBreakdown]
     stopped_reason: str   # "threshold" | "epoch-cap" | "divergence"
-
-
-def loss_data(hr_pred, hr_data) -> float:
-    """Mean squared error between predicted and measured HR (bpm^2)."""
-    pred = np.asarray(hr_pred, dtype=float)
-    data = np.asarray(hr_data, dtype=float)
-    if len(pred) != len(data):
-        raise LengthMismatch(f"{len(pred)} predictions vs {len(data)} samples")
-    if len(pred) == 0:
-        raise EmptySeries("loss_data needs at least one sample")
-    d = pred - data
-    return float(d @ d) / len(d)
 
 
 def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> TrainedModel:
@@ -274,14 +257,11 @@ def _pm_objective(rec: SubjectRecord, cfg: PmFitConfig, theta0: np.ndarray):
     h0 = hr_meas[start]
     dt_min = rec.vo2.dt / physio_model.SECONDS_PER_MINUTE
     t_min = steps * dt_min
-    lo, hi = LambdaBounds().lo_hi_arrays()
-    width = hi - lo
     weight = np.full(6, cfg.proximal)
     weight[list(GAUGE_PIN_COORDS)] += GAUGE_PIN
 
     def objective(theta: np.ndarray):
-        s = nn_core.sigmoid(theta)
-        lam = lo + width * s
+        lam, slope = nn_core.box_map(theta, *nn_core.BOX)
         try:
             hr, den = physio_model.trajectory(log_vo2, start, steps, h0, dt_min, lam)
         except physio_model.Singularity:
@@ -298,7 +278,7 @@ def _pm_objective(rec: SubjectRecord, cfg: PmFitConfig, theta0: np.ndarray):
                          -l5 * rs.sum(), -(rs @ tpr), u @ t_min])
         drift = theta - theta0
         f = float(err @ err) / n + float(weight @ (drift * drift))
-        grad = (2.0 / n) * dlam * (width * s * (1.0 - s)) + 2.0 * weight * drift
+        grad = (2.0 / n) * dlam * slope + 2.0 * weight * drift
         return f, grad
 
     return objective

@@ -287,7 +287,8 @@ def per_unit_loss_differences(p, batch):
     y = nn_core._forward_full(p, x1, a1e, a2e)
     a1, a2 = a1e[:nn_core.HIDDEN], a2e[:nn_core.HIDDEN]
     z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
-    lam = batch._lo + (batch._hi - batch._lo) * nn_core.sigmoid(p.theta)
+    lo, hi = LambdaBounds().lo_hi_arrays()
+    lam = lo + (hi - lo) * nn_core.sigmoid(p.theta)
     two_f = [2.0 * f for f in pm.collocation_residuals(
         y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam)]
     m = sum(len(f) for f in two_f)
@@ -317,7 +318,7 @@ def per_unit_loss_differences(p, batch):
     # [w3 | b3]: the output moves by the probe times the unit's activation
     out.layer3[:] = diff(h * a2e, -h * a2e)
     # theta[k] moves lambda k alone and leaves y, so only L_DE changes
-    width = batch._hi - batch._lo
+    width = hi - lo
     up = -width * nn_core.sigmoid(p.theta + h) * nn_core.sigmoid(-p.theta) * np.expm1(-h)
     down = -width * nn_core.sigmoid(p.theta) * nn_core.sigmoid(h - p.theta) * np.expm1(-h)
     own = np.eye(6, dtype=bool)
@@ -404,7 +405,7 @@ class TestGradientCheck:
 
             def l_de(theta):
                 l1, l2, l3, l4, l5, l6 = (dec(lo) + (dec(hi) - dec(lo)) / (1 + (-t).exp())
-                                          for t, lo, hi in zip(theta, batch._lo, batch._hi))
+                                          for t, lo, hi in zip(theta, *LambdaBounds().lo_hi_arrays()))
                 pv = [v * (l1 * u + l2) * (l3 * u + l4) for v, u in zip(y, lv)]
                 f = [((y[i + 1] - y[i - 1]) - l5 * (pv[i + 1] - pv[i - 1]))
                      / (2 * dec(batch._dt_min)) - l6
@@ -439,7 +440,7 @@ class TestGradientCheck:
             lv = [dec(v) for v in batch._log_vo2]
             hr = [dec(v) for v in batch.hr]
             l1, l2, l3, l4, l5, l6 = (dec(lo) + (dec(hi) - dec(lo)) / (1 + (-dec(t)).exp())
-                                      for t, lo, hi in zip(p.theta, batch._lo, batch._hi))
+                                      for t, lo, hi in zip(p.theta, *LambdaBounds().lo_hi_arrays()))
 
             def loss(yv):
                 pv = [v * (l1 * u + l2) * (l3 * u + l4) for v, u in zip(yv, lv)]
@@ -484,6 +485,14 @@ class TestGradientCheck:
         monkeypatch.setattr(nn_core, "_PROBE_BLOCK", block)
         np.testing.assert_array_equal(nn_core._loss_differences(p, batch).flat,
                                       per_unit_loss_differences(p, batch).flat)
+
+    def test_differences_stay_float64_for_a_float32_batch(self):
+        # the oracle reruns the forward pass on a float64 copy of the batch,
+        # so it never scores in a training batch's float32 buffers
+        p, batch = make_gradcheck_case(0)
+        np.testing.assert_array_equal(
+            nn_core._loss_differences(p, replace(batch, dtype=np.float32)).flat,
+            nn_core._loss_differences(p, batch).flat)
 
     def test_fifty_seeds_print_as_with_per_unit_passes(self, monkeypatch):
         blocked = [f"{run_gradcheck(seed):.3e}" for seed in range(50)]

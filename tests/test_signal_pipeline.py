@@ -64,8 +64,9 @@ class TestParseRecordingCsv:
             parse_recording_csv(csv_bytes(["0.0,1.0,70,rest"], header="t,v,h,a"))
 
     def test_row_with_neither_signal(self):
-        with pytest.raises(MalformedRow):
-            parse_recording_csv(csv_bytes(["0.0,,,rest", "1.0,1.0,71,rest"]))
+        # the first bad row decides: the later time was NonMonotonicTime
+        with pytest.raises(MalformedRow, match="line 2: neither vo2 nor hr present"):
+            parse_recording_csv(csv_bytes(["0.0,,,rest", "-1.0,1.0,71,rest"]))
 
     # a cell is empty or a finite number; each case below once ended in a
     # traceback, a silent gap or a misnamed error
@@ -197,8 +198,10 @@ class TestSavitzkyGolay:
             savitzky_golay_smooth(series(np.ones(30)), window=3, polyorder=2)
 
     def test_window_exceeding_segment_rejected(self):
-        with pytest.raises(BadWindow):
-            savitzky_golay_smooth(series(np.ones(9)), window=11, polyorder=1)
+        # 10**15 + 1 built its kernel first: a numpy _ArrayMemoryError
+        for window in (11, 10**15 + 1):
+            with pytest.raises(BadWindow, match=f"window {window} exceeds segment length 9"):
+                savitzky_golay_smooth(series(np.ones(9)), window=window, polyorder=1)
 
     def test_negative_order_rejected(self):
         # an empty Vandermonde matrix raised IndexError
@@ -226,8 +229,10 @@ class TestFirLowpass:
         assert np.var(out) < np.var(x)
 
     def test_window_too_large(self):
-        with pytest.raises(BadWindow):
-            fir_lowpass(series(np.ones(5)), taps=10)
+        # 10**15 taps built the kernel first: a numpy _ArrayMemoryError
+        for taps in (10, 10**15):
+            with pytest.raises(BadWindow, match=f"taps {taps} exceed segment length 5"):
+                fir_lowpass(series(np.ones(5)), taps=taps)
 
 
 def make_record(vo2, hr, bounds, labels):

@@ -27,7 +27,7 @@ from pmbnn.physio_model import (
     simulate_hr,
 )
 from pmbnn.signal_pipeline import SubjectRecord, UniformSeries, preprocess_subject
-from pmbnn.stats_eval import r_squared, rmse
+from pmbnn.stats_eval import mse, r_squared, rmse
 from pmbnn.training import (
     GAUGE_PIN,
     GAUGE_PIN_COORDS,
@@ -37,7 +37,6 @@ from pmbnn.training import (
     _pm_objective,
     fit_pm,
     lbfgs_minimize,
-    loss_data,
     train_fcnn,
     train_pmbnn,
 )
@@ -51,23 +50,26 @@ def series(values, bounds=None, unit=""):
 
 
 class TestLossData:
+    """The data loss in bpm^2 that the PM fit reports as train_mse is
+    stats_eval.mse of the measured and predicted HR."""
+
     def test_zero_when_equal(self):
-        assert loss_data([70.0, 80.0], [70.0, 80.0]) == 0.0
+        assert mse([70.0, 80.0], [70.0, 80.0]) == 0.0
 
     def test_constant_offset(self):
         x = np.linspace(60, 90, 11)
-        assert loss_data(x + 2.5, x) == pytest.approx(6.25, rel=1e-14)
+        assert mse(x, x + 2.5) == pytest.approx(6.25, rel=1e-14)
 
     def test_hand_arithmetic(self):
-        assert loss_data([61.0, 68.0], [60.0, 70.0]) == pytest.approx(2.5, abs=1e-15)
+        assert mse([60.0, 70.0], [61.0, 68.0]) == pytest.approx(2.5, abs=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            loss_data([1.0], [1.0, 2.0])
+            mse([1.0, 2.0], [1.0])
 
     def test_empty(self):
-        with pytest.raises(EmptySeries):
-            loss_data([], [])
+        with pytest.raises(EmptySeries, match="MSE or RMSE of no sample"):
+            mse([], [])
 
 
 def flat_net_batch(hr_target, l6, w):
@@ -386,7 +388,7 @@ class TestPmObjective:
             want = reconstruct_pmbnn_r(train, lambda_from_theta(theta, LambdaBounds())).values
             assert np.array_equal(seen[0], want)
             drift = theta - theta0
-            assert f == loss_data(want, train.hr.values) + float(weight @ (drift * drift))
+            assert f == mse(train.hr.values, want) + float(weight @ (drift * drift))
 
 
 # --- the training epoch's arithmetic, copied here so that a rewrite of the
@@ -411,7 +413,8 @@ def reference_loss_and_gradients(p, batch):
     y = nn_core._forward_full(p, batch._x1, *batch._work[:2])
     resid = y - batch.hr
     l_data = float(resid @ resid) / len(y)
-    lam = batch._lo + (batch._hi - batch._lo) * nn_core.sigmoid(p.theta)
+    lo, hi = LambdaBounds().lo_hi_arrays()
+    lam = lo + (hi - lo) * nn_core.sigmoid(p.theta)
     res = reference_collocation_residuals(
         y, batch._log_vo2, batch.segment_bounds, batch._dt_min, lam)
     m = sum(len(f) for f in res)
@@ -434,7 +437,6 @@ def reference_loss_and_gradients(p, batch):
         dy += (2.0 * w / m) * (1.0 - l5 * (coef[4] @ batch._lv_powers)) * q
         sums = np.append(coef @ (batch._lv_powers @ (y * q)), sum(f.sum() for f in res))
         dlam = np.array([l5, l5, l5, l5, 1.0, 1.0]) * sums
-        lo, hi = LambdaBounds().lo_hi_arrays()
         s = nn_core.sigmoid(p.theta)
         grads.theta[:] = w * (-2.0 / m) * dlam * ((hi - lo) * s * (1.0 - s))
     a1, a2, dz1 = batch._work
