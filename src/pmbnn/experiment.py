@@ -21,7 +21,7 @@ import numpy as np
 from . import nn_core, physio_model, stats_eval, training
 from .errors import OutOfBounds, SegmentTooShort, _require
 from .physio_model import LambdaBounds, LambdaParams
-from .signal_pipeline import SubjectRecord, UniformSeries, segments_from_labels
+from .signal_pipeline import MAX_RECORD_SAMPLES, SubjectRecord, UniformSeries
 from .training import PmFitConfig, TrainConfig
 
 
@@ -127,6 +127,9 @@ class SyntheticSpec:
             positive |= {f"plan[{i}].target_vo2": phase.target_vo2, f"plan[{i}].tau_s": phase.tau_s}
             if phase.duration_s < 60:
                 raise SegmentTooShort(f"phase shorter than 60 s: {phase}")
+        total = sum(phase.duration_s for phase in self.plan)
+        _require(total <= MAX_RECORD_SAMPLES, "the plan's total duration_s", total,
+                 f"<= {MAX_RECORD_SAMPLES} s, the longest record")
         for name, value in positive.items():
             _require(math.isfinite(value) and value > 0, name, value, "finite and > 0")
         for name in ("noise_sigma_hr", "noise_sigma_vo2"):
@@ -177,16 +180,7 @@ def generate_synthetic_subject(spec: SyntheticSpec) -> SubjectRecord:
     if spec.noise_sigma_hr > 0:
         hr = hr + rng.normal(0.0, spec.noise_sigma_hr, n)
 
-    bounds = segments_from_labels(labels)
-    mk = lambda vals, unit: UniformSeries(
-        t0=0.0, dt=1.0, values=vals, segment_bounds=bounds, unit=unit
-    )
-    return SubjectRecord(
-        subject_id=spec.subject_id,
-        vo2=mk(vo2, "L/min"),
-        hr=mk(hr, "bpm"),
-        activity_labels=tuple(labels),
-    )
+    return SubjectRecord.from_labels(spec.subject_id, vo2, hr, labels)
 
 
 def reconstruct_pmbnn_r(rec: SubjectRecord, lam: LambdaParams) -> UniformSeries:

@@ -169,17 +169,13 @@ def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> li
     and every residual is (..., len-2), each row bit for bit the 1-D call
     on that row of ``hr`` with its lambdas.
     """
-    l1, l2, l3, l4, l5, l6 = lam
-    residuals = []
     for a, b in segment_bounds:
         if b - a < 3:
             raise SegmentTooShort(f"segment [{a},{b}) needs >= 3 samples")
-        lv = log_vo2[a:b]
-        h = hr[..., a:b]
-        p = h * ((l1 * lv + l2) * (l3 * lv + l4))
-        residuals.append(
-            ((h[..., 2:] - h[..., :-2]) - l5 * (p[..., 2:] - p[..., :-2]))
-            / (2.0 * dt_min) - l6
-        )
-    return residuals
+    # one stencil over the whole series; a segment keeps its own centers, so
+    # the values that straddle a boundary are computed and dropped
+    l1, l2, l3, l4, l5, l6 = lam
+    p = hr * ((l1 * log_vo2 + l2) * (l3 * log_vo2 + l4))
+    f = ((hr[..., 2:] - hr[..., :-2]) - l5 * (p[..., 2:] - p[..., :-2])) / (2.0 * dt_min) - l6
+    return [f[..., a:b - 2] for a, b in segment_bounds]
 

@@ -23,10 +23,17 @@ from .errors import (
     MalformedRow,
     NonMonotonicTime,
     NonPositiveSignal,
+    OutOfBounds,
     _require,
 )
 
 CSV_HEADER = ("time_s", "vo2_lpm", "hr_bpm", "activity")
+
+#: the longest 1 Hz record, in samples, that resampling or a synthetic plan
+#: builds: about 11.6 days. Training a network on it keeps three (65, n)
+#: float32 activation buffers, about 0.8 GB; a longer span fails up front
+#: as OutOfBounds, not in an allocation
+MAX_RECORD_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,9 +97,6 @@ class UniformSeries:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(len(self.values))
 
-    def segment_slices(self) -> list[slice]:
-        return [slice(a, b) for a, b in self.segment_bounds]
-
     def with_values(self, values: np.ndarray) -> "UniformSeries":
         if len(values) != len(self.values):
             raise LengthMismatch("replacement values must keep the length")
@@ -121,6 +125,15 @@ class SubjectRecord:
 
     def __len__(self) -> int:
         return len(self.vo2)
+
+    @classmethod
+    def from_labels(cls, subject_id: str, vo2, hr, labels, t0: float = 0.0) -> "SubjectRecord":
+        """A 1 Hz record from t0 whose segments are the runs of one label in
+        ``labels``: vo2 in L/min, hr in bpm, one label per sample."""
+        bounds = segments_from_labels(labels)
+        mk = lambda values, unit: UniformSeries(t0=t0, dt=1.0, values=values,
+                                                segment_bounds=bounds, unit=unit)
+        return cls(subject_id, mk(vo2, "L/min"), mk(hr, "bpm"), tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -256,7 +269,8 @@ def resample_linear_1hz(rec: RawRecording) -> SubjectRecord:
     """Linearly interpolate both signals onto the integer-second grid.
 
     Grid points take the activity label of the nearest preceding raw
-    sample; segment bounds are set wherever the label changes.
+    sample; segment bounds are set wherever the label changes. A grid of
+    more than MAX_RECORD_SAMPLES seconds is OutOfBounds.
     """
     if len(rec) < 2:
         raise InsufficientSamples("recording must contain at least 2 samples")
@@ -264,26 +278,21 @@ def resample_linear_1hz(rec: RawRecording) -> SubjectRecord:
     t_end = math.floor(rec.time[-1])
     if t_end - t_start < 1:
         raise InsufficientSamples("recording spans fewer than 2 grid seconds")
+    if t_end - t_start + 1 > MAX_RECORD_SAMPLES:
+        raise OutOfBounds(f"recording spans {t_end - t_start + 1} grid seconds, more than "
+                          f"the {MAX_RECORD_SAMPLES} of the longest record")
     grid = np.arange(t_start, t_end + 1, dtype=float)
     vo2 = _interp_column(grid, rec.time, rec.vo2)
     hr = _interp_column(grid, rec.time, rec.hr)
     prev_idx = np.searchsorted(rec.time, grid, side="right") - 1
-    labels = tuple(rec.activity[int(i)] for i in prev_idx)
-    bounds = segments_from_labels(labels)
-    for a, b in bounds:
+    labels = [rec.activity[int(i)] for i in prev_idx]
+    out = SubjectRecord.from_labels(rec.subject_id, vo2, hr, labels, t0=float(t_start))
+    for a, b in out.vo2.segment_bounds:
         if b - a < 2:
             raise InsufficientSamples(
                 f"activity segment [{a},{b}) has fewer than 2 grid samples"
             )
-    mk = lambda vals, unit: UniformSeries(
-        t0=float(t_start), dt=1.0, values=vals, segment_bounds=bounds, unit=unit
-    )
-    return SubjectRecord(
-        subject_id=rec.subject_id,
-        vo2=mk(vo2, "L/min"),
-        hr=mk(hr, "bpm"),
-        activity_labels=labels,
-    )
+    return out
 
 
 def _odd_reflect_pad(x: np.ndarray, left: int, right: int) -> np.ndarray:
@@ -321,8 +330,8 @@ def _convolve_segments(s: UniformSeries, kernel: np.ndarray, left: int, right: i
     """Each segment of ``s``, odd-reflection padded by ``left`` and ``right``
     samples, convolved with ``kernel``, which :func:`_check_width` passed."""
     out = np.empty_like(s.values)
-    for sl in s.segment_slices():
-        out[sl] = np.convolve(_odd_reflect_pad(s.values[sl], left, right), kernel, "valid")
+    for a, b in s.segment_bounds:
+        out[a:b] = np.convolve(_odd_reflect_pad(s.values[a:b], left, right), kernel, "valid")
     return out
 
 
@@ -349,13 +358,7 @@ def preprocess_subject(rec: SubjectRecord, cfg: FilterConfig = FilterConfig()) -
     vo2 = fir_lowpass(vo2, cfg.fir_taps)
     hr = fir_lowpass(rec.hr, cfg.fir_taps)
     # clamp last so the logarithmic hemodynamics stay defined
-    vo2 = vo2.with_values(np.maximum(vo2.values, cfg.vo2_floor))
-    return SubjectRecord(
-        subject_id=rec.subject_id,
-        vo2=vo2,
-        hr=hr,
-        activity_labels=rec.activity_labels,
-    )
+    return replace(rec, vo2=vo2.with_values(np.maximum(vo2.values, cfg.vo2_floor)), hr=hr)
 
 
 def record_to_csv_bytes(rec: SubjectRecord) -> bytes:

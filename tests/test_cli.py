@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pmbnn import errors
 from pmbnn.cli import DEFAULTS, MODEL_COLUMNS, MODEL_SECTIONS, main
+from pmbnn.signal_pipeline import MAX_RECORD_SAMPLES
 
 
 def run(argv):
@@ -276,12 +277,20 @@ class TestErrorPaths:
         (b"1,,,rest", "MalformedRow: line 3: neither vo2 nor hr present"),
         (b"0,1.0,71,rest", "NonMonotonicTime: line 3: time 0.0 s is not after 0.0 s"),
         (b"1,1.0,-5,rest", "NonPositiveSignal: line 3: hr must be > 0, got -5.0"),
-    ], ids=["nan", "inf", "latin1", "long-cell", "no-signal", "repeated-time", "negative-hr"])
+        # a span past the longest record: 1e16 s asked numpy for 71.1 PiB
+        (b"1e16,1.0,71,rest", "OutOfBounds: recording spans 10000000000000001 grid seconds"),
+        (b"%d,1.0,71,rest" % MAX_RECORD_SAMPLES,
+         f"OutOfBounds: recording spans {MAX_RECORD_SAMPLES + 1} grid seconds, more than "
+         f"the {MAX_RECORD_SAMPLES} of the longest record"),
+    ], ids=["nan", "inf", "latin1", "long-cell", "no-signal", "repeated-time", "negative-hr",
+            "span-1e16-s", "span-past-the-cap"])
     def test_bad_csv_cell_exits_one(self, tmp_path, capsys, row, shown):
         path = tmp_path / "in.csv"
         path.write_bytes(b"time_s,vo2_lpm,hr_bpm,activity\n0,1.0,70,rest\n" + row + b"\n")
         assert run(["preprocess", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert shown in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert shown in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
         ["preprocess", "--input", "{missing}", "--out", "{out}"],
@@ -804,10 +813,18 @@ SPEC = {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
      "OutOfBounds: {spec}: plan must be at least one phase, got ()"),
     ([], {"lambda_true": [0.5, 0.1, -5.3, 10.5, 0.44, 0.1]},   # named neither key nor file
      "OutOfBounds: {spec}: lambda_true must be strictly inside LambdaBounds("),
+    ([], {"plan": [{"label": "rest", "duration_s": 10**16, "target_vo2": 0.4}]},  # 71.1 PiB
+     f"OutOfBounds: {{spec}}: the plan's total duration_s must be <= {MAX_RECORD_SAMPLES} s, "
+     f"the longest record, got {10**16}\n"),
+    ([], {"plan": [{"label": "rest", "duration_s": MAX_RECORD_SAMPLES - 60, "target_vo2": 0.4},
+                   {"label": "run", "duration_s": 61, "target_vo2": 2.0}]},
+     f"OutOfBounds: {{spec}}: the plan's total duration_s must be <= {MAX_RECORD_SAMPLES} s, "
+     f"the longest record, got {MAX_RECORD_SAMPLES + 1}\n"),
 ], ids=["noise-hr-negative", "noise-hr-nan", "noise-vo2-negative", "hr0-negative",
         "tau-zero", "target-vo2-nan", "duration-fractional", "seed-fractional",
         "seed-bool", "hr0-bool", "lambda-bool", "subject-id-number", "label-number", "subject-id-path",
-        "subject-id-dotdot", "subject-id-empty", "plan-empty", "lambda-outside-box"])
+        "subject-id-dotdot", "subject-id-empty", "plan-empty", "lambda-outside-box",
+        "plan-1e16-s", "plan-past-the-cap"])
 def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, shown):
     # each of these was ignored, truncated or written into the CSV with exit 0,
     # or ended in an error that named no setting

@@ -19,6 +19,7 @@ from pmbnn.experiment import (
 )
 from pmbnn.physio_model import LambdaBounds, LambdaParams
 from pmbnn.signal_pipeline import (
+    MAX_RECORD_SAMPLES,
     SubjectRecord,
     UniformSeries,
     parse_recording_csv,
@@ -196,6 +197,13 @@ class TestGenerateSyntheticSubject:
         _, _, rec = oracle_subject(0)
         steps = np.abs(np.diff(rec.vo2.values))
         assert steps.max() < 0.1
+
+    def test_plan_of_the_longest_record(self):
+        lam = LambdaParams(0.02, 0.1, -5.3, 10.5, 0.44, 0.0)
+        plan = (ActivityPhase("rest", MAX_RECORD_SAMPLES - 60, 0.4), ActivityPhase("run", 60, 2.0))
+        # the cap itself is accepted (the CLI tests reject one second more);
+        # only the spec is built, not its 10**6-sample record
+        assert SyntheticSpec("long", plan, lam).plan == plan
 
     def test_singular_spec_rejected_with_diagnostic(self):
         lam = LambdaParams(0.011, 0.149, -5.9, 12.5, 0.59, 0.0)

@@ -162,6 +162,13 @@ class TestResample:
         with pytest.raises(InsufficientSamples):
             resample_linear_1hz(parse_recording_csv(csv_bytes(["0.0,1.0,60,rest"])))
 
+    def test_span_of_the_longest_record(self):
+        # the cap itself is accepted; the CLI tests reject one sample more
+        last = signal_pipeline.MAX_RECORD_SAMPLES - 1
+        out = resample_linear_1hz(parse_recording_csv(csv_bytes(["0,1.0,60,rest",
+                                                                 f"{last},2.0,90,rest"])))
+        assert len(out) == signal_pipeline.MAX_RECORD_SAMPLES
+
 
 class TestSavitzkyGolay:
     def test_affine_preserved(self):
