@@ -336,8 +336,9 @@ def _read_predictions(path: str):
     entries, read with :func:`csv_table`.
 
     The header is ``t_s,hr_true``, one or more distinct MODEL_COLUMNS,
-    ``activity``, else MalformedHeader; each row's cells but the last are
-    finite numbers, else MalformedRow names the line. Both name the path.
+    ``activity``, else MalformedHeader. A row's ``t_s`` and ``hr_true`` are
+    finite numbers and each model cell is one or empty, no prediction at
+    that time, else MalformedRow names the line. Both name the path.
     """
     try:
         header, rows = csv_table(_read_bytes(path))
@@ -350,7 +351,8 @@ def _read_predictions(path: str):
         checked = []
         for line, row in rows:
             try:
-                cells = [_cell(cell, missing_ok=False) for cell in row[:-1]]
+                # t_s and hr_true are required, a model cell may be empty
+                cells = [_cell(cell, missing_ok=i >= 2) for i, cell in enumerate(row[:-1])]
             except ValueError as exc:
                 raise MalformedRow(f"line {line}: {exc}") from None
             checked.append((line, cells[0], cells[1], row))
@@ -364,6 +366,7 @@ def cmd_evaluate(args, cfg: dict) -> dict[str, bytes]:
     source: dict[str, str] = {}   # each model column and the --pred file that holds it
     for path in args.pred:
         header, rows = _read_predictions(path)
+        seen: set[float] = set()   # this file's t_s
         for col in header[2:-1]:
             if col in source:
                 raise MalformedHeader(f"{path} line 1: column {col} is also in {source[col]}")
@@ -375,9 +378,10 @@ def cmd_evaluate(args, cfg: dict) -> dict[str, bytes]:
                     f"{path} line {lineno}: hr_true {row[1]!r} and activity {row[-1]!r} "
                     f"at t_s {row[0]!r} disagree with an earlier row "
                     f"({entry['hr_true']!r}, {entry['activity']!r})")
-            if header[2] in entry:   # a model column lives in one file: a repeat in this one
+            if t in seen:
                 raise MalformedRow(f"{path} line {lineno}: t_s {row[0]!r} repeats an earlier row")
-            entry.update(zip(header[2:-1], row[2:-1]))
+            seen.add(t)
+            entry.update((col, cell) for col, cell in zip(header[2:-1], row[2:-1]) if cell.strip())
     times = sorted(joined)
 
     metrics: dict[str, dict] = {}

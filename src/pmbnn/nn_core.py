@@ -296,9 +296,9 @@ def gradient_check(p: MlpParams, batch: TrainBatch) -> float:
     Central differences (L(p + h e_k) - L(p - h e_k)) / 2h, h = 1e-5, serve
     as a forward-only oracle that shares no code with the backward pass
     (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 1).
-    Each weight or bias probe changes one hidden unit, so the probes are
-    grouped by unit and one stacked forward pass per block of units gives
-    their perturbed predictions y + delta (:func:`_loss_differences`). At
+    Each weight or bias probe changes one hidden unit, whose tanh change
+    comes from its Taylor series at the unit's activation, so the probes'
+    prediction changes take a few gemms (:func:`_loss_differences`). At
     fixed lambdas L_data is quadratic in y and the collocation residual
     affine, F(y + delta) = F(y) + A delta, so each numerator is taken
     exactly as d . (b + K s), d = d+ - d-, s = d+ + d-, b from the data
@@ -306,6 +306,8 @@ def gradient_check(p: MlpParams, batch: TrainBatch) -> float:
     subtracting two nearly equal losses. A theta probe moves one lambda and
     leaves y, and the residual is affine in each lambda, so its numerator
     takes a product form over F with the exact logistic difference of lambda.
+    A network with max |w2| max(vo2, 1) above 100, past the series' range,
+    is OutOfBounds.
 
     Relative error per parameter: |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|).
     """
@@ -315,34 +317,80 @@ def gradient_check(p: MlpParams, batch: TrainBatch) -> float:
     return float(np.max(np.abs(analytic - fd) / denom))
 
 
-#: hidden units per stacked probe pass. A block of [w1 | b1] probes is one
-#: (2, 8, 2, HIDDEN, n) array, 0.5 MB at the gradient check's n = 32; every
-#: pass and the probe scoring's sums s work in place in one buffer, as each
-#: fresh array that size faults pages
+#: terms of the Taylor form tanh(z + q) - tanh(z) = sum_m c_m q^m that a
+#: [w1 | b1] probe's layer-2 changes q take, and the largest |q| it serves.
+#: Cauchy's estimate on the unit circle around z bounds |c_m| by
+#: max |tanh| there, tan 1 < 1.6, so the dropped tail is below
+#: 1.6 |q|^6 <= 1.6e-18: round-off next to the c_1 q term
+_TAYLOR_ORDER = 5
+_TAYLOR_MAX_STEP = 1e-3
+
+
+def _tanh_series(order: int) -> list:
+    """R_1..R_order as np.polyval coefficients, highest power first, with
+    c_m = (1 - t^2) R_m(t) the Taylor coefficients of tanh at z, t = tanh z.
+    The derivatives P_m = (1 - t^2) Q_m of tanh in z follow
+    P_m+1 = P_m'(t) (1 - t^2), so Q_1 = 1, Q_m+1 = ((1 - t^2) Q_m)' and
+    R_m = Q_m / m!. Plain lists: NumPy's polynomial helpers cost the
+    importing process about 0.3 MB of resident memory."""
+    series = [[1.0]]
+    for m in range(1, order):
+        r = series[-1]
+        q = [a - b for a, b in zip([0.0, 0.0] + r, r + [0.0, 0.0])]   # (1 - t^2) R_m
+        series.append([c * (len(q) - 1 - k) / (m + 1) for k, c in enumerate(q[:-1])])
+    return series
+
+
+_TANH_SERIES = _tanh_series(_TAYLOR_ORDER)
+#: hidden units per block of the [w2 | b2] probes' K term, whose (n, block,
+#: n) and (HIDDEN + 1, block, n) operands are 64 and 130 kB at n = 32
 _PROBE_BLOCK = 8
+
+
+def _sech2(z: np.ndarray) -> np.ndarray:
+    """1 - tanh(z)^2 from exp(-2|z|): exact to a few ulp where 1 - t^2
+    would cancel, as t = tanh z rounds near +-1."""
+    e = np.exp(-2.0 * np.abs(z))
+    return 4.0 * e / (1.0 + e) ** 2
 
 
 def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k, h = _FD_STEP.
 
-    The [w1 | b1] and [w2 | b2] probes take one stacked tanh pass per block
-    of ``_PROBE_BLOCK`` hidden units in one reused buffer; each row comes out
-    bit for bit as a pass over its unit alone would give it. ``diff`` scores
-    prediction changes d+, d- as d . (b + K s), d = d+ - d-, s = d+ + d-,
-    with b = 2 r / n + (w / m) A^T 2F and K = I / n + (w / m) A^T A: one gemm
-    of the stacked rows of s against K, all [w1 | b1] blocks at once and
-    each [w2 | b2] block on its own. It works in the stacked changes and the
-    block buffer: s goes into the buffer's tail, d over d- and K s + b over
-    d+. A^T, n x m for m residuals, is the residual of the identity's rows.
-    K is n x n, so it grows as n^2 (the check's n is 32). The forward pass
-    is :func:`_forward_loss` on a float64 copy of ``batch``, in its buffers.
+    At fixed lambdas L_data is quadratic in the prediction y and the
+    residual affine, so prediction changes d+, d- score exactly as
+    d . (b + K s), d = d+ - d-, s = d+ + d-, with b = 2 r / n + (w / m) A^T 2F
+    and K = I / n + (w / m) A^T A; A^T, n x m for m residuals, is the
+    residual of the identity's rows. ``diff`` does that for stacked rows in
+    one gemm against K, n x n (the check's n is 32).
+
+    No hidden-layer probe takes a tanh pass. A probe moves a layer-2
+    pre-activation z by q, and tanh(z + q) - tanh(z) = sum_m c_m q^m with
+    c_m from t = tanh z = a2 (:data:`_TANH_SERIES`), so the differences
+    that cancel in float64 are never formed:
+
+    - [w1 | b1] (j, c): a1_j moves by delta = tanh(+-h x_c) (1 - a1_j^2) /
+      (1 + a1_j tanh(+-h x_c)), exactly, and z by w2_ij delta, so
+      d+- = sum_m delta^m M_m[j] with M_m = (w2^m)^T (w3 c_m), powers
+      elementwise: _TAYLOR_ORDER gemms, then one diff.
+    - [w2 | b2] (i, j): z_i moves by +-h A_j, A = [a1; 1], so d and s are
+      the odd and even terms of the series. Up to O(h^4) relative,
+      d . b = 2 w3_i [h (c1 b) A^T + h^3 (c3 b) (A^3)^T]_ij and
+      d . K s = 4 w3_i^2 h^3 sum_st c1_is A_js K_st c2_it A^2_jt, the latter
+      contracted over blocks of ``_PROBE_BLOCK`` units.
+
+    The forward pass is :func:`_forward_loss` on a float64 copy of
+    ``batch``, in its buffers.
     """
     h = _FD_STEP
+    if h * np.abs(p.w2).max() * max(1.0, batch.vo2.max()) > _TAYLOR_MAX_STEP:
+        raise OutOfBounds(f"gradient check: |w2| max(vo2, 1) exceeds "
+                          f"{_TAYLOR_MAX_STEP / h:g}, the range of its tanh series")
     batch = replace(batch, dtype=np.float64)
     y, resid, lam, _, res, m, _, _ = _forward_loss(p, batch)
     x1, (a1e, a2e, _) = batch._x1, batch._work
     a1, a2 = a1e[:HIDDEN], a2e[:HIDDEN]
-    z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
+    w3, n = p.w3[0], len(y)
     two_f = [2.0 * f for f in res]
     lam_a = np.append(lam[:5], 0.0)  # l6 = 0 leaves the linear part A
     a_t = np.concatenate(pm.collocation_residuals(
@@ -351,46 +399,41 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     b = 2.0 * resid / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
 
     out = _Tree._of(np.empty(_SIZE))
-    blocks = [slice(j, j + _PROBE_BLOCK) for j in range(0, HIDDEN, _PROBE_BLOCK)]
-    work = np.empty(4 * _PROBE_BLOCK * HIDDEN * n)  # the block passes' and diff's buffer
 
     def diff(t):
         # L(y + plus) - L(y + minus) for stacked prediction changes
         # t = [plus, minus], (2, ..., n), overwriting t. s is one 2-D stack
-        # of rows, so every row takes one gemm; a [w2 | b2] block and its s
-        # fill about 3/4 of work, so they never overlap
+        # of rows, so every row takes one gemm
         plus, minus = t.reshape(2, -1, n)
-        s = np.add(plus, minus, out=work[-plus.size:].reshape(plus.shape))
+        s = plus + minus
         np.subtract(plus, minus, out=minus)
         np.matmul(s, k, out=plus)
         plus += b
         plus *= minus
         return np.sum(plus, axis=-1).reshape(t.shape[1:-1])
 
-    def block(*shape):
-        return work[:np.prod(shape)].reshape(shape)
-
-    # [w1 | b1] row j: unit j of layer 1 moves and layer 2 is recomputed,
-    # (2 signs, block, 2 probes, HIDDEN, n); the output changes of all
-    # blocks, (2 signs, HIDDEN, 2 probes, n), take one diff
-    step = np.stack([h * x1, -h * x1])[:, None, :, None]
-    dy1 = np.empty((2, HIDDEN, 2, n))
-    for u in blocks:
-        da1 = np.tanh(z1[u, None, None] + step) - a1[u, None, None]
-        t = np.multiply(da1, p.w2.T[u, None, :, None], out=block(*da1.shape[:3], HIDDEN, n))
-        t += z2
-        np.tanh(t, out=t)
-        t -= a2
-        np.matmul(w3, t, out=dy1[:, u])
+    sech2 = _sech2(p.layer2 @ a1e)
+    c = [sech2 * np.polyval(r, a2) for r in _TANH_SERIES]
+    # [w1 | b1] row j: (2 signs, HIDDEN, 2 probes, n); the series in delta
+    # by Horner's rule, from the top term's M_m down
+    tau = np.tanh(np.stack([h * x1, -h * x1]))[:, None]
+    delta = tau * _sech2(p.layer1 @ x1)[:, None] / (1.0 + a1[:, None] * tau)
+    dy1 = np.zeros_like(delta)
+    for order in range(_TAYLOR_ORDER, 0, -1):
+        dy1 += ((p.w2 ** order).T @ (w3[:, None] * c[order - 1]))[:, None]
+        dy1 *= delta
     out.layer1[:] = diff(dy1)
-    # [w2 | b2] row i: unit i of layer 2 moves, (2 signs, block, HIDDEN + 1, n)
-    step = np.stack([h * a1e, -h * a1e])[:, None]
-    for u in blocks:
-        t = np.add(z2[u, None], step, out=block(2, len(z2[u]), HIDDEN + 1, n))
-        np.tanh(t, out=t)
-        t -= a2[u, None]
-        t *= w3[u, None, None]
-        out.layer2[u] = diff(t)
+    del tau, delta, dy1   # fewer live arrays below keep the heap's high-water mark low
+    # [w2 | b2] row i: d . b in two gemms, d . K s over blocks of rows
+    a_sq = a1e * a1e
+    out.layer2[:] = h * ((c[0] * b) @ a1e.T) + h ** 3 * ((c[2] * b) @ (a_sq * a1e).T)
+    for u in (slice(i, i + _PROBE_BLOCK) for i in range(0, HIDDEN, _PROBE_BLOCK)):
+        rows = len(w3[u])
+        # c1_is K_st c2_it as (s, i, t), then A (c1 K c2) A^2, (HIDDEN + 1, rows)
+        kc = c[0][u].T[:, :, None] * k[:, None, :] * c[1][u]
+        ks = (a1e @ kc.reshape(n, rows * n)).reshape(HIDDEN + 1, rows, n)
+        out.layer2[u] += (2.0 * h ** 3) * w3[u, None] * np.einsum("jit,jt->ij", ks, a_sq)
+    out.layer2 *= 2.0 * w3[:, None]
     # [w3 | b3]: the output moves by the probe times the unit's activation
     out.layer3[:] = diff(np.stack([h * a2e, -h * a2e]))
     # theta[k] moves lambda k alone and leaves y, so only L_DE changes. F

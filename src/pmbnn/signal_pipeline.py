@@ -8,6 +8,7 @@ segment: no output sample depends on values from another activity segment.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -162,12 +163,14 @@ def _cell(text: str, missing_ok: bool) -> float:
 
 def csv_table(data: bytes):
     """The header of a UTF-8 CSV and a lazy iterator of its ``(line, row)``
-    pairs, so that a caller checks the header first. Blank lines are
+    pairs, so that a caller checks the header first. A leading byte-order
+    mark, as spreadsheet programs write one, is dropped; blank lines are
     skipped, also before the header.
 
     An empty file is MalformedHeader. A byte that is not UTF-8, a row
     whose width differs from the header's, or text the csv module cannot
     split is MalformedRow naming its line."""
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -279,7 +282,8 @@ def resample_linear_1hz(rec: RawRecording) -> SubjectRecord:
     if t_end - t_start < 1:
         raise InsufficientSamples("recording spans fewer than 2 grid seconds")
     if t_end - t_start + 1 > MAX_RECORD_SAMPLES:
-        raise OutOfBounds(f"recording spans {t_end - t_start + 1} grid seconds, more than "
+        span = float(t_end) - float(t_start) + 1.0   # 7 digits at most; inf past 1.8e308
+        raise OutOfBounds(f"recording spans {span:.7g} grid seconds, more than "
                           f"the {MAX_RECORD_SAMPLES} of the longest record")
     grid = np.arange(t_start, t_end + 1, dtype=float)
     vo2 = _interp_column(grid, rec.time, rec.vo2)

@@ -105,6 +105,15 @@ class TestPipeline:
         hashes.add(recon["split_hash"])
         assert len(hashes) == 1
 
+    def test_preprocess_reads_a_csv_with_a_byte_order_mark(self, pipeline_dirs, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with the UTF-8 byte-order
+        # mark; the header read as '\ufefftime_s,...', a MalformedHeader
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (pipeline_dirs["synth"] / "synthetic.csv").read_bytes())
+        assert run(["preprocess", "--input", str(bom), "--out", str(tmp_path / "prep")]) == 0
+        assert ((tmp_path / "prep" / "preprocessed.csv").read_bytes()
+                == (pipeline_dirs["prep"] / "preprocessed.csv").read_bytes())
+
     def test_joined_predictions_schema(self, pipeline_dirs):
         lines = (pipeline_dirs["eval"] / "predictions.csv").read_text().split("\n")
         assert lines[0] == "t_s,hr_true,hr_pmbnn,hr_fcnn,hr_pm,hr_pmbnn_r,activity"
@@ -278,12 +287,15 @@ class TestErrorPaths:
         (b"0,1.0,71,rest", "NonMonotonicTime: line 3: time 0.0 s is not after 0.0 s"),
         (b"1,1.0,-5,rest", "NonPositiveSignal: line 3: hr must be > 0, got -5.0"),
         # a span past the longest record: 1e16 s asked numpy for 71.1 PiB
-        (b"1e16,1.0,71,rest", "OutOfBounds: recording spans 10000000000000001 grid seconds"),
+        (b"1e16,1.0,71,rest", "OutOfBounds: recording spans 1e+16 grid seconds"),
         (b"%d,1.0,71,rest" % MAX_RECORD_SAMPLES,
          f"OutOfBounds: recording spans {MAX_RECORD_SAMPLES + 1} grid seconds, more than "
          f"the {MAX_RECORD_SAMPLES} of the longest record"),
+        # printed the span as a 301-digit integer
+        (b"1e300,1.0,71,rest", "OutOfBounds: recording spans 1e+300 grid seconds, more than "
+         f"the {MAX_RECORD_SAMPLES} of the longest record"),
     ], ids=["nan", "inf", "latin1", "long-cell", "no-signal", "repeated-time", "negative-hr",
-            "span-1e16-s", "span-past-the-cap"])
+            "span-1e16-s", "span-past-the-cap", "span-1e300-s"])
     def test_bad_csv_cell_exits_one(self, tmp_path, capsys, row, shown):
         path = tmp_path / "in.csv"
         path.write_bytes(b"time_s,vo2_lpm,hr_bpm,activity\n0,1.0,70,rest\n" + row + b"\n")
@@ -482,8 +494,14 @@ _PREDICTIONS = b"t_s,hr_true,hr_pmbnn,activity\n0,70,71,rest\n"
      "MalformedHeader: {bad} line 1: column hr_pm is also in {good}"),
     # the later prediction at t_s 0 silently replaced the earlier one, exit 0
     (b"0,70,950,rest", "MalformedRow: {bad} line 3: t_s '0' repeats an earlier row"),
+    # only a model cell may be empty
+    (b"1,,71,rest", "MalformedRow: {bad} line 3: could not convert string to float: ''"),
+    (b",70,71,rest", "MalformedRow: {bad} line 3: could not convert string to float: ''"),
+    # a repeat with no prediction in it: the first model column was the test
+    (b"0,70,,rest", "MalformedRow: {bad} line 3: t_s '0' repeats an earlier row"),
 ], ids=["junk", "short", "nan", "inf", "latin1", "header", "unknown-column",
-        "repeated-column", "column-in-two-files", "repeated-t_s"])
+        "repeated-column", "column-in-two-files", "repeated-t_s", "empty-hr_true",
+        "empty-t_s", "repeated-t_s-without-prediction"])
 def test_evaluate_bad_prediction_row_exits_one(tmp_path, capsys, data, shown):
     good = tmp_path / "predictions_pm.csv"
     good.write_text("t_s,hr_true,hr_pm,activity\n0,70,71,rest\n1,72,71,rest\n")
@@ -519,6 +537,35 @@ def test_evaluate_joins_equal_numbers_written_differently(tmp_path):
     assert run(["evaluate", "--pred", str(fcnn), str(pm), "--out", str(tmp_path / "e")]) == 0
     models = json.loads((tmp_path / "e" / "metrics.json").read_text())["models"]
     assert models["pm"]["overall"] == models["fcnn"]["overall"]
+
+
+def test_evaluate_reads_the_predictions_it_joins(tmp_path):
+    # the joined file leaves a model's cell empty at a t_s it has no
+    # prediction for, and evaluate rejected it: "could not convert string
+    # to float: ''"
+    fcnn = tmp_path / "predictions_fcnn.csv"
+    fcnn.write_text("t_s,hr_true,hr_fcnn,activity\n0,70,71,rest\n1,72,73,rest\n2,75,74,run\n")
+    pm = tmp_path / "predictions_pm.csv"
+    pm.write_text("t_s,hr_true,hr_pm,activity\n1,72,70,rest\n2,75,77,run\n3,80,79,run\n")
+    first, second = tmp_path / "e1", tmp_path / "e2"
+    assert run(["evaluate", "--pred", str(fcnn), str(pm), "--out", str(first)]) == 0
+    assert run(["evaluate", "--pred", str(first / "predictions.csv"), "--out", str(second)]) == 0
+    one, two = (json.loads((d / "metrics.json").read_text()) for d in (first, second))
+    assert two["models"] == one["models"] and set(one["models"]) == {"fcnn", "pm"}
+    assert two["n_samples"] == one["n_samples"] == 4
+    assert (second / "predictions.csv").read_bytes() == (first / "predictions.csv").read_bytes()
+
+
+def test_evaluate_reads_a_prediction_csv_with_a_byte_order_mark(tmp_path):
+    text = b"t_s,hr_true,hr_pm,activity\n0,70,71,rest\n1,72,75,rest\n2,80,79,run\n"
+    plain, bom = tmp_path / "predictions_pm.csv", tmp_path / "bom" / "predictions_pm.csv"
+    bom.parent.mkdir()
+    plain.write_bytes(text)
+    bom.write_bytes(b"\xef\xbb\xbf" + text)
+    for path, out in ((plain, "e1"), (bom, "e2")):
+        assert run(["evaluate", "--pred", str(path), "--out", str(tmp_path / out)]) == 0
+    one, two = (json.loads((tmp_path / d / "metrics.json").read_text()) for d in ("e1", "e2"))
+    assert two["models"] == one["models"]
 
 
 def test_evaluate_overflowing_score_exits_one(tmp_path, capsys):
