@@ -48,6 +48,7 @@ from .signal_pipeline import (
     preprocess_subject,
     record_to_csv_bytes,
     resample_linear_1hz,
+    time_cell,
 )
 from .training import PmFitConfig, TrainConfig
 
@@ -230,7 +231,7 @@ def _predictions(model: str, rec: SubjectRecord, split, pred) -> bytes:
     model's HR and activity label."""
     times = rec.vo2.t0 + rec.vo2.dt * split.test_indices
     return csv_bytes(["t_s", "hr_true", MODEL_COLUMNS[model], "activity"],
-                     ([f"{t:.10g}", f"{h:.10g}", f"{p:.10g}", a] for t, h, p, a in
+                     ([time_cell(t), f"{h:.10g}", f"{p:.10g}", a] for t, h, p, a in
                       zip(times, split.test.hr.values, pred, split.test.activity_labels)))
 
 
@@ -401,7 +402,7 @@ def cmd_evaluate(args, cfg: dict) -> dict[str, bytes]:
 
     log.info("evaluated %d models on %d joined samples", len(metrics), len(times))
     return {"predictions.csv": csv_bytes(JOINED_HEADER, (
-                [f"{t:.10g}", e["hr_true"], *(e.get(c, "") for c in JOINED_HEADER[2:-1]),
+                [time_cell(t), e["hr_true"], *(e.get(c, "") for c in JOINED_HEADER[2:-1]),
                  e["activity"]] for t, e in sorted(joined.items()))),
             "metrics.json": _manifest(args, cfg, {
                 "participant": args.subject, "n_samples": len(times), "models": metrics})}

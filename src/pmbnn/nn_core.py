@@ -151,7 +151,9 @@ class TrainBatch:
     [vo2; 1], the spacing in minutes and the kernel's scratch buffers.
     Every :func:`loss_only` and :func:`loss_and_gradients` call overwrites
     those buffers, so one batch must not be evaluated by two calls at the
-    same time; :func:`gradient_check` uses its own.
+    same time. :func:`gradient_check`'s analytic pass is such a call; only
+    its finite differences run on a float64 copy of the batch, in the
+    copy's buffers.
 
     ``dtype`` is the working precision of the input rows and the activation
     buffers, so of the network's gemms, tanh passes and backward elementwise
@@ -342,9 +344,6 @@ def _tanh_series(order: int) -> list:
 
 
 _TANH_SERIES = _tanh_series(_TAYLOR_ORDER)
-#: hidden units per block of the [w2 | b2] probes' K term, whose (n, block,
-#: n) and (HIDDEN + 1, block, n) operands are 64 and 130 kB at n = 32
-_PROBE_BLOCK = 8
 
 
 def _sech2(z: np.ndarray) -> np.ndarray:
@@ -376,8 +375,10 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     - [w2 | b2] (i, j): z_i moves by +-h A_j, A = [a1; 1], so d and s are
       the odd and even terms of the series. Up to O(h^4) relative,
       d . b = 2 w3_i [h (c1 b) A^T + h^3 (c3 b) (A^3)^T]_ij and
-      d . K s = 4 w3_i^2 h^3 sum_st c1_is A_js K_st c2_it A^2_jt, the latter
-      contracted over blocks of ``_PROBE_BLOCK`` units.
+      d . K s = 4 w3_i^2 h^3 sum_st c1_is A_js K_st c2_it A^2_jt. The
+      residual at sample r touches only samples r - 1 and r + 1 of its
+      segment, so K is nonzero only on its diagonals t - s = 0, +-2, and
+      the latter sum is one gemm per diagonal.
 
     The forward pass is :func:`_forward_loss` on a float64 copy of
     ``batch``, in its buffers.
@@ -424,15 +425,15 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
         dy1 *= delta
     out.layer1[:] = diff(dy1)
     del tau, delta, dy1   # fewer live arrays below keep the heap's high-water mark low
-    # [w2 | b2] row i: d . b in two gemms, d . K s over blocks of rows
+    # [w2 | b2] row i: d . b in two gemms, d . K s one diagonal of K at a
+    # time, (c1_is K_st c2_it) (A_js A^2_jt)^T over the s with t = s + off
     a_sq = a1e * a1e
     out.layer2[:] = h * ((c[0] * b) @ a1e.T) + h ** 3 * ((c[2] * b) @ (a_sq * a1e).T)
-    for u in (slice(i, i + _PROBE_BLOCK) for i in range(0, HIDDEN, _PROBE_BLOCK)):
-        rows = len(w3[u])
-        # c1_is K_st c2_it as (s, i, t), then A (c1 K c2) A^2, (HIDDEN + 1, rows)
-        kc = c[0][u].T[:, :, None] * k[:, None, :] * c[1][u]
-        ks = (a1e @ kc.reshape(n, rows * n)).reshape(HIDDEN + 1, rows, n)
-        out.layer2[u] += (2.0 * h ** 3) * w3[u, None] * np.einsum("jit,jt->ij", ks, a_sq)
+    ks = np.zeros((HIDDEN, HIDDEN + 1))
+    for off in (-2, 0, 2):
+        s, t = slice(max(0, -off), n - max(0, off)), slice(max(0, off), n - max(0, -off))
+        ks += (c[0][:, s] * np.diagonal(k, off) * c[1][:, t]) @ (a1e[:, s] * a_sq[:, t]).T
+    out.layer2 += (2.0 * h ** 3) * w3[:, None] * ks
     out.layer2 *= 2.0 * w3[:, None]
     # [w3 | b3]: the output moves by the probe times the unit's activation
     out.layer3[:] = diff(np.stack([h * a2e, -h * a2e]))

@@ -209,6 +209,14 @@ def csv_bytes(header, rows) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def time_cell(t: float) -> str:
+    """A time as a CSV cell: ten significant digits where those read back as
+    ``t``, else the shortest text that does (a time stamped in Unix
+    milliseconds needs 13 digits)."""
+    text = f"{t:.10g}"
+    return text if float(text) == t else repr(float(t))
+
+
 def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
     """Parse a ``time_s,vo2_lpm,hr_bpm,activity`` UTF-8 CSV into a RawRecording.
 
@@ -367,6 +375,6 @@ def preprocess_subject(rec: SubjectRecord, cfg: FilterConfig = FilterConfig()) -
 
 def record_to_csv_bytes(rec: SubjectRecord) -> bytes:
     """Serialize a SubjectRecord back to the input CSV schema."""
-    return csv_bytes(CSV_HEADER, ([f"{t:.10g}", f"{v:.10g}", f"{h:.10g}", a] for t, v, h, a in
+    return csv_bytes(CSV_HEADER, ([time_cell(t), f"{v:.10g}", f"{h:.10g}", a] for t, v, h, a in
                                   zip(rec.vo2.times, rec.vo2.values, rec.hr.values,
                                       rec.activity_labels)))

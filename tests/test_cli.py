@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pmbnn import errors
 from pmbnn.cli import DEFAULTS, MODEL_COLUMNS, MODEL_SECTIONS, main
-from pmbnn.signal_pipeline import MAX_RECORD_SAMPLES
+from pmbnn.signal_pipeline import MAX_RECORD_SAMPLES, parse_recording_csv, resample_linear_1hz
 
 
 def run(argv):
@@ -554,6 +554,39 @@ def test_evaluate_reads_the_predictions_it_joins(tmp_path):
     assert two["models"] == one["models"] and set(one["models"]) == {"fcnn", "pm"}
     assert two["n_samples"] == one["n_samples"] == 4
     assert (second / "predictions.csv").read_bytes() == (first / "predictions.csv").read_bytes()
+
+
+def test_unix_ms_stamped_recording_preprocesses_and_splits(tmp_path):
+    # ten significant digits would write every time here as 1.7e+12, and
+    # split would exit 1 with NonMonotonicTime
+    t = 1.7e12 + np.arange(120)
+    src = tmp_path / "unix_ms.csv"
+    src.write_text("time_s,vo2_lpm,hr_bpm,activity\n" + "".join(
+        f"{v:.1f},{1.0 + (i >= 60)},{70 + 20 * (i >= 60)},{('rest', 'run')[i >= 60]}\n"
+        for i, v in enumerate(t)))
+    prep = tmp_path / "prep"
+    assert run(["preprocess", "--input", str(src), "--out", str(prep)]) == 0
+    written = parse_recording_csv((prep / "preprocessed.csv").read_bytes()).time
+    assert np.all(np.diff(written) > 0)
+    np.testing.assert_array_equal(
+        written, resample_linear_1hz(parse_recording_csv(src.read_bytes())).vo2.times)
+    assert run(["split", "--input", str(prep / "preprocessed.csv"),
+                "--out", str(tmp_path / "split")]) == 0
+
+
+def test_evaluate_keeps_unix_ms_times_apart(tmp_path):
+    # ten significant digits would write all three t_s as 1.7e+12, one
+    # joined row three times over
+    pred = tmp_path / "predictions_pm.csv"
+    pred.write_text("t_s,hr_true,hr_pm,activity\n1700000000001,70,71,rest\n"
+                    "1700000000002,72,75,rest\n1700000000003,80,79,rest\n")
+    first, second = tmp_path / "e1", tmp_path / "e2"
+    assert run(["evaluate", "--pred", str(pred), "--out", str(first)]) == 0
+    lines = (first / "predictions.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == [
+        "1700000000001.0", "1700000000002.0", "1700000000003.0"]
+    assert run(["evaluate", "--pred", str(first / "predictions.csv"), "--out", str(second)]) == 0
+    assert json.loads((second / "metrics.json").read_text())["n_samples"] == 3
 
 
 def test_evaluate_reads_a_prediction_csv_with_a_byte_order_mark(tmp_path):

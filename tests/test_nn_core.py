@@ -279,16 +279,10 @@ class TestRmsprop:
             rmsprop_step(p, g, np.zeros_like(p.flat), 0.01)
 
 
-def per_unit_loss_differences(p, batch, dtype=np.float64):
-    """The FD tree with one tanh pass per hidden unit and probe sign, in
-    ``dtype`` from the parameters on: the float64 kernel's cross-check, and
-    in 80-bit extended precision an independent reference for its errors."""
-    p = nn_core._Tree._of(p.flat.astype(dtype))
-    h = dtype(nn_core._FD_STEP)
-    x1, a1e, a2e = nn_core._layer_inputs(batch.vo2, dtype)
-    y = nn_core._forward_full(p, x1, a1e, a2e)
-    a1, a2 = a1e[:nn_core.HIDDEN], a2e[:nn_core.HIDDEN]
-    z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
+def loss_quadratic(p, batch, y, dtype=np.float64):
+    """lambda, 2F per segment, the residual count m, and K and b with
+    L(y + plus) - L(y + minus) = d . (b + K s) at fixed lambdas."""
+    n = len(y)
     lo, hi = LambdaBounds().lo_hi_arrays()
     lam = lo + (hi - lo) * nn_core.sigmoid(p.theta)
     two_f = [2.0 * f for f in pm.collocation_residuals(
@@ -300,6 +294,43 @@ def per_unit_loss_differences(p, batch, dtype=np.float64):
         axis=-1)
     k = np.eye(n, dtype=dtype) / n + (batch.de_weight / m) * (a_t @ a_t.T)
     b = 2.0 * (y - batch.hr) / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
+    return lam, two_f, m, k, b
+
+
+def blocked_layer2_differences(p, batch, block):
+    """The [w2 | b2] differences in the kernel's Taylor form, with the K
+    term sum_st c1_is A_js K_st c2_it A^2_jt contracted over all of K, in
+    blocks of ``block`` units; the kernel sums K's diagonals 0 and +-2."""
+    h = nn_core._FD_STEP
+    x1, a1e, a2e = nn_core._layer_inputs(batch.vo2)
+    y = nn_core._forward_full(p, x1, a1e, a2e)
+    w3, n = p.w3[0], len(y)
+    _, _, _, k, b = loss_quadratic(p, batch, y)
+    sech2 = nn_core._sech2(p.layer2 @ a1e)
+    c = [sech2 * np.polyval(r, a2e[:nn_core.HIDDEN]) for r in nn_core._TANH_SERIES]
+    a_sq = a1e * a1e
+    out = h * ((c[0] * b) @ a1e.T) + h ** 3 * ((c[2] * b) @ (a_sq * a1e).T)
+    for u in (slice(i, i + block) for i in range(0, nn_core.HIDDEN, block)):
+        rows = len(w3[u])
+        # c1_is K_st c2_it as (s, i, t), then A (c1 K c2) A^2, (HIDDEN + 1, rows)
+        kc = c[0][u].T[:, :, None] * k[:, None, :] * c[1][u]
+        ks = (a1e @ kc.reshape(n, rows * n)).reshape(nn_core.HIDDEN + 1, rows, n)
+        out[u] += (2.0 * h ** 3) * w3[u, None] * np.einsum("jit,jt->ij", ks, a_sq)
+    return out * (2.0 * w3[:, None])
+
+
+def per_unit_loss_differences(p, batch, dtype=np.float64):
+    """The FD tree with one tanh pass per hidden unit and probe sign, in
+    ``dtype`` from the parameters on: the float64 kernel's cross-check, and
+    in 80-bit extended precision an independent reference for its errors."""
+    p = nn_core._Tree._of(p.flat.astype(dtype))
+    h = dtype(nn_core._FD_STEP)
+    x1, a1e, a2e = nn_core._layer_inputs(batch.vo2, dtype)
+    y = nn_core._forward_full(p, x1, a1e, a2e)
+    a1, a2 = a1e[:nn_core.HIDDEN], a2e[:nn_core.HIDDEN]
+    z1, z2, w3, n = p.layer1 @ x1, p.layer2 @ a1e, p.w3[0], len(y)
+    lo, hi = LambdaBounds().lo_hi_arrays()
+    lam, two_f, m, k, b = loss_quadratic(p, batch, y, dtype)
 
     def diff(plus, minus):
         # L(y + plus) - L(y + minus) = d . (b + K s) for 2-D row stacks
@@ -397,6 +428,17 @@ def scaled_w2_case():
     p.w1 *= 1e-2
     p.w2 *= 99.0 / (np.abs(p.w2).max() * max(1.0, batch.vo2.max()))
     return p, batch
+
+
+#: the gradient check's cases: its own, two random layouts (one uneven,
+#: with a minimal three-sample segment) and one without the L_DE term
+FOUR_CASES = [
+    lambda: make_gradcheck_case(0),
+    lambda: random_case(((0, 15), (15, 30))),
+    lambda: random_case(((0, 3), (3, 10), (10, 30))),
+    lambda: without_de(*make_gradcheck_case(0)),
+]
+FOUR_CASE_IDS = ["gradcheck_case_0", "two_segments", "uneven_segments", "de_weight_0"]
 
 
 class TestGradientCheck:
@@ -533,35 +575,44 @@ class TestGradientCheck:
         monkeypatch.setattr(nn_core, "loss_and_gradients", corrupted)
         assert gradient_check(*make_gradcheck_case(0)) > 1e-4
 
-    @pytest.mark.parametrize("block", [1, 5, nn_core._PROBE_BLOCK, 64])
-    @pytest.mark.parametrize("case", [
-        lambda: make_gradcheck_case(0),
-        lambda: random_case(((0, 15), (15, 30))),
-        lambda: random_case(((0, 3), (3, 10), (10, 30))),
-        lambda: without_de(*make_gradcheck_case(0)),
-    ], ids=["gradcheck_case_0", "two_segments", "uneven_segments", "de_weight_0"])
-    def test_blocked_probes_match_per_unit_passes(self, monkeypatch, case, block):
+    @pytest.mark.parametrize("block", [1, 5, 8, 64])
+    @pytest.mark.parametrize("case", FOUR_CASES, ids=FOUR_CASE_IDS)
+    def test_blocked_probes_match_per_unit_passes(self, case, block):
         # the per-unit tanh passes cross-check the hidden layers within their
         # own round-off: tanh(z + q) - tanh(z) cancels, measured <= 3.5e-12
         # of each layer's largest entry on these cases. The output layer and
-        # theta take the same arithmetic in both, bit for bit. The [w2 | b2]
-        # K term runs over blocks of units; block 5 leaves a ragged last one
+        # theta take the same arithmetic in both, bit for bit. The kernel's
+        # [w2 | b2] K term, one diagonal of K at a time, matches the
+        # contraction over all of K in blocks of units (block 5 leaves a
+        # ragged last one, 64 is one piece) bit for bit: it enters layer 2
+        # h^2 below d . b, so the two summation orders' round-off never
+        # reaches the float64 differences
         p, batch = case()
-        monkeypatch.setattr(nn_core, "_PROBE_BLOCK", block)
         got, ref = nn_core._loss_differences(p, batch), per_unit_loss_differences(p, batch)
+        np.testing.assert_array_equal(got.layer2, blocked_layer2_differences(p, batch, block))
         for layer in ("layer1", "layer2"):
             err = np.abs(getattr(got, layer) - getattr(ref, layer)).max()
             assert err <= 1e-11 * np.abs(getattr(ref, layer)).max()
         np.testing.assert_array_equal(got.layer3, ref.layer3)
         np.testing.assert_array_equal(got.theta, ref.theta)
 
-    @pytest.mark.parametrize("case", [
-        lambda: make_gradcheck_case(0),
-        lambda: random_case(((0, 15), (15, 30))),
-        lambda: random_case(((0, 3), (3, 10), (10, 30))),
-        lambda: without_de(*make_gradcheck_case(0)),
-        scaled_w2_case,
-    ], ids=["gradcheck_case_0", "two_segments", "uneven_segments", "de_weight_0", "w2_scaled"])
+    @pytest.mark.parametrize("case", FOUR_CASES, ids=FOUR_CASE_IDS)
+    def test_k_is_banded(self, case):
+        # the [w2 | b2] K term sums over K's diagonals 0 and +-2 only: each
+        # collocation row of A touches samples r - 1 and r + 1 of one
+        # segment, so every entry of A^T A off those offsets is exactly 0
+        p, batch = case()
+        n = len(batch.vo2)
+        lam_a = np.append(nn_core.box_map(p.theta, *nn_core.BOX)[0][:5], 0.0)
+        a_t = np.concatenate(pm.collocation_residuals(
+            np.eye(n), batch._log_vo2, batch.segment_bounds, batch._dt_min, lam_a), axis=-1)
+        ata = a_t @ a_t.T
+        offset = np.subtract.outer(np.arange(n), np.arange(n))
+        assert np.all(ata[~np.isin(offset, (-2, 0, 2))] == 0.0)
+        assert np.count_nonzero(np.diagonal(ata, 2)) > 0
+
+    @pytest.mark.parametrize("case", [*FOUR_CASES, scaled_w2_case],
+                             ids=[*FOUR_CASE_IDS, "w2_scaled"])
     def test_hidden_layer_differences_match_40_digit_reference(self, case):
         # the Taylor form of tanh(z + q) - tanh(z) forms no cancelling
         # difference: measured <= 1.3e-15, where the per-unit tanh passes
@@ -622,8 +673,9 @@ class TestGradientCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # at the check's n = 32 the kernel measured 755 kB; the [w2 | b2] K
-        # term in blocks of 16 units (1.15 MB) or in one piece exceeds this
+        # at the check's n = 32 the kernel measured 472 kB, summing the
+        # [w2 | b2] K term one diagonal at a time; a dense contraction's
+        # (HIDDEN + 1, HIDDEN, n) operand alone, 1.06 MB, exceeds this
         assert len(batch.vo2) == 32
         assert peak < 923_648
 
