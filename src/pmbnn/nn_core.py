@@ -174,13 +174,12 @@ class TrainBatch:
     def __post_init__(self):
         if len(self.vo2) != len(self.hr):
             raise LengthMismatch("vo2 and hr must be aligned")
-        pm._check_positive_vo2(self.vo2)
-        lv = np.log(self.vo2)
+        rows = pm.log_vo2_rows(self.vo2)
         x1, a1, a2 = _layer_inputs(self.vo2, self.dtype)
         self.__dict__.update(  # the dataclass is frozen; caches bypass that
-            _log_vo2=lv, _lv_powers=np.vstack([x1[1], lv, lv * lv]), _x1=x1,
+            _log_vo2=rows[1], _lv_powers=rows, _x1=x1,
             _dt_min=self.dt_seconds / pm.SECONDS_PER_MINUTE,
-            _work=(a1, a2, np.empty((HIDDEN, len(lv)), self.dtype)))
+            _work=(a1, a2, np.empty((HIDDEN, len(rows[1])), self.dtype)))
 
 
 def _forward_loss(p: MlpParams, batch: TrainBatch):
@@ -228,10 +227,7 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
             q[a + 2:b] += f
             q[a:b - 2] -= f
         q /= 2.0 * batch._dt_min
-        l1, l2, l3, l4, l5, _ = lam
-        # coefficients of 1, lv, lv^2 in dg/dl1..dg/dl4 and in g
-        coef = np.array([[0.0, l4, l3], [l4, l3, 0.0], [0.0, l2, l1],
-                         [l2, l1, 0.0], [l2 * l4, l1 * l4 + l2 * l3, l1 * l3]])
+        l5, coef = lam[4], pm.coupling_coefficients(lam)
         dy += (2.0 * w / m) * (1.0 - l5 * (coef[4] @ batch._lv_powers)) * q
         sums = np.append(coef @ (batch._lv_powers @ (y * q)), sum(f.sum() for f in res))
         dlam = np.array([l5, l5, l5, l5, 1.0, 1.0]) * sums
@@ -360,8 +356,7 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     residual affine, so prediction changes d+, d- score exactly as
     d . (b + K s), d = d+ - d-, s = d+ + d-, with b = 2 r / n + (w / m) A^T 2F
     and K = I / n + (w / m) A^T A; A^T, n x m for m residuals, is the
-    residual of the identity's rows. ``diff`` does that for stacked rows in
-    one gemm against K, n x n (the check's n is 32).
+    residual of the identity's rows, and K is n x n (the check's n is 32).
 
     No hidden-layer probe takes a tanh pass. A probe moves a layer-2
     pre-activation z by q, and tanh(z + q) - tanh(z) = sum_m c_m q^m with
@@ -371,7 +366,7 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     - [w1 | b1] (j, c): a1_j moves by delta = tanh(+-h x_c) (1 - a1_j^2) /
       (1 + a1_j tanh(+-h x_c)), exactly, and z by w2_ij delta, so
       d+- = sum_m delta^m M_m[j] with M_m = (w2^m)^T (w3 c_m), powers
-      elementwise: _TAYLOR_ORDER gemms, then one diff.
+      elementwise: _TAYLOR_ORDER gemms, then one against K for all probes.
     - [w2 | b2] (i, j): z_i moves by +-h A_j, A = [a1; 1], so d and s are
       the odd and even terms of the series. Up to O(h^4) relative,
       d . b = 2 w3_i [h (c1 b) A^T + h^3 (c3 b) (A^3)^T]_ij and
@@ -400,19 +395,6 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     b = 2.0 * resid / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
 
     out = _Tree._of(np.empty(_SIZE))
-
-    def diff(t):
-        # L(y + plus) - L(y + minus) for stacked prediction changes
-        # t = [plus, minus], (2, ..., n), overwriting t. s is one 2-D stack
-        # of rows, so every row takes one gemm
-        plus, minus = t.reshape(2, -1, n)
-        s = plus + minus
-        np.subtract(plus, minus, out=minus)
-        np.matmul(s, k, out=plus)
-        plus += b
-        plus *= minus
-        return np.sum(plus, axis=-1).reshape(t.shape[1:-1])
-
     sech2 = _sech2(p.layer2 @ a1e)
     c = [sech2 * np.polyval(r, a2) for r in _TANH_SERIES]
     # [w1 | b1] row j: (2 signs, HIDDEN, 2 probes, n); the series in delta
@@ -423,8 +405,16 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     for order in range(_TAYLOR_ORDER, 0, -1):
         dy1 += ((p.w2 ** order).T @ (w3[:, None] * c[order - 1]))[:, None]
         dy1 *= delta
-    out.layer1[:] = diff(dy1)
-    del tau, delta, dy1   # fewer live arrays below keep the heap's high-water mark low
+    # d . (b + K s) in dy1's buffer: s is one 2-D stack of rows, one gemm
+    plus, minus = dy1.reshape(2, -1, n)
+    s = plus + minus
+    np.subtract(plus, minus, out=minus)
+    np.matmul(s, k, out=plus)
+    plus += b
+    plus *= minus
+    out.layer1[:] = np.sum(plus, axis=-1).reshape(HIDDEN, 2)
+    # fewer live arrays below keep the heap's high-water mark low
+    del tau, delta, dy1, plus, minus, s
     # [w2 | b2] row i: d . b in two gemms, d . K s one diagonal of K at a
     # time, (c1_is K_st c2_it) (A_js A^2_jt)^T over the s with t = s + off
     a_sq = a1e * a1e
@@ -435,8 +425,8 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
         ks += (c[0][:, s] * np.diagonal(k, off) * c[1][:, t]) @ (a1e[:, s] * a_sq[:, t]).T
     out.layer2 += (2.0 * h ** 3) * w3[:, None] * ks
     out.layer2 *= 2.0 * w3[:, None]
-    # [w3 | b3]: the output moves by the probe times the unit's activation
-    out.layer3[:] = diff(np.stack([h * a2e, -h * a2e]))
+    # [w3 | b3]: the output moves by +-h times the unit's activation a2: s = 0, d = 2 h a2
+    out.layer3[:] = np.sum(b * (2.0 * (h * a2e)), axis=-1)
     # theta[k] moves lambda k alone and leaves y, so only L_DE changes. F
     # is affine in each lambda, F(l) = F + (l - lam_k) c_k with c_k the
     # change of F from lambda k at 0 to lambda k at 1, so F+^2 - F-^2 is

@@ -90,11 +90,22 @@ class LambdaBounds:
         return bool(np.all(arr >= lo) and np.all(arr <= hi))
 
 
-def _check_positive_vo2(vo2) -> np.ndarray:
+def log_vo2_rows(vo2) -> np.ndarray:
+    """The rows [1; lv; lv^2] of lv = ln(vo2), (3, n), in which g and its
+    lambda partials are linear; a vo2 <= 0 is NonPositiveSignal."""
     v = np.asarray(vo2, dtype=float)
     if np.any(v <= 0):
         raise NonPositiveSignal("vo2 must be strictly positive (L/min)")
-    return v
+    lv = np.log(v)
+    return np.vstack([np.ones_like(lv), lv, lv * lv])
+
+
+def coupling_coefficients(lam) -> np.ndarray:
+    """Coefficients of 1, lv, lv^2 in dg/dl1..dl4 (rows 0-3) and in g = SV * TPR
+    (row 4), to apply to :func:`log_vo2_rows`; ``lam`` is the six lambdas."""
+    l1, l2, l3, l4 = lam[:4]
+    return np.array([[0.0, l4, l3], [l4, l3, 0.0], [0.0, l2, l1],
+                     [l2, l1, 0.0], [l2 * l4, l1 * l4 + l2 * l3, l1 * l3]])
 
 
 def segment_offsets(segment_bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +155,7 @@ def simulate_hr(
         )
     start, steps = segment_offsets(vo2.segment_bounds)
     h0 = np.repeat(np.asarray(hr0, dtype=float), [b - a for a, b in vo2.segment_bounds])
-    hr, _ = trajectory(np.log(_check_positive_vo2(vo2.values)), start, steps, h0,
+    hr, _ = trajectory(log_vo2_rows(vo2.values)[1], start, steps, h0,
                        vo2.dt / SECONDS_PER_MINUTE, lam.as_array())
     return UniformSeries(
         t0=vo2.t0, dt=vo2.dt, values=hr,

@@ -79,16 +79,16 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     passes run in float32 (:class:`TrainBatch`); the weights, theta, the
     RMSprop accumulators ``v`` and the losses stay float64.
     """
-    batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
-                       segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
-                       de_weight=cfg.de_weight, dtype=np.float32)
     params = nn_core.xavier_init(cfg.seed)
     v = np.zeros_like(params.flat)
     history: list[LossBreakdown] = []
     reason = "epoch-cap"
     scored = params   # the parameters whose losses history[-1] records
-    # NonFiniteLoss reports divergence; NumPy need not warn first
+    # NonFiniteLoss reports divergence, a vo2 past float32 too; NumPy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
+        batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
+                           segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
+                           de_weight=cfg.de_weight, dtype=np.float32)
         for epoch in range(1, cfg.max_epochs + 1):
             try:
                 l_data, l_de, l_tot, grads = nn_core.loss_and_gradients(params, batch)
@@ -246,12 +246,13 @@ def _pm_objective(rec: SubjectRecord, cfg: PmFitConfig, theta0: np.ndarray):
     (h0 * dden_a/dl - HR_i * dden_i/dl + t_i * [l = l6]) / den_i. With
     u = err / den the data term's gradient is then sum_i r_i dden_i/dl
     (plus sum u t for l6), r = -u HR with h0 times the segment's sum of u
-    added at each a. What does not depend on theta is computed once per
-    fit. A singular candidate scores +inf.
+    added at each a, and dden/dl1..dl5 = -l5 dg/dl1..dl4, -g come from
+    :func:`physio_model.coupling_coefficients`. What does not depend on
+    theta is computed once per fit. A singular candidate scores +inf.
     """
     hr_meas = rec.hr.values
     n = len(hr_meas)
-    log_vo2 = np.log(physio_model._check_positive_vo2(rec.vo2.values))
+    rows = physio_model.log_vo2_rows(rec.vo2.values)
     firsts = [a for a, _ in rec.vo2.segment_bounds]
     start, steps = physio_model.segment_offsets(rec.vo2.segment_bounds)
     h0 = hr_meas[start]
@@ -263,19 +264,16 @@ def _pm_objective(rec: SubjectRecord, cfg: PmFitConfig, theta0: np.ndarray):
     def objective(theta: np.ndarray):
         lam, slope = nn_core.box_map(theta, *nn_core.BOX)
         try:
-            hr, den = physio_model.trajectory(log_vo2, start, steps, h0, dt_min, lam)
+            hr, den = physio_model.trajectory(rows[1], start, steps, h0, dt_min, lam)
         except physio_model.Singularity:
             return math.inf, np.zeros_like(theta)
-        l1, l2, l3, l4, l5, _ = lam
         err = hr - hr_meas
         u = err / den
         r = -u * hr
         r[firsts] += hr_meas[firsts] * np.add.reduceat(u, firsts)
-        sv, tpr = l1 * log_vo2 + l2, l3 * log_vo2 + l4
-        rt, rs = r * tpr, r * sv
-        # dden/dl1..dl5 = -l5 TPR lv, -l5 TPR, -l5 SV lv, -l5 SV, -SV TPR
-        dlam = np.array([-l5 * (rt @ log_vo2), -l5 * rt.sum(), -l5 * (rs @ log_vo2),
-                         -l5 * rs.sum(), -(rs @ tpr), u @ t_min])
+        l5 = lam[4]
+        sums = np.append(physio_model.coupling_coefficients(lam) @ (rows @ r), u @ t_min)
+        dlam = np.array([-l5, -l5, -l5, -l5, -1.0, 1.0]) * sums
         drift = theta - theta0
         f = float(err @ err) / n + float(weight @ (drift * drift))
         grad = (2.0 / n) * dlam * slope + 2.0 * weight * drift

@@ -1166,6 +1166,28 @@ def test_capped_train_writes_the_model_its_losses_score(pipeline_dirs, tmp_path,
     assert manifest["final_losses"] == _written_model_losses(csv, out, model)
 
 
+@pytest.mark.parametrize("model", ["pmbnn", "fcnn"])
+def test_train_on_a_vo2_past_float32_reports_divergence(tmp_path, capsys, model):
+    # a vo2 of 1e308 passes preprocess; the float32 training batch was built
+    # outside train_pmbnn's np.errstate, so its cast warned "overflow
+    # encountered in cast" on stderr before the run ended as a divergence
+    assert run(["synth", "--out", str(tmp_path / "synth"), "--seed", "3"]) == 0
+    lines = (tmp_path / "synth" / "synthetic.csv").read_text().splitlines(keepends=True)
+    cells = lines[100].split(",")
+    cells[1] = "1e308"   # data row 100's vo2
+    lines[100] = ",".join(cells)
+    (tmp_path / "huge_vo2.csv").write_text("".join(lines))
+    prep, out = tmp_path / "prep", tmp_path / "train"
+    assert run(["preprocess", "--input", str(tmp_path / "huge_vo2.csv"),
+                "--out", str(prep)]) == 0
+    capsys.readouterr()
+    assert run(["train", "--model", model, "--input", str(prep / "preprocessed.csv"),
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((out / f"{model}_run_manifest.json").read_text())
+    assert manifest["stopped_reason"] == "divergence"
+
+
 def test_reconstruct_manifest_names_its_train_run(pipeline_dirs, tmp_path):
     # the reconstruction manifest named the checkpoint file only, so two
     # train runs whose settings differ but whose weights agree (both stop

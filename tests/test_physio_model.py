@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracle_utils import residual_series
+from oracle_utils import coupling_products, residual_series
 
 from pmbnn.errors import (
     LengthMismatch,
@@ -18,6 +18,8 @@ from pmbnn.physio_model import (
     LambdaBounds,
     LambdaParams,
     collocation_residuals,
+    coupling_coefficients,
+    log_vo2_rows,
     simulate_hr,
     trajectory,
 )
@@ -223,6 +225,29 @@ def test_collocation_residuals_batch_axis_matches_rows():
             for got, want in zip(stacked, flat):
                 assert got.shape == (2, k, len(want))
                 assert np.array_equal(got[j, row], want)
+
+
+def test_coupling_coefficients_match_the_oracles():
+    # the table's g row is the oracle's products, lowest power first, and each
+    # partial row applied to [1, lv, lv^2] is a central difference of g, which
+    # is linear in each lambda, so the difference is exact up to round-off
+    rng = np.random.default_rng(14)
+    lo, hi = LambdaBounds().lo_hi_arrays()
+    v = rng.uniform(0.25, 3.5, 30)
+    rows = log_vo2_rows(v)
+    assert np.array_equal(rows, [np.ones(30), np.log(v), np.log(v) ** 2])
+    for _ in range(20):
+        lam = rng.uniform(lo, hi)
+        coef = coupling_coefficients(lam)
+        assert np.array_equal(coef[4], coupling_products(LambdaParams.from_array(lam))[::-1])
+        for k in range(4):
+            step = np.where(np.arange(6) == k, 1e-3 * (hi[k] - lo[k]), 0.0)
+            fd = (coupling_g(LambdaParams.from_array(lam + step), v)
+                  - coupling_g(LambdaParams.from_array(lam - step), v)) / (2.0 * step[k])
+            np.testing.assert_allclose(coef[k] @ rows, fd, rtol=1e-7, atol=1e-8)
+    for bad in (0.0, -1.0):
+        with pytest.raises(NonPositiveSignal):
+            log_vo2_rows([1.0, bad, 2.0])
 
 
 class TestModelInvariants:
