@@ -221,18 +221,18 @@ def _read_record(path: str) -> SubjectRecord:
 
 
 def _read_split(args, cfg: dict):
-    """The ``--input`` record and its per-activity split at ``split.ratio``."""
-    rec = _read_record(args.input)
-    return rec, split_by_activity(rec, float(cfg["split.ratio"]))
+    """The per-activity split of the ``--input`` record at ``split.ratio``."""
+    return split_by_activity(_read_record(args.input), float(cfg["split.ratio"]))
 
 
-def _predictions(model: str, rec: SubjectRecord, split, pred) -> bytes:
+def _predictions(model: str, split, pred) -> bytes:
     """predictions_<model>.csv: each test sample's time, measured HR, the
     model's HR and activity label."""
-    times = rec.vo2.t0 + rec.vo2.dt * split.test_indices
+    test = split.test
     return csv_bytes(["t_s", "hr_true", MODEL_COLUMNS[model], "activity"],
                      ([time_cell(t), f"{h:.10g}", f"{p:.10g}", a] for t, h, p, a in
-                      zip(times, split.test.hr.values, pred, split.test.activity_labels)))
+                      zip(test.vo2.times(split.test_indices), test.hr.values, pred,
+                          test.activity_labels)))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -268,14 +268,9 @@ def cmd_synth(args, cfg: dict) -> dict[str, bytes]:
     if args.spec:
         spec = _spec_from_file(args.spec, args.seed)
     else:
-        spec = SyntheticSpec(
-            subject_id="synthetic",
-            plan=DEFAULT_PLAN,
-            lambda_true=SYNTH_DEFAULT_LAMBDA,
-            hr0=70.0,
-            noise_sigma_hr=args.noise_hr,
-            seed=args.seed if args.seed is not None else 0,
-        )
+        spec = SyntheticSpec("synthetic", DEFAULT_PLAN, SYNTH_DEFAULT_LAMBDA,
+                             noise_sigma_hr=args.noise_hr,
+                             **({} if args.seed is None else {"seed": args.seed}))
     rec = generate_synthetic_subject(spec)
     log.info("synthesized %s (%d samples)", spec.subject_id, len(rec))
     return {f"{spec.subject_id}.csv": record_to_csv_bytes(rec),
@@ -287,18 +282,18 @@ def cmd_synth(args, cfg: dict) -> dict[str, bytes]:
 
 
 def cmd_split(args, cfg: dict) -> dict[str, bytes]:
-    rec, split = _read_split(args, cfg)
-    return {"train.csv": record_to_csv_bytes(split.train),
-            "test.csv": record_to_csv_bytes(split.test),
+    split = _read_split(args, cfg)
+    return {"train.csv": record_to_csv_bytes(split.train, split.train_indices),
+            "test.csv": record_to_csv_bytes(split.test, split.test_indices),
             "split_manifest.json": _manifest(args, cfg, {
-                "subject_id": rec.subject_id, "ratio": cfg["split.ratio"],
+                "subject_id": split.train.subject_id, "ratio": cfg["split.ratio"],
                 "split_hash": split.provenance_hash(),
                 "train_indices": split.train_indices.tolist(),
                 "test_indices": split.test_indices.tolist()})}
 
 
 def cmd_train(args, cfg: dict) -> dict[str, bytes]:
-    rec, split = _read_split(args, cfg)
+    split = _read_split(args, cfg)
     # both fit sections are range-checked, though the model's fit reads one
     train, pm = _section("train", cfg), _section("pm", cfg)
     _make_dir(args.out)  # an unusable --out fails before the fit, not after it
@@ -306,9 +301,9 @@ def cmd_train(args, cfg: dict) -> dict[str, bytes]:
     config_hash = _config(args, cfg)["config_hash"]
     lam = list(fitted.lam.as_array())
     files = {f"{args.model}_run_manifest.json": _manifest(args, cfg, {
-                 "model": args.model, "subject_id": rec.subject_id,
+                 "model": args.model, "subject_id": split.train.subject_id,
                  "split_hash": split.provenance_hash(), "lambda": lam, **fitted.diagnostics}),
-             f"predictions_{args.model}.csv": _predictions(args.model, rec, split,
+             f"predictions_{args.model}.csv": _predictions(args.model, split,
                                                            fitted.predictions)}
     if fitted.mlp is None:
         files["pm_lambda.json"] = json.dumps({"lambda": lam, "config_hash": config_hash},
@@ -323,11 +318,11 @@ def cmd_reconstruct(args, cfg: dict) -> dict[str, bytes]:
     params, seed, config_hash = nn_core.load_checkpoint(_read_json(args.checkpoint),
                                                         args.checkpoint)
     lam = nn_core.lambda_from_theta(params.theta, LambdaBounds())
-    rec, split = _read_split(args, cfg)
+    split = _read_split(args, cfg)
     return {"predictions_pmbnn_r.csv": _predictions(
-                "pmbnn_r", rec, split, reconstruct_pmbnn_r(split.test, lam).values),
+                "pmbnn_r", split, reconstruct_pmbnn_r(split.test, lam).values),
             "pmbnn_r_run_manifest.json": _manifest(args, cfg, {
-                "subject_id": rec.subject_id, "checkpoint": os.path.basename(args.checkpoint),
+                "subject_id": split.train.subject_id, "checkpoint": os.path.basename(args.checkpoint),
                 "checkpoint_seed": seed, "checkpoint_config_hash": config_hash,
                 "lambda": list(lam.as_array()), "split_hash": split.provenance_hash()})}
 
@@ -428,7 +423,7 @@ def cmd_report(args, cfg: dict) -> dict[str, bytes]:
 
 
 def cmd_gradcheck(args, cfg: dict) -> int:
-    err = nn_core.run_gradcheck(args.seed)
+    err = nn_core.gradient_check(*nn_core.make_gradcheck_case(args.seed))
     print(f"max relative gradient error (seed {args.seed}): {err:.3e}")
     return 0 if err <= 1e-4 else 1
 

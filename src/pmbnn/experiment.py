@@ -14,7 +14,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,16 +46,9 @@ def _subrecord(rec: SubjectRecord, chunks: list[np.ndarray]) -> SubjectRecord:
     idx = np.concatenate(chunks)
     ends = list(itertools.accumulate(map(len, chunks)))
     bounds = tuple(zip([0, *ends], ends))
-    mk = lambda src: UniformSeries(
-        t0=src.t0, dt=src.dt, values=src.values[idx],
-        segment_bounds=bounds, unit=src.unit,
-    )
-    return SubjectRecord(
-        subject_id=rec.subject_id,
-        vo2=mk(rec.vo2),
-        hr=mk(rec.hr),
-        activity_labels=tuple(rec.activity_labels[i] for i in idx),
-    )
+    mk = lambda src: replace(src, values=src.values[idx], segment_bounds=bounds)
+    return replace(rec, vo2=mk(rec.vo2), hr=mk(rec.hr),
+                   activity_labels=tuple(rec.activity_labels[i] for i in idx))
 
 
 #: the ``split.ratio`` default: each segment's share of train samples

@@ -475,11 +475,6 @@ def make_gradcheck_case(seed: int) -> tuple[MlpParams, TrainBatch]:
     return p, batch
 
 
-def run_gradcheck(seed: int) -> float:
-    """Gradient check on the conditioned per-seed instance."""
-    return gradient_check(*make_gradcheck_case(seed))
-
-
 #: each array's shape in the network
 _SHAPES = {f: list(getattr(_Tree._of(np.empty(_SIZE)), f).shape) for f in ARRAY_FIELDS}
 #: a checkpoint's fields, as :func:`checkpoint_bytes` writes them (errors.check_json)

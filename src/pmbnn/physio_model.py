@@ -10,7 +10,7 @@ rate l6, which is what the simulator steps exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,10 +157,7 @@ def simulate_hr(
     h0 = np.repeat(np.asarray(hr0, dtype=float), [b - a for a, b in vo2.segment_bounds])
     hr, _ = trajectory(log_vo2_rows(vo2.values)[1], start, steps, h0,
                        vo2.dt / SECONDS_PER_MINUTE, lam.as_array())
-    return UniformSeries(
-        t0=vo2.t0, dt=vo2.dt, values=hr,
-        segment_bounds=vo2.segment_bounds, unit="bpm",
-    )
+    return replace(vo2, values=hr, unit="bpm")
 
 
 def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> list:

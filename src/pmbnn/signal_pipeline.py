@@ -94,14 +94,10 @@ class UniformSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.values))
-
-    def with_values(self, values: np.ndarray) -> "UniformSeries":
-        if len(values) != len(self.values):
-            raise LengthMismatch("replacement values must keep the length")
-        return replace(self, values=np.asarray(values, dtype=float))
+    def times(self, index=None) -> np.ndarray:
+        """t0 + dt * index, the times of the recording's samples at
+        ``index``; by default those of this series' own positions."""
+        return self.t0 + self.dt * (np.arange(len(self.values)) if index is None else index)
 
 
 @dataclass(frozen=True)
@@ -307,18 +303,6 @@ def resample_linear_1hz(rec: RawRecording) -> SubjectRecord:
     return out
 
 
-def _odd_reflect_pad(x: np.ndarray, left: int, right: int) -> np.ndarray:
-    """Pad by point reflection through the end samples.
-
-    The anti-symmetric extension 2*x[edge] - x[mirror] continues straight
-    lines exactly, so order-1 smoothing stays exact on affine segments.
-    ``left`` and ``right`` are below ``len(x)``, as no kernel outgrows a segment.
-    """
-    head = 2.0 * x[0] - x[1:left + 1][::-1] if left else np.empty(0)
-    tail = 2.0 * x[-1] - x[-right - 1:-1][::-1] if right else np.empty(0)
-    return np.concatenate([head, x, tail])
-
-
 def savgol_coefficients(window: int, polyorder: int) -> np.ndarray:
     """Least-squares smoothing weights evaluated at the window center."""
     if polyorder < 0 or window % 2 == 0 or window < polyorder + 2:
@@ -339,11 +323,13 @@ def _check_width(s: UniformSeries, width: int, too_long: str) -> None:
 
 
 def _convolve_segments(s: UniformSeries, kernel: np.ndarray, left: int, right: int) -> np.ndarray:
-    """Each segment of ``s``, odd-reflection padded by ``left`` and ``right``
-    samples, convolved with ``kernel``, which :func:`_check_width` passed."""
+    """Each segment of ``s``, padded by ``left`` and ``right`` samples of
+    2*x[edge] - x[mirror], which continues straight lines exactly, convolved
+    with ``kernel``, which :func:`_check_width` passed."""
     out = np.empty_like(s.values)
     for a, b in s.segment_bounds:
-        out[a:b] = np.convolve(_odd_reflect_pad(s.values[a:b], left, right), kernel, "valid")
+        padded = np.pad(s.values[a:b], (left, right), mode="reflect", reflect_type="odd")
+        out[a:b] = np.convolve(padded, kernel, "valid")
     return out
 
 
@@ -352,7 +338,7 @@ def savitzky_golay_smooth(s: UniformSeries, window: int, polyorder: int) -> Unif
     _check_width(s, window, f"window {window} exceeds")
     weights = savgol_coefficients(window, polyorder)
     half = window // 2
-    return s.with_values(_convolve_segments(s, weights[::-1], half, half))
+    return replace(s, values=_convolve_segments(s, weights[::-1], half, half))
 
 
 def fir_lowpass(s: UniformSeries, taps: int) -> UniformSeries:
@@ -361,7 +347,8 @@ def fir_lowpass(s: UniformSeries, taps: int) -> UniformSeries:
         raise BadWindow(f"taps must be >= 1, got {taps}")
     _check_width(s, taps, f"taps {taps} exceed")
     # summing ones then dividing keeps constants exact
-    return s.with_values(_convolve_segments(s, np.ones(taps), (taps - 1) // 2, taps // 2) / taps)
+    summed = _convolve_segments(s, np.ones(taps), (taps - 1) // 2, taps // 2)
+    return replace(s, values=summed / taps)
 
 
 def preprocess_subject(rec: SubjectRecord, cfg: FilterConfig = FilterConfig()) -> SubjectRecord:
@@ -370,11 +357,12 @@ def preprocess_subject(rec: SubjectRecord, cfg: FilterConfig = FilterConfig()) -
     vo2 = fir_lowpass(vo2, cfg.fir_taps)
     hr = fir_lowpass(rec.hr, cfg.fir_taps)
     # clamp last so the logarithmic hemodynamics stay defined
-    return replace(rec, vo2=vo2.with_values(np.maximum(vo2.values, cfg.vo2_floor)), hr=hr)
+    return replace(rec, vo2=replace(vo2, values=np.maximum(vo2.values, cfg.vo2_floor)), hr=hr)
 
 
-def record_to_csv_bytes(rec: SubjectRecord) -> bytes:
-    """Serialize a SubjectRecord back to the input CSV schema."""
+def record_to_csv_bytes(rec: SubjectRecord, index=None) -> bytes:
+    """Serialize a SubjectRecord back to the input CSV schema, each row at
+    its time :meth:`UniformSeries.times` of ``index``."""
     return csv_bytes(CSV_HEADER, ([time_cell(t), f"{v:.10g}", f"{h:.10g}", a] for t, v, h, a in
-                                  zip(rec.vo2.times, rec.vo2.values, rec.hr.values,
+                                  zip(rec.vo2.times(index), rec.vo2.values, rec.hr.values,
                                       rec.activity_labels)))

@@ -6,6 +6,7 @@ lines and timings.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from oracle_utils import BOUNDS, ORACLE_INIT, coupling_products, oracle_subject,
 
 from pmbnn.cli import main as cli_main
 from pmbnn.experiment import reconstruct_pmbnn_r, split_by_activity
-from pmbnn.nn_core import mlp_forward, run_gradcheck
+from pmbnn.nn_core import gradient_check, make_gradcheck_case, mlp_forward
 from pmbnn.physio_model import LambdaParams, Singularity, simulate_hr
 from pmbnn.signal_pipeline import UniformSeries, fir_lowpass, preprocess_subject, savitzky_golay_smooth
 from pmbnn.stats_eval import (
@@ -56,7 +57,7 @@ def subjects():
 
 def test_criterion_01_gradient_correctness():
     start = time.perf_counter()
-    worst = max(run_gradcheck(seed) for seed in range(20))
+    worst = max(gradient_check(*make_gradcheck_case(seed)) for seed in range(20))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-4
     assert elapsed <= 30.0
@@ -224,7 +225,7 @@ def test_criterion_09_filter_laws():
     lin_err = 0.0
     for filt in (lambda s: savitzky_golay_smooth(s, 15, 1),
                  lambda s: fir_lowpass(s, 10)):
-        combo = filt(x.with_values(a * x.values + b * y.values)).values
+        combo = filt(replace(x, values=a * x.values + b * y.values)).values
         parts = a * filt(x).values + b * filt(y).values
         lin_err = max(lin_err, float(np.max(np.abs(combo - parts))))
     assert lin_err <= 1e-10

@@ -294,8 +294,12 @@ class TestErrorPaths:
         # printed the span as a 301-digit integer
         (b"1e300,1.0,71,rest", "OutOfBounds: recording spans 1e+300 grid seconds, more than "
          f"the {MAX_RECORD_SAMPLES} of the longest record"),
+        (b"1,1.0,,rest", "InsufficientSamples: need at least 2 samples per signal"),
+        (b"1,1.0,71,run", "InsufficientSamples: activity segment [0,1) has fewer than 2 grid "
+         "samples"),
     ], ids=["nan", "inf", "latin1", "long-cell", "no-signal", "repeated-time", "negative-hr",
-            "span-1e16-s", "span-past-the-cap", "span-1e300-s"])
+            "span-1e16-s", "span-past-the-cap", "span-1e300-s", "hr-in-one-row",
+            "one-second-activity"])
     def test_bad_csv_cell_exits_one(self, tmp_path, capsys, row, shown):
         path = tmp_path / "in.csv"
         path.write_bytes(b"time_s,vo2_lpm,hr_bpm,activity\n0,1.0,70,rest\n" + row + b"\n")
@@ -569,7 +573,7 @@ def test_unix_ms_stamped_recording_preprocesses_and_splits(tmp_path):
     written = parse_recording_csv((prep / "preprocessed.csv").read_bytes()).time
     assert np.all(np.diff(written) > 0)
     np.testing.assert_array_equal(
-        written, resample_linear_1hz(parse_recording_csv(src.read_bytes())).vo2.times)
+        written, resample_linear_1hz(parse_recording_csv(src.read_bytes())).vo2.times())
     assert run(["split", "--input", str(prep / "preprocessed.csv"),
                 "--out", str(tmp_path / "split")]) == 0
 
@@ -770,13 +774,24 @@ class TestConfigPlumbing:
     def test_split_files_roundtrip(self, tmp_path):
         synth = tmp_path / "s"
         assert run(["synth", "--out", str(synth), "--seed", "2"]) == 0
+        prep = tmp_path / "p"
+        assert run(["preprocess", "--input", str(synth / "synthetic.csv"),
+                    "--out", str(prep)]) == 0
         out = tmp_path / "o"
-        assert run(["split", "--input", str(synth / "synthetic.csv"),
+        assert run(["split", "--input", str(prep / "preprocessed.csv"),
                     "--out", str(out)]) == 0
         train_lines = (out / "train.csv").read_text().strip().split("\n")
         test_lines = (out / "test.csv").read_text().strip().split("\n")
         assert len(train_lines) - 1 == 1440
         assert len(test_lines) - 1 == 360
+        # each row keeps the time it was recorded at: the halves were written
+        # at positions 0..n-1, so test.csv began at t_s 0, not 480
+        rows = (prep / "preprocessed.csv").read_text().strip().split("\n")
+        manifest = json.loads((out / "split_manifest.json").read_text())
+        for lines, key in ((train_lines, "train_indices"), (test_lines, "test_indices")):
+            assert lines[0] == rows[0]
+            assert lines[1:] == [rows[1 + i] for i in manifest[key]]
+        assert test_lines[1].startswith("480,")
 
 
 class TestIdempotence:
@@ -900,11 +915,14 @@ SPEC = {"plan": [{"label": "rest", "duration_s": 120, "target_vo2": 0.4}],
                    {"label": "run", "duration_s": 61, "target_vo2": 2.0}]},
      f"OutOfBounds: {{spec}}: the plan's total duration_s must be <= {MAX_RECORD_SAMPLES} s, "
      f"the longest record, got {MAX_RECORD_SAMPLES + 1}\n"),
+    ([], {"plan": [{"label": "rest", "duration_s": 30, "target_vo2": 0.4}]},
+     "error: SegmentTooShort: phase shorter than 60 s: ActivityPhase(label='rest', "
+     "duration_s=30, target_vo2=0.4, tau_s=30.0)\n"),
 ], ids=["noise-hr-negative", "noise-hr-nan", "noise-vo2-negative", "hr0-negative",
         "tau-zero", "target-vo2-nan", "duration-fractional", "seed-fractional",
         "seed-bool", "hr0-bool", "lambda-bool", "subject-id-number", "label-number", "subject-id-path",
         "subject-id-dotdot", "subject-id-empty", "plan-empty", "lambda-outside-box",
-        "plan-1e16-s", "plan-past-the-cap"])
+        "plan-1e16-s", "plan-past-the-cap", "phase-30-s"])
 def test_synth_rejects_unusable_spec_values(tmp_path, capsys, flags, spec, shown):
     # each of these was ignored, truncated or written into the CSV with exit 0,
     # or ended in an error that named no setting
@@ -1133,7 +1151,7 @@ def _written_model_losses(csv: str, out, model: str) -> dict:
                                dtype=np.float32)
     l_data, l_de, l_tot, _ = nn_core.loss_and_gradients(params, batch)
     assert (out / f"predictions_{model}.csv").read_bytes() == cli._predictions(
-        model, rec, split, nn_core.mlp_forward(params, split.test.vo2.values))
+        model, split, nn_core.mlp_forward(params, split.test.vo2.values))
     return {"l_data": l_data, "l_de": l_de, "l_tot": l_tot}
 
 
@@ -1348,6 +1366,20 @@ def test_negative_polyorder_exits_one(pipeline_dirs, tmp_path, capsys):
     assert run(["preprocess", "--input", _artifacts(pipeline_dirs)["csv"],
                 "--out", str(tmp_path / "o"), "--filter.sg_polyorder", "-1"]) == 1
     assert "BadWindow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hr, flags, shown", [
+    (lambda t: "70" if t >= 5 else "", [],
+     "InsufficientSamples: signal support [5.0, 39.0] does not cover grid [0.0, 39.0]"),
+    (lambda t: "70", ["--filter.fir_taps", "0"], "BadWindow: taps must be >= 1, got 0"),
+], ids=["hr-starts-late", "fir-taps-zero"])
+def test_preprocess_rejects_late_hr_and_zero_taps(tmp_path, capsys, hr, flags, shown):
+    src, out = tmp_path / "rec.csv", tmp_path / "o"
+    src.write_text("time_s,vo2_lpm,hr_bpm,activity\n"
+                   + "".join(f"{t},1.0,{hr(t)},rest\n" for t in range(40)))
+    assert run(["preprocess", "--input", str(src), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
+    assert not out.exists()
 
 
 #: valid and invalid values of each config key, the valid ones first;

@@ -32,7 +32,6 @@ from pmbnn.nn_core import (
     make_gradcheck_case,
     mlp_forward,
     rmsprop_step,
-    run_gradcheck,
     save_checkpoint,
     theta_from_lambda,
     xavier_init,
@@ -457,7 +456,7 @@ class TestGradientCheck:
         assert gradient_check(p, batch_for(p, vo2, hr, w=1.0)) <= 1e-10
 
     def test_twenty_seeds_below_tolerance(self):
-        worst = max(run_gradcheck(seed) for seed in range(20))
+        worst = max(gradient_check(*make_gradcheck_case(seed)) for seed in range(20))
         assert worst <= 1e-4
         # every difference is taken without cancellation, so what is left is
         # the O(h^2) truncation of the central formula, about 8.6e-11
@@ -646,7 +645,7 @@ class TestGradientCheck:
             nn_core._loss_differences(p, batch).flat)
 
     def test_golden_seeds_agree_with_extended_precision_per_unit_passes(self):
-        # tests/golden/gradcheck_seeds.txt prints run_gradcheck's errors.
+        # tests/golden/gradcheck_seeds.txt prints `pmbnn gradcheck`'s errors.
         # Each is within 1e-5 relative of the error that the per-unit tanh
         # passes give in extended precision: measured <= 8.6e-6 over seeds
         # 0-49, the float64 numerators' ~1e-15 round-off on errors of
@@ -660,7 +659,7 @@ class TestGradientCheck:
             fd = (per_unit_loss_differences(p, batch, np.longdouble).flat
                   / (2 * np.longdouble(nn_core._FD_STEP)))
             want = np.max(np.abs(analytic - fd) / np.maximum(1e-12, np.abs(analytic) + np.abs(fd)))
-            assert abs(run_gradcheck(seed) - want) <= 1e-5 * want
+            assert abs(gradient_check(*make_gradcheck_case(seed)) - want) <= 1e-5 * want
 
     def test_probe_scoring_allocates_no_block_sized_temporaries(self):
         import tracemalloc

@@ -30,7 +30,7 @@ KNOWN_PUBLIC_NAMES = {
 #: public methods that the walk must find among those it checks
 KNOWN_PUBLIC_METHODS = {
     ("physio_model", "LambdaBounds", "lo_hi_arrays"),
-    ("signal_pipeline", "UniformSeries", "with_values"),
+    ("signal_pipeline", "UniformSeries", "times"),
 }
 
 

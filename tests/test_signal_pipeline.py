@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ class TestResample:
     def test_linear_midpoint(self):
         rec = parse_recording_csv(csv_bytes(["0.0,1.0,60,rest", "2.0,2.0,62,rest"]))
         out = resample_linear_1hz(rec)
-        np.testing.assert_allclose(out.vo2.times, [0.0, 1.0, 2.0])
+        np.testing.assert_allclose(out.vo2.times(), [0.0, 1.0, 2.0])
         np.testing.assert_allclose(out.vo2.values, [1.0, 1.5, 2.0])
         np.testing.assert_allclose(out.hr.values, [60.0, 61.0, 62.0])
 
@@ -305,7 +306,7 @@ class TestFilterInvariants:
         base = filt(s).values
         changed = s.values.copy()
         changed[60:] += rng.normal(size=60)
-        out = filt(s.with_values(changed)).values
+        out = filt(replace(s, values=changed)).values
         np.testing.assert_array_equal(out[:60], base[:60])
         assert np.any(out[60:] != base[60:])
 
@@ -318,7 +319,7 @@ class TestFilterInvariants:
         x = self.two_segment_series(rng)
         y = self.two_segment_series(rng)
         a, b = 1.7, -2.3
-        combo = filt(x.with_values(a * x.values + b * y.values)).values
+        combo = filt(replace(x, values=a * x.values + b * y.values)).values
         parts = a * filt(x).values + b * filt(y).values
         np.testing.assert_allclose(combo, parts, atol=1e-10)
 
