@@ -327,9 +327,11 @@ def _convolve_segments(s: UniformSeries, kernel: np.ndarray, left: int, right: i
     2*x[edge] - x[mirror], which continues straight lines exactly, convolved
     with ``kernel``, which :func:`_check_width` passed."""
     out = np.empty_like(s.values)
-    for a, b in s.segment_bounds:
-        padded = np.pad(s.values[a:b], (left, right), mode="reflect", reflect_type="odd")
-        out[a:b] = np.convolve(padded, kernel, "valid")
+    # UniformSeries reports a sum past float64 (NonPositiveSignal); NumPy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in s.segment_bounds:
+            padded = np.pad(s.values[a:b], (left, right), mode="reflect", reflect_type="odd")
+            out[a:b] = np.convolve(padded, kernel, "valid")
     return out
 
 

@@ -74,7 +74,9 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     Per epoch: forward pass, L_tot, backprop, parameter update. Stops when
     L_tot < cfg.stop_threshold, at the epoch cap, or on divergence, and
     returns the parameters whose losses the history's last entry records
-    (the initial ones if a diverged run left it empty). The lambdas start at
+    (the initial ones if a diverged run left it empty). A non-finite loss,
+    or a non-finite gradient caught by RMSprop's check, ends the fit as
+    divergence; both are handled in one place. The lambdas start at
     ``DEFAULT_INITIAL`` inside the ``LambdaBounds()`` box. The network
     passes run in float32 (:class:`TrainBatch`); the weights, theta, the
     RMSprop accumulators ``v`` and the losses stay float64.
@@ -89,31 +91,24 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
         batch = TrainBatch(vo2=train.vo2.values, hr=train.hr.values,
                            segment_bounds=train.vo2.segment_bounds, dt_seconds=train.vo2.dt,
                            de_weight=cfg.de_weight, dtype=np.float32)
-        for epoch in range(1, cfg.max_epochs + 1):
-            try:
+        try:
+            for epoch in range(1, cfg.max_epochs + 1):
                 l_data, l_de, l_tot, grads = nn_core.loss_and_gradients(params, batch)
-            except NonFiniteLoss:
-                reason = "divergence"
-                params = scored
-                break
-            scored = params
-            history.append(LossBreakdown(l_data, l_de, l_tot))
-            if l_tot < cfg.stop_threshold:
-                reason = "threshold"
-                break
-            if epoch == cfg.max_epochs:   # the cap: keep the parameters just scored
-                break
-            try:
-                params = nn_core.rmsprop_step(params, grads, v, cfg.lr)
-            except NonFiniteLoss:
-                reason = "divergence"
-                break
-            # sigmoid gradients vanish past ~30, so cap theta to keep the
-            # bounded lambdas strictly inside their boxes in float64
-            np.clip(params.theta, -30.0, 30.0, out=params.theta)
+                scored = params
+                history.append(LossBreakdown(l_data, l_de, l_tot))
+                if l_tot < cfg.stop_threshold:
+                    reason = "threshold"
+                    break
+                if epoch < cfg.max_epochs:   # the cap keeps the parameters just scored
+                    params = nn_core.rmsprop_step(params, grads, v, cfg.lr)
+                    # sigmoid gradients vanish past ~30, so cap theta to keep the
+                    # bounded lambdas strictly inside their boxes in float64
+                    np.clip(params.theta, -30.0, 30.0, out=params.theta)
+        except NonFiniteLoss:   # from the loss or from rmsprop_step's gradient check
+            reason = "divergence"
     return TrainedModel(
-        mlp=params,
-        lam=nn_core.lambda_from_theta(params.theta, LambdaBounds()),
+        mlp=scored,
+        lam=nn_core.lambda_from_theta(scored.theta, LambdaBounds()),
         loss_history=history,
         stopped_reason=reason,
     )

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -1206,6 +1207,24 @@ def test_train_on_a_vo2_past_float32_reports_divergence(tmp_path, capsys, model)
     assert manifest["stopped_reason"] == "divergence"
 
 
+@pytest.mark.parametrize("column", [1, 2], ids=["vo2", "hr"])
+def test_preprocess_of_a_huge_first_cell_exits_one_without_warnings(tmp_path, capsys, column):
+    # the filters pad a segment with 2*x[edge] - x[mirror], which overflows
+    # for a first cell of 1e308; NumPy warned "overflow encountered in
+    # multiply" from np.pad before UniformSeries rejected the sum
+    assert run(["synth", "--out", str(tmp_path / "synth"), "--seed", "3"]) == 0
+    lines = (tmp_path / "synth" / "synthetic.csv").read_text().splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[column] = "1e308"
+    lines[1] = ",".join(cells)
+    (tmp_path / "huge_first.csv").write_text("".join(lines))
+    capsys.readouterr()
+    assert run(["preprocess", "--input", str(tmp_path / "huge_first.csv"),
+                "--out", str(tmp_path / "prep")]) == 1
+    assert capsys.readouterr().err == "error: NonPositiveSignal: series values must be finite\n"
+    assert not (tmp_path / "prep").exists()
+
+
 def test_reconstruct_manifest_names_its_train_run(pipeline_dirs, tmp_path):
     # the reconstruction manifest named the checkpoint file only, so two
     # train runs whose settings differ but whose weights agree (both stop
@@ -1523,3 +1542,60 @@ def test_a_temporary_file_that_cannot_be_written_leaves_no_other(pipeline_dirs, 
     assert f"IoFailure: cannot write {tmp_path / 'split_manifest.json'}: " in (
         capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == [".split_manifest.json.tmp"]
+
+
+#: a vo2 or hr cell of magnitude log-uniform over 1e-300..1e308
+_EXTREME_CELL = st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _recording_csv(draw):
+    """1-3 activity segments of 40-120 one-second rows; each segment's vo2
+    and hr column is all ordinary or mixed with extreme magnitudes."""
+    rows, t = ["time_s,vo2_lpm,hr_bpm,activity"], 0
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(40, 120))
+        vo2, hr = (draw(st.lists(draw(st.sampled_from([ordinary, ordinary | _EXTREME_CELL])),
+                                 min_size=n, max_size=n))
+                   for ordinary in (st.floats(0.3, 4.0), st.floats(50.0, 190.0)))
+        rows += [f"{t + i},{v!r},{h!r},a{k}" for i, (v, h) in enumerate(zip(vo2, hr))]
+        t += n
+    return "\n".join(rows) + "\n"
+
+
+@given(csv=_recording_csv())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_any_positive_recording_runs_the_chain_or_exits_one_typed(csv):
+    # preprocess -> train (each model) -> reconstruct -> evaluate: each
+    # step exits 0 with nothing on stderr, or exits 1 with one typed
+    # error line and no file; a failed step ends the chain
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        (root / "in.csv").write_text(csv)
+        prep = str(root / "prep" / "preprocessed.csv")
+        steps = [("prep", ["preprocess", "--input", str(root / "in.csv")])]
+        steps += [(m, ["train", "--model", m, "--input", prep, *budget])
+                  for m, budget in (("pmbnn", ["--train.max_epochs", "5"]),
+                                    ("fcnn", ["--train.max_epochs", "5"]),
+                                    ("pm", ["--pm.iters", "5"]))]
+        steps += [("recon", ["reconstruct", "--input", prep, "--checkpoint",
+                             str(root / "pmbnn" / "pmbnn_checkpoint.json")]),
+                  ("eval", ["evaluate", "--pred",
+                            *(str(root / m / f"predictions_{m}.csv")
+                              for m in ("pmbnn", "fcnn", "pm")),
+                            str(root / "recon" / "predictions_pmbnn_r.csv")])]
+        for out, argv in steps:
+            with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
+                warnings.simplefilter("error")
+                code = run(argv + ["--out", str(root / out)])
+            if code == 0:
+                assert err.getvalue() == "", (out, err.getvalue())
+                continue
+            assert code == 1, (out, err.getvalue())
+            line, = err.getvalue().splitlines()
+            kind = line.removeprefix("error: ").split(":")[0]
+            assert line.startswith("error: ") and issubclass(getattr(errors, kind),
+                                                             errors.PmbnnError), line
+            # train makes --out before its fit, so a failed fit may leave it empty
+            assert not (root / out).exists() or not os.listdir(root / out), (out, line)
+            return

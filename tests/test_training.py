@@ -151,6 +151,28 @@ class TestTrainPmbnn:
         assert model.stopped_reason == "divergence"
         assert np.all(np.isfinite(model.mlp.flat))
 
+    def test_non_finite_gradient_returns_the_network_it_scored(self, noisy_split,
+                                                                monkeypatch):
+        # the 3rd epoch's loss is finite but one gradient entry is inf:
+        # rmsprop_step's check ends the fit, not the loss check, and the
+        # model is the one that epoch scored
+        real, scored = nn_core.loss_and_gradients, []
+
+        def third_gradient_inf(p, batch):
+            l_data, l_de, l_tot, grads = real(p, batch)
+            scored.append((p.flat.copy(), p.theta.copy()))
+            if len(scored) == 3:
+                grads.flat[17] = np.inf
+            return l_data, l_de, l_tot, grads
+
+        monkeypatch.setattr(nn_core, "loss_and_gradients", third_gradient_inf)
+        model = train_pmbnn(noisy_split.train, TrainConfig(seed=4, max_epochs=10))
+        assert model.stopped_reason == "divergence"
+        assert len(model.loss_history) == 3 == len(scored)
+        flat, theta = scored[2]
+        np.testing.assert_array_equal(model.mlp.flat, flat)
+        assert model.lam == lambda_from_theta(theta, LambdaBounds())
+
     def test_deterministic(self, noisy_split):
         cfg = TrainConfig(seed=7, max_epochs=40)
         a = train_pmbnn(noisy_split.train, cfg)
