@@ -59,7 +59,7 @@ def theta_from_lambda(lam: LambdaParams, bounds: LambdaBounds) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
 
-class _Tree:
+class MlpParams:
     """The seven parameter-shaped arrays: weights, biases and theta.
 
     One layout serves the network parameters, their gradients and the
@@ -76,7 +76,7 @@ class _Tree:
             setattr(self, name, value)
 
     @classmethod
-    def _of(cls, flat: np.ndarray) -> "_Tree":
+    def _of(cls, flat: np.ndarray) -> "MlpParams":
         tree = cls.__new__(cls)
         tree._bind(flat)
         return tree
@@ -96,10 +96,6 @@ class _Tree:
         if np.shape(value) != view.shape:
             raise ValueError(f"{name} must have shape {view.shape}, got {np.shape(value)}")
         view[...] = value
-
-
-#: network weights/biases plus the six unconstrained lambda pre-images
-MlpParams = _Tree
 
 
 def xavier_init(seed: int, bounds: LambdaBounds = LambdaBounds(),
@@ -201,17 +197,16 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     """Evaluate L_data, L_DE, L_tot and exact reverse-mode gradients.
 
     L_data is in bpm^2 and L_DE, the mean squared collocation residual,
-    in (bpm/min)^2. The residual is F = D(y (1 - l5 g)) - l6 with D the
-    per-segment central difference and g = SV * TPR quadratic in lv, so
-    summing by parts, sum F D(v) = sum v q with q = D^T F, gives
-    dL_DE/dy = 2 (1 - l5 g) q / m and each lambda partial from sum F and
-    the moments sum y q lv^k, k = 0, 1, 2; theta's follow through the
-    logistic map. With ``de_weight == 0`` the theta gradient is 0. The
-    backward pass runs in the batch's buffers and returns a fresh float64
-    tree. The network passes, forward and backward, run in the batch's
-    ``dtype``: dy is cast to it after the float64 loss adjoint, and each
-    gemm writes its weight gradient straight into the float64 tree. With
-    float64 buffers every cast is a no-op.
+    in (bpm/min)^2. The residual is F = D(y den) - l6, den = 1 - l5 g(vo2),
+    so with q = D^T F (:func:`physio_model.collocation_adjoint`) dL_DE/dy
+    is 2 den q / m, dL_DE/dl1..dl5 2/m :func:`physio_model.den_partials` of
+    y q and dL_DE/dl6 -2/m sum F; theta's follow through the logistic map.
+    With ``de_weight == 0`` the theta gradient is 0. The backward pass runs
+    in the batch's buffers and returns a fresh float64 tree. The network
+    passes, forward and backward, run in the batch's ``dtype``: dy is cast
+    to it after the float64 loss adjoint, and each gemm writes its weight
+    gradient straight into the float64 tree. With float64 buffers every
+    cast is a no-op.
     """
     y, resid, lam, slope, res, m, l_data, l_de = _forward_loss(p, batch)
     w = batch.de_weight
@@ -219,18 +214,14 @@ def loss_and_gradients(p: MlpParams, batch: TrainBatch):
     if not np.isfinite(l_tot):
         raise NonFiniteLoss(f"L_tot = {l_tot}")
 
-    grads = _Tree._of(np.zeros(_SIZE))
+    grads = MlpParams._of(np.zeros(_SIZE))
     dy = (2.0 / len(y)) * resid  # d L_tot / d prediction
     if w:
-        q = np.zeros(len(y))
-        for (a, b), f in zip(batch.segment_bounds, res):
-            q[a + 2:b] += f
-            q[a:b - 2] -= f
-        q /= 2.0 * batch._dt_min
-        l5, coef = lam[4], pm.coupling_coefficients(lam)
-        dy += (2.0 * w / m) * (1.0 - l5 * (coef[4] @ batch._lv_powers)) * q
-        sums = np.append(coef @ (batch._lv_powers @ (y * q)), sum(f.sum() for f in res))
-        dlam = np.array([l5, l5, l5, l5, 1.0, 1.0]) * sums
+        q = pm.collocation_adjoint(res, batch.segment_bounds, len(y), batch._dt_min)
+        g = pm.coupling_coefficients(lam)[4] @ batch._lv_powers
+        dy += (2.0 * w / m) * (1.0 - lam[4] * g) * q
+        dlam = np.append(-pm.den_partials(lam, batch._lv_powers, y * q),
+                         sum(f.sum() for f in res))
         grads.theta[:] = w * (-2.0 / m) * dlam * slope
 
     # backprop through the MLP, feature-major. a2's hidden rows become
@@ -281,7 +272,7 @@ def rmsprop_step(p: MlpParams, g: MlpParams, v: np.ndarray, lr: float) -> MlpPar
     v += t
     np.multiply(lr, gf, out=t)
     t /= np.sqrt(v) + RMSPROP_EPS
-    return _Tree._of(p.flat - t)
+    return MlpParams._of(p.flat - t)
 
 
 #: the central-difference step of :func:`gradient_check`
@@ -349,7 +340,7 @@ def _sech2(z: np.ndarray) -> np.ndarray:
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
+def _loss_differences(p: MlpParams, batch: TrainBatch) -> MlpParams:
     """L_tot(p + h e_k) - L_tot(p - h e_k) for every parameter k, h = _FD_STEP.
 
     At fixed lambdas L_data is quadratic in the prediction y and the
@@ -394,7 +385,7 @@ def _loss_differences(p: MlpParams, batch: TrainBatch) -> _Tree:
     k = np.eye(n) / n + (batch.de_weight / m) * (a_t @ a_t.T)
     b = 2.0 * resid / n + (batch.de_weight / m) * (a_t @ np.concatenate(two_f))
 
-    out = _Tree._of(np.empty(_SIZE))
+    out = MlpParams._of(np.empty(_SIZE))
     sech2 = _sech2(p.layer2 @ a1e)
     c = [sech2 * np.polyval(r, a2) for r in _TANH_SERIES]
     # [w1 | b1] row j: (2 signs, HIDDEN, 2 probes, n); the series in delta
@@ -476,7 +467,7 @@ def make_gradcheck_case(seed: int) -> tuple[MlpParams, TrainBatch]:
 
 
 #: each array's shape in the network
-_SHAPES = {f: list(getattr(_Tree._of(np.empty(_SIZE)), f).shape) for f in ARRAY_FIELDS}
+_SHAPES = {f: list(getattr(MlpParams._of(np.empty(_SIZE)), f).shape) for f in ARRAY_FIELDS}
 #: a checkpoint's fields, as :func:`checkpoint_bytes` writes them (errors.check_json)
 CHECKPOINT_FIELDS = {"schema_version": INTEGER, "seed": INTEGER, "config_hash": STRING,
                      "layer_shapes": {f: ListOf(INTEGER) for f in ARRAY_FIELDS},

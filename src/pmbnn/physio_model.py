@@ -108,6 +108,12 @@ def coupling_coefficients(lam) -> np.ndarray:
                      [l2, l1, 0.0], [l2 * l4, l1 * l4 + l2 * l3, l1 * l3]])
 
 
+def den_partials(lam, rows, v) -> np.ndarray:
+    """sum_i v_i dden_i/dl1..dl5 of den = 1 - l5 * g(vo2), the five partials
+    -l5 dg/dl1..dl4 and -g; ``rows`` is :func:`log_vo2_rows` of the series."""
+    return np.array([-lam[4]] * 4 + [-1.0]) * (coupling_coefficients(lam) @ (rows @ v))
+
+
 def segment_offsets(segment_bounds) -> tuple[np.ndarray, np.ndarray]:
     """Each sample's segment start index, and its samples since that start."""
     lengths = [b - a for a, b in segment_bounds]
@@ -187,3 +193,14 @@ def collocation_residuals(hr, log_vo2, segment_bounds, dt_min: float, lam) -> li
     f = ((hr[..., 2:] - hr[..., :-2]) - l5 * (p[..., 2:] - p[..., :-2])) / (2.0 * dt_min) - l6
     return [f[..., a:b - 2] for a, b in segment_bounds]
 
+
+def collocation_adjoint(res, segment_bounds, n: int, dt_min: float) -> np.ndarray:
+    """q = D^T F, (n,): the transpose of :func:`collocation_residuals`'
+    central difference D applied to its residuals ``res``, one per segment,
+    so that sum F D(x) = sum x q for any series x of length ``n``."""
+    q = np.zeros(n)
+    for (a, b), f in zip(segment_bounds, res):
+        q[a + 2:b] += f
+        q[a:b - 2] -= f
+    q /= 2.0 * dt_min
+    return q

@@ -102,7 +102,7 @@ class UniformSeries:
 
 @dataclass(frozen=True)
 class SubjectRecord:
-    """Aligned vo2 and HR series for one subject plus per-sample labels."""
+    """Aligned positive vo2 and HR series for one subject plus per-sample labels."""
 
     subject_id: str
     vo2: UniformSeries
@@ -119,6 +119,11 @@ class SubjectRecord:
             seg = set(self.activity_labels[a:b])
             if len(seg) != 1:
                 raise LengthMismatch(f"segment [{a},{b}) mixes labels {seg}")
+        for name, series in (("vo2", v), ("hr", h)):
+            bad = np.flatnonzero(series.values <= 0)
+            if len(bad):
+                raise NonPositiveSignal(f"{name} must be > 0, got {float(series.values[bad[0]])!r}"
+                                        f" at t = {time_cell(series.times(bad[0]))} s")
 
     def __len__(self) -> int:
         return len(self.vo2)

@@ -239,11 +239,10 @@ def _pm_objective(rec: SubjectRecord, cfg: PmFitConfig, theta0: np.ndarray):
     (:func:`physio_model.trajectory`) with den = 1 - l5 * g(vo2), a the
     segment's first sample and t_i in minutes since it, so dHR_i/dl =
     (h0 * dden_a/dl - HR_i * dden_i/dl + t_i * [l = l6]) / den_i. With
-    u = err / den the data term's gradient is then sum_i r_i dden_i/dl
-    (plus sum u t for l6), r = -u HR with h0 times the segment's sum of u
-    added at each a, and dden/dl1..dl5 = -l5 dg/dl1..dl4, -g come from
-    :func:`physio_model.coupling_coefficients`. What does not depend on
-    theta is computed once per fit. A singular candidate scores +inf.
+    u = err / den the data term's gradient is then sum_i r_i dden_i/dl,
+    :func:`physio_model.den_partials` of r (plus sum u t for l6), r = -u HR
+    with h0 times the segment's sum of u added at each a. What does not
+    depend on theta is computed once per fit. A singular candidate scores +inf.
     """
     hr_meas = rec.hr.values
     n = len(hr_meas)
@@ -266,9 +265,7 @@ def _pm_objective(rec: SubjectRecord, cfg: PmFitConfig, theta0: np.ndarray):
         u = err / den
         r = -u * hr
         r[firsts] += hr_meas[firsts] * np.add.reduceat(u, firsts)
-        l5 = lam[4]
-        sums = np.append(physio_model.coupling_coefficients(lam) @ (rows @ r), u @ t_min)
-        dlam = np.array([-l5, -l5, -l5, -l5, -1.0, 1.0]) * sums
+        dlam = np.append(physio_model.den_partials(lam, rows, r), u @ t_min)
         drift = theta - theta0
         f = float(err @ err) / n + float(weight @ (drift * drift))
         grad = (2.0 / n) * dlam * slope + 2.0 * weight * drift

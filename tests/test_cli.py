@@ -309,6 +309,25 @@ class TestErrorPaths:
         assert shown in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, shown", [
+        # the odd-reflection pad took the spike's last sample to -34: preprocess
+        # wrote it with exit 0, and train and split then rejected the CSV
+        (["preprocess", "--input", "{spike}"], "hr must be > 0, got -34.0 at t = 59 s\n"),
+        # Gaussian noise took hr to -190.6 at t = 3 s, which preprocess rejected
+        (["synth", "--seed", "1", "--noise-hr", "200"], "hr must be > 0, got -190.62"),
+    ], ids=["preprocessed-spike", "synth-noise"])
+    def test_record_left_non_positive_by_filters_or_noise_exits_one(self, tmp_path, capsys,
+                                                                     argv, shown):
+        spike = tmp_path / "spike.csv"
+        rows = [f"{t},1.0,{1000 if t == 54 else 60},rest" for t in range(60)]
+        spike.write_text("time_s,vo2_lpm,hr_bpm,activity\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        assert run([a.format(spike=spike) for a in argv] + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NonPositiveSignal: ") and err.count("\n") == 1
+        assert shown in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["preprocess", "--input", "{missing}", "--out", "{out}"],
         ["reconstruct", "--checkpoint", "{missing}", "--input", "{missing}",

@@ -227,7 +227,7 @@ class TestBackward:
 
         h_lam = 1e-7
         mid = 0.5 * (lo[k] + hi[k])
-        q = nn_core._Tree._of(p.flat.copy())
+        q = nn_core.MlpParams._of(p.flat.copy())
         lam = lambda_from_theta(p.theta, LambdaBounds()).as_array()
         lam[k] = mid + h_lam
         q.theta[k] = theta_from_lambda(LambdaParams.from_array(lam), LambdaBounds())[k]
@@ -322,7 +322,7 @@ def per_unit_loss_differences(p, batch, dtype=np.float64):
     """The FD tree with one tanh pass per hidden unit and probe sign, in
     ``dtype`` from the parameters on: the float64 kernel's cross-check, and
     in 80-bit extended precision an independent reference for its errors."""
-    p = nn_core._Tree._of(p.flat.astype(dtype))
+    p = nn_core.MlpParams._of(p.flat.astype(dtype))
     h = dtype(nn_core._FD_STEP)
     x1, a1e, a2e = nn_core._layer_inputs(batch.vo2, dtype)
     y = nn_core._forward_full(p, x1, a1e, a2e)
@@ -337,7 +337,7 @@ def per_unit_loss_differences(p, batch, dtype=np.float64):
         assert plus.ndim == 2
         return np.sum((plus - minus) * ((plus + minus) @ k + b), axis=-1)
 
-    out = nn_core._Tree._of(np.empty(nn_core._SIZE, dtype))
+    out = nn_core.MlpParams._of(np.empty(nn_core._SIZE, dtype))
     # [w1 | b1] row j: unit j of layer 1 moves and layer 2 is recomputed,
     # (2 signs, 2 probes, HIDDEN, n)
     step = np.stack([h * x1, -h * x1])
@@ -471,7 +471,7 @@ class TestGradientCheck:
         # the reference is the plain loop: two loss_only calls per parameter
         p, batch = case()
         h = nn_core._FD_STEP
-        work = nn_core._Tree._of(p.flat.copy())
+        work = nn_core.MlpParams._of(p.flat.copy())
         loop = []
         flat = work.flat  # every parameter array is a view of this vector
         for k in range(flat.size):

@@ -17,8 +17,10 @@ from pmbnn.physio_model import (
     DEFAULT_INITIAL,
     LambdaBounds,
     LambdaParams,
+    collocation_adjoint,
     collocation_residuals,
     coupling_coefficients,
+    den_partials,
     log_vo2_rows,
     simulate_hr,
     trajectory,
@@ -248,6 +250,43 @@ def test_coupling_coefficients_match_the_oracles():
     for bad in (0.0, -1.0):
         with pytest.raises(NonPositiveSignal):
             log_vo2_rows([1.0, bad, 2.0])
+
+
+@pytest.mark.parametrize("segs", [((0, 30),), ((0, 3), (3, 10), (10, 30)),
+                                  ((0, 3), (3, 6), (6, 9))])
+def test_collocation_adjoint_is_the_transposed_stencil(segs):
+    # A^T, the residual's linear part in hr, one row per unit series: with
+    # l5 = l6 = 0 the residuals of the identity are the stencil's columns
+    rng = np.random.default_rng(len(segs))
+    n, dt_min = segs[-1][1], 1 / 60
+    lv = np.log(rng.uniform(0.4, 3.0, n))
+    lam = [*rng.uniform(*LambdaBounds().lo_hi_arrays())[:4], 0.0, 0.0]
+    a_t = np.concatenate(collocation_residuals(np.eye(n), lv, segs, dt_min, lam), axis=-1)
+    res = [rng.normal(size=b - a - 2) for a, b in segs]
+    q = collocation_adjoint(res, segs, n, dt_min)
+    np.testing.assert_allclose(q, a_t @ np.concatenate(res), rtol=0,
+                               atol=1e-13 * np.abs(q).max())
+
+
+def test_den_partials_match_central_differences():
+    # sum v (1 - l5 g) is linear in each of l1..l5, so a central difference
+    # of it is exact up to round-off
+    rng = np.random.default_rng(15)
+    lo, hi = LambdaBounds().lo_hi_arrays()
+    vo2 = rng.uniform(0.25, 3.5, 30)
+    v = rng.normal(size=30)
+    rows = log_vo2_rows(vo2)
+
+    def weighted_den(lam):
+        return v @ (1.0 - lam[4] * coupling_g(LambdaParams.from_array(lam), vo2))
+
+    for _ in range(20):
+        lam = rng.uniform(lo, hi)
+        fd = []
+        for k in range(5):
+            step = np.where(np.arange(6) == k, 1e-3 * (hi[k] - lo[k]), 0.0)
+            fd.append((weighted_den(lam + step) - weighted_den(lam - step)) / (2.0 * step[k]))
+        np.testing.assert_allclose(den_partials(lam, rows, v), fd, rtol=1e-7, atol=1e-8)
 
 
 class TestModelInvariants:

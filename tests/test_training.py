@@ -445,7 +445,7 @@ def reference_loss_and_gradients(p, batch):
     l_tot = l_data + w * l_de
     if not np.isfinite(l_tot):
         raise NonFiniteLoss(f"L_tot = {l_tot}")
-    grads = nn_core._Tree._of(np.zeros(nn_core._SIZE))
+    grads = nn_core.MlpParams._of(np.zeros(nn_core._SIZE))
     dy = (2.0 / len(y)) * resid
     if w:
         q = np.zeros(len(y))
@@ -486,7 +486,7 @@ def reference_rmsprop_step(p, g, v, lr):
     v += t
     np.multiply(lr, g.flat, out=t)
     t /= np.sqrt(v) + nn_core.RMSPROP_EPS
-    return nn_core._Tree._of(p.flat - t)
+    return nn_core.MlpParams._of(p.flat - t)
 
 
 def reference_train(train, cfg):
