@@ -317,7 +317,7 @@ def cmd_train(args, cfg: dict) -> dict[str, bytes]:
 def cmd_reconstruct(args, cfg: dict) -> dict[str, bytes]:
     params, seed, config_hash = nn_core.load_checkpoint(_read_json(args.checkpoint),
                                                         args.checkpoint)
-    lam = nn_core.lambda_from_theta(params.theta, LambdaBounds())
+    lam = nn_core.lambda_from_theta(params.theta)
     split = _read_split(args, cfg)
     return {"predictions_pmbnn_r.csv": _predictions(
                 "pmbnn_r", split, reconstruct_pmbnn_r(split.test, lam).values),
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every section a model reads; main narrows args.sections to the model's
     p = add("train", cmd_train, "train one model on one subject", ("split", "train", "pm"),
             seed=True)
-    p.add_argument("--model", required=True, choices=("pmbnn", "fcnn", "pm"))
+    p.add_argument("--model", required=True, choices=tuple(MODEL_SECTIONS))
     p.add_argument("--input", required=True, help="preprocessed subject CSV")
 
     p = add("reconstruct", cmd_reconstruct, "PM with lambdas from a checkpoint", ("split",))

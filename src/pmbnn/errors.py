@@ -60,8 +60,7 @@ class SegmentTooShort(PmbnnError):
 # --- network / optimization ---------------------------------------------
 
 class OutOfBounds(PmbnnError):
-    """A parameter or config value falls outside its allowed range, or a
-    parameter box's lower bound is not strictly below its upper bound."""
+    """A parameter, config value or input cell falls outside its allowed range."""
 
 
 class NonFiniteLoss(PmbnnError):

@@ -45,11 +45,11 @@ def box_map(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return lo + (hi - lo) * s, (hi - lo) * s * (1.0 - s)
 
 
-def lambda_from_theta(theta: np.ndarray, bounds: LambdaBounds) -> LambdaParams:
+def lambda_from_theta(theta: np.ndarray, bounds: LambdaBounds = LambdaBounds()) -> LambdaParams:
     return LambdaParams.from_array(box_map(theta, *bounds.lo_hi_arrays())[0])
 
 
-def theta_from_lambda(lam: LambdaParams, bounds: LambdaBounds) -> np.ndarray:
+def theta_from_lambda(lam: LambdaParams, bounds: LambdaBounds = LambdaBounds()) -> np.ndarray:
     """The theta that :func:`lambda_from_theta` maps to ``lam``, the logit of each
     lambda's box coordinate; a lambda not strictly inside its box is OutOfBounds."""
     if not bounds.contains(lam):

@@ -10,14 +10,13 @@ rate l6, which is what the simulator steps exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
     LengthMismatch,
     NonPositiveSignal,
-    OutOfBounds,
     SegmentTooShort,
     Singularity,
 )
@@ -61,19 +60,14 @@ DEFAULT_INITIAL = LambdaParams(0.02, 0.1, -5.3, 10.5, 0.44, 0.3)
 
 @dataclass(frozen=True)
 class LambdaBounds:
-    """Per-parameter (lo, hi) boxes for l1..l6."""
+    """The (lo, hi) box of each of l1..l6: one fixed box, ``LambdaBounds()``."""
 
-    l1: tuple[float, float] = (0.01, 0.03)
-    l2: tuple[float, float] = (0.06, 0.15)
-    l3: tuple[float, float] = (-6.0, -2.0)
-    l4: tuple[float, float] = (7.0, 20.0)
-    l5: tuple[float, float] = (0.1, 0.6)
-    l6: tuple[float, float] = (-0.5, 0.5)
-
-    def __post_init__(self):
-        for name, (lo, hi) in self.items():
-            if not lo < hi:
-                raise OutOfBounds(f"{name}: lo {lo} must be < hi {hi}")
+    l1: tuple[float, float] = field(default=(0.01, 0.03), init=False)
+    l2: tuple[float, float] = field(default=(0.06, 0.15), init=False)
+    l3: tuple[float, float] = field(default=(-6.0, -2.0), init=False)
+    l4: tuple[float, float] = field(default=(7.0, 20.0), init=False)
+    l5: tuple[float, float] = field(default=(0.1, 0.6), init=False)
+    l6: tuple[float, float] = field(default=(-0.5, 0.5), init=False)
 
     def items(self):
         return [(k, getattr(self, k)) for k in ("l1", "l2", "l3", "l4", "l5", "l6")]

@@ -12,7 +12,7 @@ import codecs
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,9 @@ CSV_HEADER = ("time_s", "vo2_lpm", "hr_bpm", "activity")
 #: float32 activation buffers, about 0.8 GB; a longer span fails up front
 #: as OutOfBounds, not in an allocation
 MAX_RECORD_SAMPLES = 10**6
+#: the largest vo2 read (L/min), float32's largest value: the networks run in
+#: float32, where a larger vo2 is infinite
+VO2_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -224,8 +227,9 @@ def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
     A vo2/hr cell is empty (missing) or a finite number, a time cell a
     finite number. The first bad row names its line: MalformedRow for any
     other cell, a row with neither vo2 nor hr or one :func:`csv_table`
-    rejects, NonMonotonicTime for a time not above the previous one and
-    NonPositiveSignal for a vo2 or hr <= 0. A bad header is MalformedHeader."""
+    rejects, NonMonotonicTime for a time not above the previous one,
+    NonPositiveSignal for a vo2 or hr <= 0 and OutOfBounds for a vo2 above
+    VO2_MAX. A bad header is MalformedHeader."""
     header, rows = csv_table(data)
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise MalformedHeader(
@@ -245,6 +249,8 @@ def parse_recording_csv(data: bytes, subject_id: str = "") -> RawRecording:
         if vo2 <= 0 or hr <= 0:   # False for a missing value, NaN
             name, value = ("vo2", vo2) if vo2 <= 0 else ("hr", hr)
             raise NonPositiveSignal(f"line {line}: {name} must be > 0, got {value!r}")
+        if vo2 > VO2_MAX:   # False for a missing value, NaN
+            raise OutOfBounds(f"line {line}: vo2 must be at most {VO2_MAX!r} L/min, got {vo2!r}")
         times.append(t)
         vo2s.append(vo2)
         hrs.append(hr)

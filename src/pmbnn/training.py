@@ -17,7 +17,7 @@ import numpy as np
 from . import nn_core, physio_model
 from .errors import NonFiniteLoss, _require
 from .nn_core import MlpParams, TrainBatch
-from .physio_model import DEFAULT_INITIAL, LambdaBounds, LambdaParams
+from .physio_model import DEFAULT_INITIAL, LambdaParams
 from .signal_pipeline import SubjectRecord
 
 
@@ -77,7 +77,7 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
     (the initial ones if a diverged run left it empty). A non-finite loss,
     or a non-finite gradient caught by RMSprop's check, ends the fit as
     divergence; both are handled in one place. The lambdas start at
-    ``DEFAULT_INITIAL`` inside the ``LambdaBounds()`` box. The network
+    ``DEFAULT_INITIAL`` inside the box ``nn_core.BOX``. The network
     passes run in float32 (:class:`TrainBatch`); the weights, theta, the
     RMSprop accumulators ``v`` and the losses stay float64.
     """
@@ -108,7 +108,7 @@ def train_pmbnn(train: SubjectRecord, cfg: TrainConfig = TrainConfig()) -> Train
             reason = "divergence"
     return TrainedModel(
         mlp=scored,
-        lam=nn_core.lambda_from_theta(scored.theta, LambdaBounds()),
+        lam=nn_core.lambda_from_theta(scored.theta),
         loss_history=history,
         stopped_reason=reason,
     )
@@ -140,7 +140,7 @@ class LbfgsResult:
     line_search_failed: bool
 
 
-def lbfgs_minimize(objective, x0: np.ndarray, iters: int = 200) -> LbfgsResult:
+def lbfgs_minimize(objective, x0: np.ndarray, iters: int) -> LbfgsResult:
     """Two-loop-recursion L-BFGS with Armijo backtracking (halving).
 
     ``objective(x)`` returns ``(f, grad)``; every line-search probe calls
@@ -276,7 +276,7 @@ def _pm_objective(rec: SubjectRecord, cfg: PmFitConfig, theta0: np.ndarray):
 
 def fit_pm(train: SubjectRecord, init: LambdaParams = DEFAULT_INITIAL,
            cfg: PmFitConfig = PmFitConfig()) -> tuple[LambdaParams, LbfgsResult]:
-    """Fit l1..l6 by L-BFGS over the sigmoid-reparameterized ``LambdaBounds()`` box.
+    """Fit l1..l6 by L-BFGS over the sigmoid-reparameterized box ``nn_core.BOX``.
 
     The objective is the trajectory MSE of the forward simulation seeded
     with the first measured HR of each segment, plus the gauge pins and
@@ -285,9 +285,9 @@ def fit_pm(train: SubjectRecord, init: LambdaParams = DEFAULT_INITIAL,
     and the optimizer result, whose iterations and convergence flags are
     the fit's diagnostics.
     """
-    theta0 = nn_core.theta_from_lambda(init, LambdaBounds())
+    theta0 = nn_core.theta_from_lambda(init)
     # NonFiniteLoss at x0 and the line search's rejection of a non-finite f
     # report an overflowing objective; NumPy need not warn first
     with np.errstate(over="ignore", invalid="ignore"):
         result = lbfgs_minimize(_pm_objective(train, cfg, theta0), theta0, cfg.iters)
-    return nn_core.lambda_from_theta(result.x, LambdaBounds()), result
+    return nn_core.lambda_from_theta(result.x), result

@@ -1204,43 +1204,50 @@ def test_capped_train_writes_the_model_its_losses_score(pipeline_dirs, tmp_path,
     assert manifest["final_losses"] == _written_model_losses(csv, out, model)
 
 
-@pytest.mark.parametrize("model", ["pmbnn", "fcnn"])
-def test_train_on_a_vo2_past_float32_reports_divergence(tmp_path, capsys, model):
-    # a vo2 of 1e308 passes preprocess; the float32 training batch was built
-    # outside train_pmbnn's np.errstate, so its cast warned "overflow
-    # encountered in cast" on stderr before the run ended as a divergence
+def _synth_with_cell(tmp_path, row: int, column: int, text: str) -> str:
+    """The path of ``synth --seed 3``'s CSV with data row ``row``'s
+    ``column`` (1 vo2, 2 hr) set to ``text``; the row is on file line row + 1."""
     assert run(["synth", "--out", str(tmp_path / "synth"), "--seed", "3"]) == 0
     lines = (tmp_path / "synth" / "synthetic.csv").read_text().splitlines(keepends=True)
-    cells = lines[100].split(",")
-    cells[1] = "1e308"   # data row 100's vo2
-    lines[100] = ",".join(cells)
-    (tmp_path / "huge_vo2.csv").write_text("".join(lines))
-    prep, out = tmp_path / "prep", tmp_path / "train"
-    assert run(["preprocess", "--input", str(tmp_path / "huge_vo2.csv"),
-                "--out", str(prep)]) == 0
+    cells = lines[row].split(",")
+    cells[column] = text
+    lines[row] = ",".join(cells)
+    path = tmp_path / "edited.csv"
+    path.write_text("".join(lines))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["preprocess"], ["split"], ["train", "--model", "pm"],
+    ["reconstruct", "--checkpoint", "{ckpt}"],
+], ids=lambda argv: argv[0])
+def test_a_vo2_past_float32_exits_one_naming_its_line(pipeline_dirs, tmp_path, capsys, argv):
+    # a vo2 of 1e308 passed every read: both networks ended as a divergence
+    # and the PM fit exited 0 with l1 and l3 near their upper bounds
+    csv = _synth_with_cell(tmp_path, 100, 1, "1e308")
     capsys.readouterr()
-    assert run(["train", "--model", model, "--input", str(prep / "preprocessed.csv"),
-                "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    manifest = json.loads((out / f"{model}_run_manifest.json").read_text())
-    assert manifest["stopped_reason"] == "divergence"
+    out = tmp_path / "o"
+    assert run([a.format(**_artifacts(pipeline_dirs)) for a in argv]
+               + ["--input", csv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: OutOfBounds: line 101: vo2 must be at most "
+                                       "3.4028234663852886e+38 L/min, got 1e+308\n")
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("column", [1, 2], ids=["vo2", "hr"])
-def test_preprocess_of_a_huge_first_cell_exits_one_without_warnings(tmp_path, capsys, column):
+@pytest.mark.parametrize("column, shown", [
+    (1, "OutOfBounds: line 2: vo2 must be at most 3.4028234663852886e+38 L/min, got 1e+308"),
+    (2, "NonPositiveSignal: series values must be finite"),
+], ids=["vo2", "hr"])
+def test_preprocess_of_a_huge_first_cell_exits_one_without_warnings(tmp_path, capsys, column,
+                                                                   shown):
     # the filters pad a segment with 2*x[edge] - x[mirror], which overflows
     # for a first cell of 1e308; NumPy warned "overflow encountered in
-    # multiply" from np.pad before UniformSeries rejected the sum
-    assert run(["synth", "--out", str(tmp_path / "synth"), "--seed", "3"]) == 0
-    lines = (tmp_path / "synth" / "synthetic.csv").read_text().splitlines(keepends=True)
-    cells = lines[1].split(",")
-    cells[column] = "1e308"
-    lines[1] = ",".join(cells)
-    (tmp_path / "huge_first.csv").write_text("".join(lines))
+    # multiply" from np.pad before UniformSeries rejected the sum. A vo2
+    # that large is now refused where it is read
+    csv = _synth_with_cell(tmp_path, 1, column, "1e308")
     capsys.readouterr()
-    assert run(["preprocess", "--input", str(tmp_path / "huge_first.csv"),
-                "--out", str(tmp_path / "prep")]) == 1
-    assert capsys.readouterr().err == "error: NonPositiveSignal: series values must be finite\n"
+    assert run(["preprocess", "--input", csv, "--out", str(tmp_path / "prep")]) == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
     assert not (tmp_path / "prep").exists()
 
 

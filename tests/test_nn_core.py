@@ -41,62 +41,57 @@ from pmbnn.signal_pipeline import preprocess_subject
 from pmbnn.training import TrainConfig, train_pmbnn
 
 
-def box(lo, hi):
-    """The same (lo, hi) box for all six lambdas."""
-    return LambdaBounds(**{f"l{k}": (lo, hi) for k in range(1, 7)})
-
-
-def lam_of(theta, bounds):
-    """Bounded lambdas for one theta value broadcast to all six."""
-    return lambda_from_theta(np.full(6, theta), bounds).as_array()
+def lam_of(theta):
+    """The bounded lambdas for one theta value broadcast to all six."""
+    return lambda_from_theta(np.full(6, theta)).as_array()
 
 
 class TestBoundedTransform:
-    """The logistic map from theta into the lambda boxes."""
+    """The logistic map from theta into the lambda box."""
 
     def test_midpoint(self):
-        np.testing.assert_allclose(lam_of(0.0, box(2.0, 6.0)), 4.0, atol=1e-15)
+        lo, hi = nn_core.BOX
+        np.testing.assert_allclose(lam_of(0.0), (lo + hi) / 2, atol=1e-15)
 
     def test_saturation(self):
-        np.testing.assert_allclose(lam_of(50.0, box(2.0, 6.0)), 6.0, atol=1e-12)
+        lo, hi = nn_core.BOX
+        np.testing.assert_allclose(lam_of(50.0), hi, atol=1e-12)
+        np.testing.assert_allclose(lam_of(-50.0), lo, atol=1e-12)
 
     def test_lambda5_target(self):
         # direct logit arithmetic: theta for 0.44 in (0.1, 0.6)
-        theta6 = theta_from_lambda(DEFAULT_INITIAL, LambdaBounds())
+        theta6 = theta_from_lambda(DEFAULT_INITIAL)
         assert theta6[4] == pytest.approx(math.log(0.68 / 0.32), rel=1e-12)
-        assert lambda_from_theta(theta6, LambdaBounds()).l5 == pytest.approx(0.44, rel=1e-12)
-
-    def test_bad_bounds(self):
-        # an empty box is refused before any logit is taken
-        with pytest.raises(OutOfBounds):
-            theta_from_lambda(DEFAULT_INITIAL, box(1.0, 1.0))
+        assert lambda_from_theta(theta6).l5 == pytest.approx(0.44, rel=1e-12)
 
     @given(st.floats(-30, 30), st.floats(-5, 5), st.floats(0.1, 10))
     @settings(max_examples=200, deadline=None)
     def test_image_strictly_inside(self, theta, lo, width):
+        assert LambdaBounds().contains(LambdaParams.from_array(lam_of(theta)), strict=True)
         hi = lo + width
-        out = lam_of(theta, box(lo, hi))
+        out, _ = nn_core.box_map(np.full(6, theta), np.full(6, lo), np.full(6, hi))
         assert np.all(lo < out) and np.all(out < hi)
 
     @given(st.floats(-25, 25))
     @settings(max_examples=100, deadline=None)
     def test_strictly_monotone(self, theta):
-        bounds = box(0.0, 1.0)
-        assert np.all(lam_of(theta + 1e-3, bounds) > lam_of(theta, bounds))
+        assert np.all(lam_of(theta + 1e-3) > lam_of(theta))
 
 
 class TestBoundedInverse:
     """theta_from_lambda, the logit that inverts the logistic map."""
 
     def test_midpoint_is_zero(self):
-        theta = theta_from_lambda(LambdaParams(*[4.0] * 6), box(2.0, 6.0))
+        lo, hi = nn_core.BOX
+        theta = theta_from_lambda(LambdaParams.from_array((lo + hi) / 2))
         np.testing.assert_allclose(theta, 0.0, atol=1e-15)
 
     def test_equals_the_logit_of_each_lambda_alone(self):
         # the initial theta of every network comes from this map, so the
         # array logit must give each lambda's 0-d logit bit for bit
-        def reference(lam, bounds):
-            lo, hi = bounds.lo_hi_arrays()
+        lo, hi = nn_core.BOX
+
+        def reference(lam):
             out = []
             for v, a, b in zip(lam.as_array(), lo, hi):
                 p = np.asarray((v - a) / (b - a))
@@ -104,26 +99,27 @@ class TestBoundedInverse:
             return np.array(out)
 
         rng = np.random.default_rng(23)
-        lo, hi = LambdaBounds().lo_hi_arrays()
         lams = [DEFAULT_INITIAL] + [LambdaParams.from_array(rng.uniform(lo, hi))
                                     for _ in range(2000)]
         for lam in lams:
-            np.testing.assert_array_equal(theta_from_lambda(lam, LambdaBounds()),
-                                          reference(lam, LambdaBounds()))
+            np.testing.assert_array_equal(theta_from_lambda(lam), reference(lam))
 
     def test_round_trip(self):
         rng = np.random.default_rng(21)
+        lo, hi = nn_core.BOX
+        margin = 1e-6 * (hi - lo)
         for _ in range(100):
-            lo = rng.uniform(-3, 3, 6)
-            hi = lo + rng.uniform(0.1, 5, 6)
-            bounds = LambdaBounds(**{f"l{k + 1}": (lo[k], hi[k]) for k in range(6)})
-            lam = LambdaParams.from_array(rng.uniform(lo + 1e-6, hi - 1e-6))
-            back = lambda_from_theta(theta_from_lambda(lam, bounds), bounds)
+            lam = LambdaParams.from_array(rng.uniform(lo + margin, hi - margin))
+            back = lambda_from_theta(theta_from_lambda(lam))
             np.testing.assert_allclose(back.as_array(), lam.as_array(), rtol=1e-12)
 
     def test_boundary_rejected(self):
-        with pytest.raises(OutOfBounds):
-            theta_from_lambda(LambdaParams(2.0, 4.0, 4.0, 4.0, 4.0, 4.0), box(2.0, 6.0))
+        # a lambda on either face of its box has no finite logit
+        for k, face in np.ndindex(6, 2):
+            lam = DEFAULT_INITIAL.as_array()
+            lam[k] = nn_core.BOX[face][k]
+            with pytest.raises(OutOfBounds):
+                theta_from_lambda(LambdaParams.from_array(lam))
 
 
 class TestXavierInit:

@@ -8,7 +8,6 @@ from oracle_utils import coupling_products, residual_series
 from pmbnn.errors import (
     LengthMismatch,
     NonPositiveSignal,
-    OutOfBounds,
     SegmentTooShort,
     Singularity,
 )
@@ -338,9 +337,12 @@ class TestLambdaBounds:
     def test_defaults_contain_initials_strictly(self):
         assert LambdaBounds().contains(DEFAULT_INITIAL, strict=True)
 
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(OutOfBounds):
-            LambdaBounds(l1=(0.03, 0.01))
+    def test_box_is_a_constant(self):
+        # LambdaBounds() is the one box: no field can be set, and each
+        # default (lo, hi) pair is ordered
+        with pytest.raises(TypeError):
+            LambdaBounds(l1=(0.0, 1.0))
+        assert all(lo < hi for _, (lo, hi) in LambdaBounds().items())
 
     def test_from_array_wrong_length(self):
         with pytest.raises(LengthMismatch):
