@@ -64,6 +64,14 @@ class TestBoundedTransform:
         assert theta6[4] == pytest.approx(math.log(0.68 / 0.32), rel=1e-12)
         assert lambda_from_theta(theta6).l5 == pytest.approx(0.44, rel=1e-12)
 
+    def test_bad_bounds(self):
+        # an empty box can reach no map: neither the constructor nor a
+        # replace can set a (lo, hi) pair
+        with pytest.raises(TypeError):
+            LambdaBounds(**{f"l{k}": (1.0, 1.0) for k in range(1, 7)})
+        with pytest.raises(ValueError):
+            replace(LambdaBounds(), l1=(1.0, 1.0))
+
     @given(st.floats(-30, 30), st.floats(-5, 5), st.floats(0.1, 10))
     @settings(max_examples=200, deadline=None)
     def test_image_strictly_inside(self, theta, lo, width):

@@ -337,11 +337,11 @@ class TestLambdaBounds:
     def test_defaults_contain_initials_strictly(self):
         assert LambdaBounds().contains(DEFAULT_INITIAL, strict=True)
 
-    def test_box_is_a_constant(self):
-        # LambdaBounds() is the one box: no field can be set, and each
-        # default (lo, hi) pair is ordered
+    def test_inverted_bounds_rejected(self):
+        # LambdaBounds() is the one box: no field can be set, so no pair can
+        # be inverted, and each default (lo, hi) pair is ordered
         with pytest.raises(TypeError):
-            LambdaBounds(l1=(0.0, 1.0))
+            LambdaBounds(l1=(0.03, 0.01))
         assert all(lo < hi for _, (lo, hi) in LambdaBounds().items())
 
     def test_from_array_wrong_length(self):
